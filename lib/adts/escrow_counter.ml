@@ -38,10 +38,6 @@ let decr t n =
   if n < 0 then invalid_arg "Escrow_counter.decr: negative amount";
   apply t (-n)
 
-let can_apply t delta =
-  let v = t.value + delta in
-  v >= t.low && v <= t.high
-
 (* Delta of an update action; [None] for reads/unknown methods.  The
    banking vocabulary (deposit/withdraw) is accepted alongside
    incr/decr. *)
@@ -59,18 +55,32 @@ let delta_of act =
 let is_read act =
   match Action.meth act with "read" | "balance" -> true | _ -> false
 
-(* Escrow commutativity: two updates commute when executing them in either
-   order from the current state keeps every prefix within bounds; a read
-   conflicts with every update and commutes with reads. *)
+let pin t = Value.int t.value
+
+let within t v = v >= t.low && v <= t.high
+
+(* Escrow commutativity, pinned: two updates commute when, from the
+   state each of them executed in, running both in either order keeps
+   every prefix within bounds.  Testing at BOTH pinned pre-states is
+   conservative — each pin is a state one of the two actually ran in —
+   and makes the verdict a pure function of the two recorded actions
+   (DESIGN §21 has the soundness argument).  An unpinned update (an
+   analyzer probe that never executed) conflicts: no state vouches for
+   it.  A read conflicts with every update and commutes with reads. *)
 let spec t =
-  Commutativity.predicate ~name:"escrow-counter"
+  Commutativity.predicate ~stable:true ~pinned:true ~name:"escrow-counter"
     ~vocab:[ "incr"; "decr"; "read"; "deposit"; "withdraw"; "balance" ]
     (fun a b ->
       match (delta_of a, delta_of b) with
       | Some da, Some db ->
-          can_apply t da && can_apply t db
-          && t.value + da + db >= t.low
-          && t.value + da + db <= t.high
+          let fits pin =
+            match Option.bind pin Value.to_int with
+            | Some v ->
+                within t (v + da) && within t (v + db)
+                && within t (v + da + db)
+            | None -> false
+          in
+          fits (Action.pin a) && fits (Action.pin b)
       | None, None ->
           (* two reads commute; unknown methods conflict *)
           is_read a && is_read b

@@ -2,7 +2,8 @@
 
     A bounded counter whose increments and decrements commute as long as
     the escrow test guarantees both succeed in either order — the
-    parameter- and state-dependent commutativity refinement of §2. *)
+    parameter- and state-dependent commutativity refinement of §2, with
+    the state pinned when each action executed. *)
 
 open Ooser_core
 
@@ -25,13 +26,17 @@ val decr : t -> int -> unit
 (** @raise Bounds_violation when the bound would be exceeded.
     @raise Invalid_argument on negative amounts. *)
 
-val can_apply : t -> int -> bool
-(** Whether adding [delta] keeps the counter within bounds. *)
-
 val delta_of : Action.t -> int option
 (** The signed amount of an [incr]/[decr] action; [None] for reads. *)
 
+val pin : t -> Value.t
+(** The execution-time pin of an action on this counter: the balance
+    before it runs.  Register it with the object so the engine records
+    it on every action ({!Action.pin}). *)
+
 val spec : t -> Commutativity.spec
-(** Escrow commutativity against the counter's current state: updates
-    commute when both orders stay within bounds; reads conflict with
-    updates and commute with reads. *)
+(** Pinned escrow commutativity: two updates commute when both orders
+    stay within the counter's bounds from each action's pinned balance;
+    unpinned updates conflict; reads conflict with updates and commute
+    with reads.  Stable: the verdict reads the bounds and the two
+    actions, never the live balance. *)

@@ -2,7 +2,8 @@
    §2): two dequeues never commute, two enqueues never commute (they fix
    the order of elements), but an enqueue commutes with a dequeue whenever
    the queue is non-empty — the dequeue takes an old element no matter
-   which order they run in. *)
+   which order they run in.  Emptiness is pinned when each action
+   executes, so the spec never reads the live queue. *)
 
 open Ooser_core
 
@@ -34,12 +35,19 @@ let peek t =
   | x :: _ -> Some x
   | [] -> ( match List.rev t.back with x :: _ -> Some x | [] -> None)
 
-let spec t =
-  Commutativity.predicate ~name:"fifo-queue"
+let pin t = Value.bool (is_empty t)
+
+(* An enqueue and a dequeue commute when the queue was non-empty at
+   BOTH of their pinned pre-states (conservative, like escrow); an
+   unpinned probe conflicts. *)
+let spec =
+  let non_empty a = Action.pin a = Some (Value.bool false) in
+  Commutativity.predicate ~stable:true ~pinned:true ~name:"fifo-queue"
     ~vocab:[ "enqueue"; "dequeue"; "length" ]
     (fun a b ->
       match (Action.meth a, Action.meth b) with
-      | "enqueue", "dequeue" | "dequeue", "enqueue" -> not (is_empty t)
+      | "enqueue", "dequeue" | "dequeue", "enqueue" ->
+          non_empty a && non_empty b
       | "enqueue", "enqueue" -> (
           (* equal values are indistinguishable in the queue, so the two
              orders yield identical states — a conservative cell the

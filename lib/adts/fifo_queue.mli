@@ -16,5 +16,11 @@ val enqueue : t -> Value.t -> unit
 val dequeue : t -> Value.t option
 val peek : t -> Value.t option
 
-val spec : t -> Commutativity.spec
-(** Commutativity against the queue's current state. *)
+val pin : t -> Value.t
+(** The execution-time pin of an action on this queue: whether it was
+    empty before the action ran. *)
+
+val spec : Commutativity.spec
+(** Pinned commutativity: enqueue and dequeue commute when the queue
+    was non-empty at both actions' pinned pre-states; unpinned probes
+    conflict.  Stable. *)

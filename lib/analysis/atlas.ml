@@ -239,7 +239,14 @@ let hot_diags entries =
       List.filter_map
         (fun (c : Inherit.channel) ->
           let deep = List.length c.Inherit.trail >= 2 in
-          if not (Inherit.reaches_top c && deep) then None
+          (* a state-dependent source conflicts only in some states: the
+             pair's verdict is already [Unknown], not a hotspot *)
+          let state_dependent =
+            List.exists
+              (Obj_id.equal (Obj_id.original c.Inherit.source))
+              e.inh.Inherit.unstable
+          in
+          if state_dependent || not (Inherit.reaches_top c && deep) then None
           else
             let key =
               (e.pair, Obj_id.to_string c.Inherit.source, c.Inherit.meths)

@@ -73,11 +73,12 @@ let args_str args = Format.asprintf "%a" pp_args args
 
 (* Synthesized probe actions of two different processes; the Def. 9
    same-process rule is bypassed via Commutativity.test, like the spec
-   linter's probes. *)
-let probe_act ~obj ~top (meth, args) =
+   linter's probes.  A probe at a model state carries the pin the engine
+   would record there. *)
+let probe_act ?pin ~obj ~top (meth, args) =
   Action.v
     ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-    ~obj:(Obj_id.v obj) ~meth ~args
+    ~obj:(Obj_id.v obj) ~meth ~args ?pin
     ~process:(Ids.Process_id.main top)
     ()
 
@@ -186,13 +187,18 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
   | None -> unaudited_group spec_name members vocab
   | Some model ->
       let reg_spec = rep.spec in
-      let stable = Commutativity.stable reg_spec in
       let obj0 = List.hd members in
       let random =
         List.init random_states (fun _ ->
             QCheck.Gen.generate1 ~rand model.Semantics.gen_state)
       in
       let states = model.Semantics.states @ random in
+      (* a pinned spec decides on the state each action executed in, so
+         it is audited state by state, like a state-reading one, and its
+         cells never compile into an argument-keyed table *)
+      let stable =
+        Commutativity.stable reg_spec && not (Commutativity.pinned reg_spec)
+      in
       let n_states = List.length states in
       let diags = ref [] in
       let unsound = ref [] in
@@ -257,8 +263,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
         List.iter
           (fun s ->
             let family =
-              if stable then None
-              else Some (model.Semantics.instantiate s).Semantics.hand
+              if stable then None else Some (model.Semantics.instantiate s)
             in
             List.iter
               (fun (args, args', _hand_reg, first_fail, ok_any) ->
@@ -283,10 +288,11 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
                 match family with
                 | None -> ()
                 | Some fam ->
+                    let pin = fam.Semantics.pin in
                     let says =
-                      Commutativity.test fam
-                        (probe_act ~obj:obj0 ~top:1 (meth, args))
-                        (probe_act ~obj:obj0 ~top:2 (meth', args'))
+                      Commutativity.test fam.Semantics.hand
+                        (probe_act ?pin ~obj:obj0 ~top:1 (meth, args))
+                        (probe_act ?pin ~obj:obj0 ~top:2 (meth', args'))
                     in
                     if says && not ok && !family_unsound = None then
                       family_unsound :=

@@ -174,7 +174,9 @@ let analyse ?(sys = default_sys) reg (left : Summary.t) (right : Summary.t) =
         if
           Obj_id.equal o sys
           || List.exists (Obj_id.equal o) acc
-          || Commutativity.stable (Commutativity.spec_for reg o)
+          ||
+          let spec = Commutativity.spec_for reg o in
+          Commutativity.stable spec && not (Commutativity.pinned spec)
         then acc
         else acc @ [ o ])
       [] (Extension.objects ext)

@@ -58,7 +58,9 @@ type t = {
   shared : Obj_id.t list;
       (** objects receiving deposits from two or more distinct channels *)
   unstable : Obj_id.t list;
-      (** touched objects whose specs read state: statically undecidable *)
+      (** touched objects whose specs read state — live (unstable) or
+          pinned at execution ({!Commutativity.pinned}): statically
+          undecidable *)
 }
 
 val analyse :

@@ -16,6 +16,7 @@ type call = { result : outcome; undo : unit -> outcome }
 
 type instance = {
   hand : Commutativity.spec;
+  pin : Value.t option;
   exec : string -> Value.t list -> call;
   observe : unit -> Value.t;
 }
@@ -89,7 +90,12 @@ let counter =
       | m -> unknown "escrow-counter" m
     in
     let observe () = Value.int (A.Escrow_counter.value t) in
-    { hand = A.Escrow_counter.spec t; exec; observe }
+    {
+      hand = A.Escrow_counter.spec t;
+      pin = Some (A.Escrow_counter.pin t);
+      exec;
+      observe;
+    }
   in
   {
     model_name = "escrow-counter";
@@ -191,7 +197,7 @@ let kv_set =
       enc_set
         (List.map (fun e -> (e, A.Kv_set.count t e)) (A.Kv_set.elements t))
     in
-    { hand = A.Kv_set.spec; exec; observe }
+    { hand = A.Kv_set.spec; pin = None; exec; observe }
   in
   let a = Value.str "a" and b = Value.str "b" in
   {
@@ -293,7 +299,8 @@ let fifo =
       fifo_refill t items;
       Value.list items
     in
-    { hand = A.Fifo_queue.spec t; exec; observe }
+    { hand = A.Fifo_queue.spec; pin = Some (A.Fifo_queue.pin t); exec;
+      observe }
   in
   {
     model_name = "fifo-queue";
@@ -386,7 +393,7 @@ let directory =
            (fun k -> Option.map (fun v -> (k, v)) (A.Directory.lookup t k))
            (A.Directory.names t))
     in
-    { hand = A.Directory.spec; exec; observe }
+    { hand = A.Directory.spec; pin = None; exec; observe }
   in
   let a = Value.str "a" and b = Value.str "b" in
   {

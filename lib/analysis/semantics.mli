@@ -50,6 +50,10 @@ type instance = {
       (** The shipped hand spec {e bound to this state} — for
           state-dependent specs (escrow, queue) this is the rebound
           family member at the instance's state. *)
+  pin : Value.t option;
+      (** The execution-time pin the engine records for an action run
+          at this state ({!Ooser_core.Action.pin}); [None] for ADTs whose
+          spec reads no pins.  Probes of a pinned spec carry it. *)
   exec : string -> Value.t list -> call;
       (** Execute a method now; mutates the instance. *)
   observe : unit -> Value.t;

@@ -20,7 +20,7 @@
    commutativity registry (Def. 9).
 
    Representation.  Entries live in per-object hash buckets keyed by the
-   held action's (method, args) class, so a conflict probe touches only
+   held action's (method, args, pin) class, so a conflict probe touches only
    the classes present on one object — and can dismiss a whole class
    with a single raw commutativity test when the object's spec is
    stable (the decision is then a function of the class alone; the
@@ -38,8 +38,10 @@ type entry = {
   mutable live : bool;
 }
 
-(* (method, args) — one bucket per commutativity class on each object *)
-type clazz = string * Value.t list
+(* (method, args, pin) — one bucket per commutativity class on each
+   object; the pin belongs to the class because escrow and fifo decide
+   on it *)
+type clazz = string * Value.t list * Value.t option
 
 type obj_locks = { buckets : (clazz, entry list ref) Hashtbl.t }
 
@@ -85,7 +87,7 @@ let obj_locks t obj =
 let add t ~action ~scope =
   let e = { action; scope; retainer = Action.id action; live = true } in
   let ol = obj_locks t (Action.obj action) in
-  index ol.buckets (Action.meth action, Action.args action) e;
+  index ol.buckets (Action.meth action, Action.args action, Action.pin action) e;
   index t.by_scope scope e;
   index t.by_retainer e.retainer e;
   index t.by_top (Action_id.top scope) e;

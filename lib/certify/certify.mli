@@ -73,8 +73,8 @@ val run :
     defaults to {!Segment.default_target}, about four segments per
     worker.  The registry must be stable ({!Commutativity.stable}) for
     every object the trace touches — the same exactness requirement as
-    the online incremental certifier; with state-reading specs the
-    caller must fall back to the from-scratch oracle. *)
+    the online incremental certifier (escrow and fifo qualify: they
+    decide on the pins the trace records). *)
 
 val to_json : report -> string
 (** Hand-rolled JSON, the [oosdb certify --json] payload. *)

@@ -3,7 +3,7 @@ open Ooser_storage
 open Ids
 
 let magic = "OOSERTRC"
-let version = 1
+let version = 2  (* 2: actions carry their execution-time pin *)
 
 type record = {
   top : int;
@@ -86,6 +86,11 @@ let rec write_node w (node : Call_tree.t) =
   Codec.Writer.string w (Action.meth act);
   Codec.Writer.u16 w (List.length (Action.args act));
   List.iter (write_value w) (Action.args act);
+  (match Action.pin act with
+  | None -> Codec.Writer.u8 w 0
+  | Some p ->
+      Codec.Writer.u8 w 1;
+      write_value w p);
   Codec.Writer.u32 w (Process_id.top (Action.process act));
   Codec.Writer.u32 w (Process_id.branch (Action.process act));
   Codec.Writer.u16 w (List.length node.Call_tree.prec);
@@ -103,6 +108,12 @@ let rec read_node r ~top =
   let meth = Codec.Reader.string r in
   let n_args = Codec.Reader.u16 r in
   let args = List.init n_args (fun _ -> read_value r) in
+  let pin =
+    match Codec.Reader.u8 r with
+    | 0 -> None
+    | 1 -> Some (read_value r)
+    | t -> failwith (Printf.sprintf "Trace: bad pin tag %d" t)
+  in
   let ptop = Codec.Reader.u32 r in
   let branch = Codec.Reader.u32 r in
   let process = Process_id.v ~top:ptop ~branch in
@@ -115,7 +126,7 @@ let rec read_node r ~top =
   in
   let n_children = Codec.Reader.u32 r in
   let children = List.init n_children (fun _ -> read_node r ~top) in
-  let act = Action.v ~id ~obj ~meth ~args ~process () in
+  let act = Action.v ~id ~obj ~meth ~args ?pin ~process () in
   Call_tree.v ~prec act children
 
 (* ---------- record codec ---------- *)
@@ -253,8 +264,12 @@ let of_string buf =
       let m = try Codec.Reader.string hr with Failure _ -> "" in
       if m <> magic then failwith "Trace: bad magic (not a history trace)";
       let v = Codec.Reader.u16 hr in
-      if v > version then
-        failwith (Printf.sprintf "Trace: version %d unsupported" v);
+      if v <> version then
+        failwith
+          (Printf.sprintf
+             "Trace: version %d unsupported (this reader takes %d; traces \
+              before 2 lack execution-time pins — re-record them)"
+             v version);
       let registry = Codec.Reader.string hr in
       let entries = ref [] in
       (try

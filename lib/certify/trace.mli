@@ -6,7 +6,9 @@
     codec, same convention as the operation log): one header frame
     (magic, version, the name of the commutativity registry the history
     ran under), then one frame per committed top-level transaction
-    carrying its call tree and its executed primitives with their global
+    carrying its call tree (every action with its execution-time pin,
+    {!Ooser_core.Action.pin}, so state-dependent specs re-decide exactly
+    as they did online) and its executed primitives with their global
     execution stamps.  Stamps are order-isomorphic to positions in the
     committed execution order — exactly what {!Ooser_core.Incremental}
     needs — so a trace is certifiable without replaying anything.

@@ -8,15 +8,21 @@ type t = {
   meth : string;
   args : Value.t list;
   process : Process_id.t;
+  pin : Value.t option;
+      (* object state the action executed in, as the object's pin
+         function reports it; state-reading specs decide on it *)
 }
 
-let v ~id ~obj ~meth ?(args = []) ~process () = { id; obj; meth; args; process }
+let v ~id ~obj ~meth ?(args = []) ?pin ~process () =
+  { id; obj; meth; args; process; pin }
 
 let id t = t.id
 let obj t = t.obj
 let meth t = t.meth
 let args t = t.args
 let process t = t.process
+let pin t = t.pin
+let with_pin t pin = { t with pin = Some pin }
 let is_virtual t = Action_id.is_virtual t.id || Obj_id.is_virtual t.obj
 
 let with_virtual t ~rank ~obj =

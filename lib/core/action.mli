@@ -13,6 +13,14 @@ type t = {
   meth : string;  (** method name *)
   args : Value.t list;  (** parameters *)
   process : Process_id.t;
+  pin : Value.t option;
+      (** execution-time pin: the object state the action executed in,
+          as reported by the pin function the object was registered
+          with ([None] for objects without one, and for actions that
+          never executed, e.g. analyzer probes).  State-dependent
+          commutativity specs (escrow, fifo) decide on pins instead of
+          live state, which keeps every verdict a pure function of the
+          recorded history. *)
 }
 
 val v :
@@ -20,6 +28,7 @@ val v :
   obj:Obj_id.t ->
   meth:string ->
   ?args:Value.t list ->
+  ?pin:Value.t ->
   process:Process_id.t ->
   unit ->
   t
@@ -29,6 +38,10 @@ val obj : t -> Obj_id.t
 val meth : t -> string
 val args : t -> Value.t list
 val process : t -> Process_id.t
+val pin : t -> Value.t option
+
+val with_pin : t -> Value.t -> t
+(** The same action pinned to an execution-time state. *)
 
 val is_virtual : t -> bool
 (** True for virtual duplicates created by the system extension (Def. 5). *)

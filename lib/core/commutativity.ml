@@ -25,25 +25,31 @@ type spec = {
          queried by the static analyzer (SPEC* diagnostics) *)
   structure : structure;
   stable : bool;
-      (* the decision depends only on (method, args) pairs — never on
-         object state or call timing — so it may be memoized.  Matrix,
-         rw and all-* specs are stable by construction; opaque
-         predicates must opt in. *)
+      (* the decision depends only on the two (method, args, pin)
+         triples — never on live object state or call timing — so it
+         may be memoized.  Matrix, rw and all-* specs are stable by
+         construction; opaque predicates must opt in. *)
   meth_only : bool;
       (* stronger than [stable]: the decision depends only on the two
          METHOD NAMES (arguments ignored), so it can be compiled into a
          dense method x method table.  Matrix, rw and all-* specs
          qualify; [by_key] refinements and argument-reading predicates
          do not. *)
+  pinned : bool;
+      (* the decision reads the actions' execution-time pins, so a probe
+         that never executed (a static analyzer's) only gets the
+         conservative answer *)
 }
 
 let name s = s.name
-let make ?vocab ?(stable = false) ?(meth_only = false) ~name commutes =
-  { name; commutes; vocab; structure = Opaque; stable; meth_only }
+let make ?vocab ?(stable = false) ?(meth_only = false) ?(pinned = false) ~name
+    commutes =
+  { name; commutes; vocab; structure = Opaque; stable; meth_only; pinned }
 let test s a a' = s.commutes a a'
 let vocabulary s = s.vocab
 let stable s = s.stable
 let meth_only s = s.meth_only
+let pinned s = s.pinned
 let structure s = s.structure
 
 let all_commute =
@@ -54,6 +60,7 @@ let all_commute =
     structure = Total true;
     stable = true;
     meth_only = true;
+    pinned = false;
   }
 
 let all_conflict =
@@ -64,6 +71,7 @@ let all_conflict =
     structure = Total false;
     stable = true;
     meth_only = true;
+    pinned = false;
   }
 
 let sym_mem pairs m m' =
@@ -101,6 +109,7 @@ let of_conflict_matrix ~name pairs =
     structure = Conflict_pairs pairs;
     stable = true;
     meth_only = true;
+    pinned = false;
   }
 
 let of_commute_matrix ~name pairs =
@@ -112,6 +121,7 @@ let of_commute_matrix ~name pairs =
     structure = Commute_pairs pairs;
     stable = true;
     meth_only = true;
+    pinned = false;
   }
 
 (* a method classified both ways is self-contradictory: the reads list
@@ -153,6 +163,7 @@ let rw_named ~name ~reads ~writes =
     structure = Read_write { reads; writes };
     stable = true;
     meth_only = true;
+    pinned = false;
   }
 
 let rw ~reads ~writes = rw_named ~name:"read-write" ~reads ~writes
@@ -176,10 +187,10 @@ let by_key ~key_of inner =
        now reads arguments, so it is never method-only *)
     stable = inner.stable;
     meth_only = false;
+    pinned = inner.pinned;
   }
 
-let predicate ?vocab ?(stable = false) ?(meth_only = false) ~name f =
-  { name; commutes = f; vocab; structure = Opaque; stable; meth_only }
+let predicate = make
 
 let first_arg a = match Action.args a with [] -> None | v :: _ -> Some v
 
@@ -219,13 +230,14 @@ let conflicts r a a' =
 
 (* Memoized commutativity.
 
-   A stable spec's answer is a pure function of the two (method, args)
-   pairs and the (de-virtualised) object, so the raw spec query can be
-   cached under that key — turning the repeated probes of the incremental
-   certifier's conflict scan into hash lookups.  Unstable specs (escrow,
-   fifo: their predicates read the object's current state) bypass the
-   table entirely; the cache is then merely a pass-through, never a source
-   of stale answers. *)
+   A stable spec's answer is a pure function of the two (method, args,
+   pin) triples and the (de-virtualised) object, so the raw spec query
+   can be cached under that key — turning the repeated probes of the
+   incremental certifier's conflict scan into hash lookups.  The pin is
+   part of the key: escrow and fifo decide on the state each action
+   executed in, and a verdict memoised at one balance must not answer
+   for another.  Unstable specs bypass the table entirely; the cache is
+   then merely a pass-through, never a source of stale answers. *)
 
 (* Precomputed conflict tables.
 
@@ -349,8 +361,10 @@ type class_key = {
   k_obj : string; (* original object name — ranks share the spec *)
   k_meth : string;
   k_args : Value.t list;
+  k_pin : Value.t option;
   k_meth' : string;
   k_args' : Value.t list;
+  k_pin' : Value.t option;
 }
 
 type cache = {
@@ -377,8 +391,10 @@ let class_key a a' =
     k_obj = Obj_id.name (Obj_id.original (Action.obj a));
     k_meth = Action.meth a;
     k_args = Action.args a;
+    k_pin = Action.pin a;
     k_meth' = Action.meth a';
     k_args' = Action.args a';
+    k_pin' = Action.pin a';
   }
 
 (* Raw spec query (no same-process rule), memoized for stable specs.

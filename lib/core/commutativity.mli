@@ -6,6 +6,9 @@
     specification may inspect method names and parameters (escrow-style
     semantics, [9,14,17] in the paper) because two actions commute exactly
     when the effect of each is independent of their execution order.
+    State-dependent refinements (escrow, fifo) read each action's
+    execution-time pin ({!Action.pin}) rather than live object state, so
+    every shipped engine spec is {!stable}.
 
     Two actions of the same process never conflict (Def. 9). *)
 
@@ -36,15 +39,17 @@ val make :
   ?vocab:string list ->
   ?stable:bool ->
   ?meth_only:bool ->
+  ?pinned:bool ->
   name:string ->
   (Action.t -> Action.t -> bool) ->
   spec
 (** [vocab] declares the method names the specification was written for;
     the static analyzer probes it and reports methods outside it.
     [stable] (default [false]) asserts the decision depends only on the
-    two (method, args) pairs — see {!stable}.  [meth_only] (default
+    two (method, args, pin) triples — see {!stable}.  [meth_only] (default
     [false]) additionally asserts arguments are ignored — see
-    {!meth_only}. *)
+    {!meth_only}.  [pinned] (default [false]) declares the decision
+    reads execution-time pins — see {!pinned}. *)
 
 val test : spec -> Action.t -> Action.t -> bool
 (** Raw query of the specification ([true] = commute), without the
@@ -58,14 +63,14 @@ val vocabulary : spec -> string list option
 
 val stable : spec -> bool
 (** A stable specification's answer depends only on the two
-    (method, args) pairs — never on object state or call timing — so its
-    decisions may be memoized and, crucially, never change as the history
-    grows.  Matrix, read/write and all-* specs are stable by
-    construction; {!make}/{!predicate} specs must opt in via [?stable]
-    (escrow- and queue-style predicates that read the current object
-    state must not).  The incremental certifier requires every registered
-    spec to be stable and falls back to the from-scratch oracle
-    otherwise. *)
+    (method, args, pin) triples — never on live object state or call
+    timing — so its decisions may be memoized and, crucially, never
+    change as the history grows.  Matrix, read/write and all-* specs are
+    stable by construction; {!make}/{!predicate} specs must opt in via
+    [?stable] (a predicate that reads the current object state must
+    not — pin the state at execution instead, as escrow and fifo do).
+    The incremental certifier requires every spec it meets to be stable
+    and raises [Invalid_argument] otherwise. *)
 
 val meth_only : spec -> bool
 (** Stronger than {!stable}: the answer is a pure function of the two
@@ -74,6 +79,13 @@ val meth_only : spec -> bool
     read/write and all-* specs qualify by construction; {!by_key}
     refinements read arguments and never do; {!make}/{!predicate} specs
     opt in via [?meth_only]. *)
+
+val pinned : spec -> bool
+(** The decision reads the actions' execution-time pins
+    ({!Action.pin}): escrow and fifo.  Such a spec is still {!stable},
+    but a probe that never executed carries no pin and gets the
+    conservative answer, so static analyzers treat its conflicts as
+    state-dependent. *)
 
 val all_commute : spec
 (** Every pair commutes — maximal concurrency, no dependencies. *)
@@ -112,13 +124,14 @@ val predicate :
   ?vocab:string list ->
   ?stable:bool ->
   ?meth_only:bool ->
+  ?pinned:bool ->
   name:string ->
   (Action.t -> Action.t -> bool) ->
   spec
 (** Arbitrary commutativity test ([true] = commute).  Pass [~stable:true]
-    only when the predicate inspects nothing beyond method names and
-    arguments, and [~meth_only:true] only when it ignores even the
-    arguments. *)
+    only when the predicate inspects nothing beyond method names,
+    arguments and pins, and [~meth_only:true] only when it ignores
+    arguments and pins. *)
 
 val first_arg : Action.t -> Value.t option
 (** Convenience [key_of] for methods whose first argument is the key. *)
@@ -196,7 +209,7 @@ val table_lookup : table -> Action.t -> Action.t -> bool option
 (** {2 Memoized queries}
 
     A registry wrapper that caches raw spec answers under
-    (object, method, args, method', args') keys.  Only {!stable} specs
+    (object, method, args, pin, method', args', pin') keys.  Only {!stable} specs
     are memoized; unstable specs are passed through uncached, so the
     cached queries always agree with the plain ones. *)
 

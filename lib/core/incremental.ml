@@ -19,10 +19,11 @@
    - span starts are global execution stamps, assigned monotonically as
      primitives execute, so order comparisons never change;
    - commutativity decisions are required to be {e stable}
-     ({!Commutativity.stable}): pure in the (method, args) pairs.  State-
-     reading specs (escrow, fifo) would let an old non-edge become an
-     edge later, which no incremental scheme can absorb — callers must
-     fall back to the from-scratch oracle for those (the engine does).
+     ({!Commutativity.stable}): pure in the (method, args, pin) triples.
+     A spec reading live object state would let an old non-edge become
+     an edge later, which no incremental scheme can absorb — so an
+     unstable spec is refused outright ([require_stable]); escrow and
+     fifo decide on the state pinned when each action executed.
 
    Cycle detection is online too: each per-object relation (action,
    transaction, combined = action ∪ added, Defs. 11/10/15-16) lives in a
@@ -34,9 +35,9 @@
    restored in O(1).
 
    Conflict scanning is sub-quadratic: each object's actions are
-   bucketed by their (method, args) class.  For a stable spec one
-   memoized probe ({!Commutativity.cached_test}) decides a whole
-   commuting class — the probe is the raw spec query, deliberately not
+   bucketed by their (method, args, pin) class.  One memoized probe
+   ({!Commutativity.cached_test}) decides a whole commuting class — the
+   probe is the raw spec query, deliberately not
    {!Commutativity.commutes}, whose same-process short-circuit on the
    representative would wrongly skip members from other processes.
    Same-process and call-path exclusions only ever {e remove} conflicts,
@@ -112,14 +113,14 @@ type obj_state = {
   o_act : PK.g;
   o_txn : PK.g;
   o_comb : PK.g;  (* act ∪ added (Def. 15 / 16) *)
-  mutable o_acts : ASet.t;
-  o_buckets : (string * Value.t list, Action_id.t list) Hashtbl.t;
+  o_buckets : (class_key, Action_id.t list) Hashtbl.t;
 }
+
+and class_key = string * Value.t list * Value.t option  (* meth, args, pin *)
 
 type undo =
   | U_edge of PK.g * Action_id.t * Action_id.t
-  | U_acts of obj_state * ASet.t
-  | U_bucket of obj_state * (string * Value.t list) * Action_id.t list
+  | U_bucket of obj_state * class_key * Action_id.t list
   | U_new_obj of Obj_id.t
   | U_all_txn of (Action_id.t * Action_id.t)
 
@@ -130,7 +131,6 @@ type t = {
   objs : (Obj_id.t, obj_state) Hashtbl.t;
   all_txn : (Action_id.t * Action_id.t, unit) Hashtbl.t;
       (* union of every object's transaction dependencies (Def. 15) *)
-  stable_memo : (Obj_id.t, bool) Hashtbl.t;  (* keyed by original object *)
   mutable journal : undo list;
   mutable probes : int;
   mutable class_skips : int;
@@ -143,7 +143,6 @@ let create reg =
     core = empty_core;
     objs = Hashtbl.create 64;
     all_txn = Hashtbl.create 256;
-    stable_memo = Hashtbl.create 16;
     journal = [];
     probes = 0;
     class_skips = 0;
@@ -235,26 +234,26 @@ let conflicts t a_id b_id =
   && Commutativity.cached_conflicts t.cache (action_of t a_id)
        (action_of t b_id)
 
-let spec_stable t o =
-  let orig = Obj_id.original o in
-  match Hashtbl.find_opt t.stable_memo orig with
-  | Some b -> b
-  | None ->
-      let b = Commutativity.stable (Commutativity.spec_for t.reg orig) in
-      Hashtbl.add t.stable_memo orig b;
-      b
+let require_stable reg o =
+  let spec = Commutativity.spec_for reg o in
+  if not (Commutativity.stable spec) then
+    invalid_arg
+      (Fmt.str
+         "Incremental: object %a has unstable commutativity spec %S; pin \
+          the state it reads at execution instead"
+         Obj_id.pp (Obj_id.original o) (Commutativity.name spec))
 
 let obj_state t o =
   match Hashtbl.find_opt t.objs o with
   | Some s -> s
   | None ->
+      require_stable t.reg o;
       let s =
         {
           o_id = o;
           o_act = PK.create ();
           o_txn = PK.create ();
           o_comb = PK.create ();
-          o_acts = ASet.empty;
           o_buckets = Hashtbl.create 8;
         }
       in
@@ -277,7 +276,6 @@ let rollback t snapshot =
   List.iter
     (function
       | U_edge (g, u, v) -> PK.remove_edge g u v
-      | U_acts (st, old) -> st.o_acts <- old
       | U_bucket (st, key, old) -> (
           match old with
           | [] -> Hashtbl.remove st.o_buckets key
@@ -354,20 +352,16 @@ let add_commit t ~tree ~prims =
         end
       end
     in
-    if spec_stable t st.o_id then
-      Hashtbl.iter
-        (fun _cls members ->
-          match members with
-          | [] -> ()
-          | rep :: _ ->
-              if Commutativity.cached_test t.cache a (action_of t rep) then
-                t.class_skips <- t.class_skips + 1
-              else List.iter consider members)
-        st.o_buckets
-    else ASet.iter consider st.o_acts;
-    t.journal <- U_acts (st, st.o_acts) :: t.journal;
-    st.o_acts <- ASet.add a_id st.o_acts;
-    let key = (Action.meth a, Action.args a) in
+    Hashtbl.iter
+      (fun _cls members ->
+        match members with
+        | [] -> ()
+        | rep :: _ ->
+            if Commutativity.cached_test t.cache a (action_of t rep) then
+              t.class_skips <- t.class_skips + 1
+            else List.iter consider members)
+      st.o_buckets;
+    let key = (Action.meth a, Action.args a, Action.pin a) in
     let old =
       match Hashtbl.find_opt st.o_buckets key with Some l -> l | None -> []
     in

@@ -10,11 +10,10 @@
     The evaluation is exact: on any committed prefix the maintained edge
     sets equal those of {!Schedule.compute}, hence the accept/reject
     verdict equals {!Serializability.check}.  Exactness requires every
-    registered commutativity specification to be {!Commutativity.stable}
-    (pure in method names and arguments); with state-reading specs
-    (escrow, fifo) incremental maintenance is unsound and callers must
-    use the from-scratch oracle instead — {!Engine} checks this at
-    creation and falls back automatically. *)
+    commutativity specification it meets to be {!Commutativity.stable}
+    (pure in method names, arguments and execution-time pins); the
+    certifier raises [Invalid_argument] on the first action of an object
+    whose spec is not. *)
 
 open Ids
 
@@ -42,12 +41,17 @@ type stats = {
   txn_edges : int;
   probes : int;  (** member-level conflict tests performed *)
   class_skips : int;
-      (** whole (method, args) classes skipped via one memoized probe *)
+      (** whole (method, args, pin) classes skipped via one memoized
+          probe *)
   cache_hits : int;
   cache_misses : int;
 }
 
 val create : Commutativity.registry -> t
+
+val require_stable : Commutativity.registry -> Obj_id.t -> unit
+(** @raise Invalid_argument naming the object when its spec is not
+    {!Commutativity.stable}. *)
 
 val add_commit :
   t -> tree:Call_tree.t -> prims:(Action_id.t * int) list -> outcome

@@ -212,8 +212,10 @@ let directory =
 (* Escrow bounds force data-dependent aborts: T1 needs 80 out of a
    balance of 50, so it can never commit, and whether T2 commits
    depends on the interleaving — the serial-state oracle must accept
-   every committed subset it finds. *)
-let escrow =
+   every committed subset it finds.  [escrow-certify] runs the same
+   transactions lock-free under commit-time certification, where the
+   pinned escrow spec keeps every commit on the incremental certifier. *)
+let escrow_base name protocol =
   let setup () =
     let db = Database.create () in
     ignore
@@ -223,7 +225,7 @@ let escrow =
   in
   let acct = "Account0" in
   {
-    name = "escrow";
+    name;
     descr = "escrow bounds: state-dependent commutativity and aborts";
     txns =
       [
@@ -235,8 +237,78 @@ let escrow =
         txn "modest" [ call acct "withdraw" ~args:[ Value.int 40 ] ];
       ];
     probes = [ call acct "balance" ];
-    mode = Single { setup; protocol = `Open; crash = [] };
+    mode = Single { setup; protocol; crash = [] };
     expect_failure = false;
+  }
+
+let escrow = escrow_base "escrow" `Open
+let escrow_certify = escrow_base "escrow-certify" `Certify
+
+(* The planted escrow bug under certification: the account claims that
+   deposits and withdrawals ALWAYS commute, ignoring the bounds, so the
+   certifier sees no dependency at all.  "borrow" can only withdraw 60
+   from a balance of 50 while "lend"'s deposit of 40 is in flight; the
+   certifier accepts every commit, and only the serial-state oracle can
+   tell that no serial order lets "borrow" succeed.  Certification is
+   not a recoverability guard: under the sound pinned spec these two
+   transactions still admit a dirty interleaving ("borrow" commits on
+   "lend"'s uncommitted deposit, then "lend" rolls back), which is why
+   the healthy twin keeps to withdrawals (DESIGN §21). *)
+let escrow_certify_mutant =
+  let setup () =
+    let db = Database.create () in
+    let c = Ooser_adts.Escrow_counter.create ~low:0 ~high:100 50 in
+    let always =
+      Commutativity.predicate ~stable:true ~name:"escrow-always-commute"
+        (fun a b ->
+          match
+            ( Ooser_adts.Escrow_counter.delta_of a,
+              Ooser_adts.Escrow_counter.delta_of b )
+          with
+          | Some _, Some _ -> true
+          | None, None -> true
+          | Some _, None | None, Some _ -> false)
+    in
+    let update apply undo ctx args =
+      let n = match args with [ Value.Int n ] -> n | _ -> invalid_arg "amount" in
+      apply c n;
+      Runtime.on_undo ctx (fun () -> undo c n);
+      Value.unit
+    in
+    let balance _ctx _args = Value.int (Ooser_adts.Escrow_counter.value c) in
+    Database.register db (Obj_id.v "Account0") ~spec:always
+      ~pin:(fun () -> Ooser_adts.Escrow_counter.pin c)
+      [
+        ( "deposit",
+          Database.primitive
+            (update Ooser_adts.Escrow_counter.incr Ooser_adts.Escrow_counter.decr) );
+        ( "withdraw",
+          Database.primitive
+            (update Ooser_adts.Escrow_counter.decr Ooser_adts.Escrow_counter.incr) );
+        ("balance", Database.primitive balance);
+      ];
+    db
+  in
+  let acct = "Account0" in
+  {
+    name = "escrow-certify-mutant";
+    descr = "unsound always-commute escrow spec under certify: planted violation";
+    txns =
+      [
+        txn "lend"
+          [
+            call acct "deposit" ~args:[ Value.int 40 ];
+            call acct "withdraw" ~args:[ Value.int 40 ];
+          ];
+        txn "borrow"
+          [
+            call acct "withdraw" ~args:[ Value.int 60 ];
+            call acct "deposit" ~args:[ Value.int 60 ];
+          ];
+      ];
+    probes = [ call acct "balance" ];
+    mode = Single { setup; protocol = `Certify; crash = [] };
+    expect_failure = true;
   }
 
 (* The planted bug: add and mul do NOT commute, but the registered spec
@@ -475,7 +547,9 @@ let all =
     deadlock_pair;
     directory;
     escrow;
+    escrow_certify;
     mutant;
+    escrow_certify_mutant;
     occ_write_skew;
     occ_write_skew_rw;
     occ_si_mutant;
@@ -488,9 +562,15 @@ let all =
 let suites =
   [
     ( "single",
-      [ "disjoint"; "shared-register"; "deadlock-pair"; "directory"; "escrow" ]
-    );
-    ("mutant", [ "mutant" ]);
+      [
+        "disjoint";
+        "shared-register";
+        "deadlock-pair";
+        "directory";
+        "escrow";
+        "escrow-certify";
+      ] );
+    ("mutant", [ "mutant"; "escrow-certify-mutant" ]);
     ("occ", [ "occ-write-skew"; "occ-write-skew-rw"; "occ-si-mutant" ]);
     ("crash", [ "crash-pair" ]);
     ("sharded", [ "shard-transfer"; "shard-cycle"; "shard-certify" ]);

@@ -33,7 +33,7 @@ let register_counter db oid ?(low = min_int) ?(high = max_int) initial =
     Value.unit
   in
   let read _ _ = Value.int (Escrow.value c) in
-  Database.register db oid ~spec:(Escrow.spec c)
+  Database.register db oid ~spec:(Escrow.spec c) ~pin:(fun () -> Escrow.pin c)
     [
       ("incr", Database.primitive incr);
       ("decr", Database.primitive decr);
@@ -178,7 +178,8 @@ let register_queue db oid =
     Value.unit
   in
   let length _ _ = Value.int (Fifo_queue.length q) in
-  Database.register db oid ~spec:(Fifo_queue.spec q)
+  Database.register db oid ~spec:Fifo_queue.spec
+    ~pin:(fun () -> Fifo_queue.pin q)
     [
       ("enqueue", Database.primitive ~compensate:compensate_enqueue enqueue);
       ("dequeue", Database.primitive ~compensate:compensate_dequeue dequeue);

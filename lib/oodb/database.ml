@@ -32,6 +32,7 @@ let composite ?compensate run = { kind = `Composite; run; compensate }
 
 type obj = {
   spec : Commutativity.spec;
+  pin : (unit -> Value.t) option;
   methods : (string * meth) list;
 }
 
@@ -39,13 +40,13 @@ type t = { mutable objects : obj Obj_id.Map.t }
 
 let create () = { objects = Obj_id.Map.empty }
 
-let register t oid ~spec methods =
+let register t oid ~spec ?pin methods =
   if Obj_id.Map.mem oid t.objects then
     invalid_arg (Fmt.str "Database.register: %a already registered" Obj_id.pp oid);
-  t.objects <- Obj_id.Map.add oid { spec; methods } t.objects
+  t.objects <- Obj_id.Map.add oid { spec; pin; methods } t.objects
 
-let register_or_replace t oid ~spec methods =
-  t.objects <- Obj_id.Map.add oid { spec; methods } t.objects
+let register_or_replace t oid ~spec ?pin methods =
+  t.objects <- Obj_id.Map.add oid { spec; pin; methods } t.objects
 
 let mem t oid = Obj_id.Map.mem oid t.objects
 
@@ -58,6 +59,9 @@ let methods t oid =
 
 let spec t oid =
   Option.map (fun o -> o.spec) (Obj_id.Map.find_opt oid t.objects)
+
+let pin t oid =
+  match Obj_id.Map.find_opt oid t.objects with Some o -> o.pin | None -> None
 
 let compensated_methods t oid =
   match Obj_id.Map.find_opt oid t.objects with

@@ -47,11 +47,24 @@ type t
 val create : unit -> t
 
 val register :
-  t -> Obj_id.t -> spec:Commutativity.spec -> (string * meth) list -> unit
-(** @raise Invalid_argument when the object already exists. *)
+  t ->
+  Obj_id.t ->
+  spec:Commutativity.spec ->
+  ?pin:(unit -> Value.t) ->
+  (string * meth) list ->
+  unit
+(** [pin] reports the object state a state-dependent [spec] decides on
+    (the escrow balance, the queue's emptiness); the engine records its
+    value on every action when the action executes ({!Action.pin}).
+    @raise Invalid_argument when the object already exists. *)
 
 val register_or_replace :
-  t -> Obj_id.t -> spec:Commutativity.spec -> (string * meth) list -> unit
+  t ->
+  Obj_id.t ->
+  spec:Commutativity.spec ->
+  ?pin:(unit -> Value.t) ->
+  (string * meth) list ->
+  unit
 
 val mem : t -> Obj_id.t -> bool
 val objects : t -> Obj_id.t list
@@ -62,6 +75,10 @@ val methods : t -> Obj_id.t -> string list
     declare none. *)
 
 val spec : t -> Obj_id.t -> Commutativity.spec option
+
+val pin : t -> Obj_id.t -> (unit -> Value.t) option
+(** The pin function the object was registered with; [None] when it
+    registered none (or is unknown). *)
 
 val compensated_methods : t -> Obj_id.t -> string list
 (** Names of registered methods that carry a compensation; the COMP001

@@ -88,7 +88,7 @@ type reply =
   | Caught of ((Value.t, string) result, step_result) Effect.Deep.continuation
 
 type frame = {
-  action : Action.t;
+  mutable action : Action.t;  (* re-pinned when a primitive starts *)
   kind : [ `Primitive | `Composite ];
   caller_k : reply;
   compensate : (Value.t list -> Value.t -> Database.compensation) option;
@@ -269,8 +269,7 @@ type t = {
   mutable task_counter : int;
   mutable cert : Incremental.t option;
       (* the online certifier, tracking exactly the committed set; [None]
-         when certify is off, the oracle is forced, or an unstable spec
-         made incremental maintenance unsound *)
+         when certify is off or the oracle is forced *)
   mutable last_reject : string option;
       (* detailed reason of the last failed certification, computed from
          the verdict that failed — the abort path reuses it instead of
@@ -525,22 +524,14 @@ let commit_txn (eng : t) txn v =
    transaction keep the history of committed transactions
    oo-serializable?
 
-   Two paths.  The incremental certifier ([eng.cert]) appends only the
-   committing transaction's dependency edges under online cycle
-   detection — per-commit cost proportional to the new edges.  It is
-   exact only when every registered commutativity spec is stable
-   (state-reading specs like escrow can change old decisions), so the
-   engine re-checks stability at each commit and falls back to the
-   from-scratch oracle permanently once it no longer holds — the
-   certifier state would otherwise drift from the committed set. *)
-
-let all_specs_stable (eng : t) =
-  List.for_all
-    (fun o ->
-      match Database.spec eng.db o with
-      | Some s -> Commutativity.stable s
-      | None -> true)
-    (Database.objects eng.db)
+   The incremental certifier ([eng.cert]) appends only the committing
+   transaction's dependency edges under online cycle detection — per-
+   commit cost proportional to the new edges.  It is exact because every
+   spec it meets is stable: state-dependent specs (escrow, fifo) decide
+   on the pins recorded when each action executed, never on live state,
+   so no old decision can change as the history grows ([create] refuses
+   an unstable spec).  [certify_oracle] swaps in the from-scratch
+   checker instead — the cross-checking mode. *)
 
 let certification_oracle (eng : t) txn =
   let committed_tops =
@@ -601,35 +592,23 @@ let certification_oracle (eng : t) txn =
   end
 
 let certification_passes (eng : t) txn =
-  let incremental_path cert tree =
-    let prims =
-      List.rev eng.order
-      |> List.filter_map (fun (top, att, id, stamp) ->
-             if top = txn.top && att = txn.attempt then Some (id, stamp)
-             else None)
-    in
-    Stats.Counter.incr eng.counters "cert-incremental";
-    let o = Incremental.add_commit cert ~tree ~prims in
-    (match o.Incremental.rejection with
-    | Some r ->
-        eng.last_reject <-
-          Some (Fmt.str "certification failure: %a" Incremental.pp_rejection r)
-    | None -> ());
-    o.Incremental.accepted
-  in
   match eng.cert with
-  | Some cert
-    when (not eng.config.certify_oracle)
-         && all_specs_stable eng
-         && List.mem_assoc txn.top eng.trees ->
-      incremental_path cert (List.assoc txn.top eng.trees)
-  | Some _ ->
-      (* no longer applicable: drop the certifier for good — after one
-         oracle-certified commit its state would miss that commit *)
-      eng.cert <- None;
-      Stats.Counter.incr eng.counters "cert-fallbacks";
-      Stats.Counter.incr eng.counters "cert-oracle";
-      certification_oracle eng txn
+  | Some cert ->
+      let tree = List.assoc txn.top eng.trees in
+      let prims =
+        List.rev eng.order
+        |> List.filter_map (fun (top, att, id, stamp) ->
+               if top = txn.top && att = txn.attempt then Some (id, stamp)
+               else None)
+      in
+      Stats.Counter.incr eng.counters "cert-incremental";
+      let o = Incremental.add_commit cert ~tree ~prims in
+      (match o.Incremental.rejection with
+      | Some r ->
+          eng.last_reject <-
+            Some (Fmt.str "certification failure: %a" Incremental.pp_rejection r)
+      | None -> ());
+      o.Incremental.accepted
   | None ->
       Stats.Counter.incr eng.counters "cert-oracle";
       certification_oracle eng txn
@@ -836,6 +815,13 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
           abort_txn eng txn ~retry:false msg)
   | Ok m -> (
       let leaf = m.Database.kind = `Primitive in
+      (* the lock table judges the request at the state it is made in;
+         the recorded action is re-pinned when it actually runs *)
+      let pin = Database.pin eng.db inv.Runtime.target in
+      let pinned a =
+        match pin with Some f -> Action.with_pin a (f ()) | None -> a
+      in
+      let action = pinned action in
       match Protocol.request eng.config.protocol action ~leaf with
       | Protocol.Granted ->
           let frame =
@@ -856,7 +842,9 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
           let ctx = { Runtime.top = txn.top } in
           task.pending <-
             Step
-              (fun () -> run_fiber (fun () -> m.Database.run ctx inv.Runtime.args))
+              (fun () ->
+                frame.action <- pinned frame.action;
+                run_fiber (fun () -> m.Database.run ctx inv.Runtime.args))
       | Protocol.Blocked holders ->
           (* wait-die: a younger requester blocked by an older holder
              aborts itself (prevention by self-sacrifice) *)
@@ -1282,8 +1270,11 @@ let create ?(config : config option) db ~protocol bodies =
     stamp = 0;
     task_counter = 0;
     cert =
-      (if config.certify && not config.certify_oracle then
-         Some (Incremental.create (Database.spec_registry db))
+      (if config.certify && not config.certify_oracle then begin
+         let reg = Database.spec_registry db in
+         List.iter (Incremental.require_stable reg) (Database.objects db);
+         Some (Incremental.create reg)
+       end
        else None);
     last_reject = None;
     ext_memo = None;
@@ -1347,6 +1338,16 @@ let final_history (eng : t) =
            | _ -> None)
   in
   History.v ~tops:trees ~order ~commut:(Database.spec_registry eng.db)
+
+(* The online certifier only ever holds an acyclic committed set, so
+   once it has admitted every commit the committed history is
+   oo-serializable: an O(1) verdict, no sweep. *)
+let live_certified (eng : t) =
+  match eng.cert with
+  | Some c when Incremental.n_commits c = Stats.Counter.get eng.counters "commits"
+    ->
+      Some true
+  | Some _ | None -> None
 
 let outcome_of (eng : t) =
   let committed =

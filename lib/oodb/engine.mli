@@ -75,16 +75,15 @@ type config = {
           before-image restores can clobber a neighbour's update.  The
           escrow/counted ADTs of {!Adt_objects} satisfy this.
 
-          Certification normally runs the {!Ooser_core.Incremental}
-          certifier, which appends only the committing transaction's
-          dependency edges under online cycle detection; the engine falls
-          back to the from-scratch {!Serializability.check} oracle —
-          permanently, for the rest of the run — as soon as any
-          registered commutativity spec is unstable (state-reading
-          decisions, e.g. escrow), since cached conflict decisions would
-          then be unsound.  Counters ["cert-incremental"],
-          ["cert-oracle"] and ["cert-fallbacks"] record which path each
-          commit took. *)
+          Certification runs the {!Ooser_core.Incremental} certifier,
+          which appends only the committing transaction's dependency
+          edges under online cycle detection.  Every spec it meets must
+          be {!Commutativity.stable}: state-dependent specs (escrow,
+          fifo) decide on the state pinned when each action executed
+          ({!Database.register}'s [pin]).  {!create} raises
+          [Invalid_argument] naming an object registered with an
+          unstable spec.  Counters ["cert-incremental"] and
+          ["cert-oracle"] record which path each commit took. *)
   certify_oracle : bool;
       (** force the from-scratch checker even where the incremental
           certifier applies — the debugging / cross-checking mode *)
@@ -232,6 +231,12 @@ val atlas_hits : t -> int
 val final_history : t -> History.t
 (** The history of every committed transaction, including retired
     ones. *)
+
+val live_certified : t -> bool option
+(** The live certifier's verdict on {!final_history}, in O(1):
+    [Some true] when the engine certifies incrementally and its
+    certifier admitted every commit; [None] when there is no live
+    certifier to ask (certification off, or the oracle forced). *)
 
 val observed_history : t -> History.t
 (** {!final_history} extended with the partial (completed-subtree) call

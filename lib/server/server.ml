@@ -395,8 +395,11 @@ let certified t =
              commits it legitimately did not observe *)
           Serializability.oo_serializable (Occ.Store.history store)
       | None, Some d -> Dispatcher.certified d ()
-      | None, None ->
-          Serializability.oo_serializable (Engine.final_history t.engine))
+      | None, None -> (
+          match Engine.live_certified t.engine with
+          | Some v -> v
+          | None ->
+              Serializability.oo_serializable (Engine.final_history t.engine)))
 
 (* Sum per-shard counters key-wise into one merged engine view; the
    per-shard breakdown rides along so imbalance stays visible. *)

@@ -104,8 +104,11 @@ val stats_json : ?certified:bool option -> t -> string
     {!certified} verdict instead of re-running the full check. *)
 
 val certified : t -> bool
-(** Full oo-serializability check of the committed history so far —
-    from-scratch, so minutes not milliseconds on long histories. *)
+(** Oo-serializability of the committed history so far.  A single-engine
+    [-p certify] server answers in O(1) from its live certifier
+    ({!Ooser_oodb.Engine.live_certified}); the other protocols (and
+    sharded servers) run a from-scratch check — minutes, not
+    milliseconds, on long histories. *)
 
 val engine : t -> Ooser_oodb.Engine.t
 (** The single-engine backend.  In sharded mode ([config.shards > 0])

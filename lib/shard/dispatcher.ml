@@ -649,7 +649,8 @@ let rewrite_subtree t ~shard ~top (sub : Call_tree.t) =
     in
     let act' =
       Action.v ~id:(renumber (Action.id act)) ~obj:obj' ~meth:(Action.meth act)
-        ~args:(Action.args act) ~process:(Action.process act) ()
+        ~args:(Action.args act) ?pin:(Action.pin act)
+        ~process:(Action.process act) ()
     in
     Call_tree.v ~prec:(Call_tree.prec node) act' (List.map go node.Call_tree.children)
   in

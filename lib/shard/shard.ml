@@ -155,7 +155,6 @@ type t = {
          has decided; transactions starting later can only acquire
          forward (retained-lock-ordered) edges to it, which cannot
          close a cycle under the lock protocols *)
-  dep_probes : (string * string * Value.t list * string * Value.t list, bool) Hashtbl.t;
   mutable dep_commut : Commutativity.registry option;
   mutable vote_full : bool;
       (* audit override: vote with the full observed history even where
@@ -271,29 +270,15 @@ let stable_top sh tid =
    without memoisation each prepare costs hundreds of milliseconds of
    repeated spec probes — all of it inside the shard's domain loop,
    stalling every other transaction on the shard.  Stable specs answer
-   purely from (method, args) pairs, so their probes memoize across
-   votes (same keying as [Commutativity.cached]); unstable specs pass
+   purely from (method, args, pin) triples, so their probes memoize
+   across votes in one [Commutativity.cached] table; unstable specs pass
    through untouched. *)
-let memo_registry sh (reg : Commutativity.registry) =
+let memo_registry (reg : Commutativity.registry) =
+  let cache = Commutativity.cached reg in
   Commutativity.registry ~known:(Commutativity.known reg) (fun o ->
       let s = Commutativity.spec_for reg o in
-      if not (Commutativity.stable s) then s
-      else
-        Commutativity.make ~stable:true ~name:(Commutativity.name s)
-          (fun a a' ->
-            let key =
-              ( Obj_id.name (Obj_id.original (Action.obj a)),
-                Action.meth a,
-                Action.args a,
-                Action.meth a',
-                Action.args a' )
-            in
-            match Hashtbl.find_opt sh.dep_probes key with
-            | Some b -> b
-            | None ->
-                let b = Commutativity.test s a a' in
-                Hashtbl.add sh.dep_probes key b;
-                b))
+      Commutativity.make ~stable:(Commutativity.stable s)
+        ~name:(Commutativity.name s) (Commutativity.cached_test cache))
 
 (* Under the lock protocols, computing a vote's edges over the whole
    observed history is wasted work: retained locks order conflicting
@@ -366,7 +351,7 @@ let dependency_edges sh =
     match sh.dep_commut with
     | Some r -> r
     | None ->
-        let r = memo_registry sh (History.commut full) in
+        let r = memo_registry (History.commut full) in
         sh.dep_commut <- Some r;
         r
   in
@@ -668,7 +653,6 @@ let create_core ~idx (profile : profile) ~emit =
       emit;
       branches = Hashtbl.create 64;
       pending = Hashtbl.create 64;
-      dep_probes = Hashtbl.create 4096;
       dep_commut = None;
       vote_full = false;
       cert_watermark = 0;

@@ -49,6 +49,10 @@ let register_account db ~semantics i ~balance ~low ~high =
   let balance _ctx _args = Value.int (Escrow.value counter) in
   Database.register db (account_obj i)
     ~spec:(spec_for semantics counter)
+    ?pin:
+      (match semantics with
+      | `Escrow -> Some (fun () -> Escrow.pin counter)
+      | `Rw | `Conflict -> None)
     [
       ("deposit", Database.primitive deposit);
       ("withdraw", Database.primitive withdraw);

@@ -6,10 +6,10 @@ open Ooser_adts
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let act ?(top = 1) ?(args = []) meth =
+let act ?(top = 1) ?(args = []) ?pin meth =
   Action.v
     ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-    ~obj:(Obj_id.v "X") ~meth ~args
+    ~obj:(Obj_id.v "X") ~meth ~args ?pin
     ~process:(Ids.Process_id.main top)
     ()
 
@@ -31,8 +31,11 @@ let test_escrow_basic () =
 let test_escrow_commutativity () =
   let c = Escrow_counter.create ~low:0 ~high:10 5 in
   let spec = Escrow_counter.spec c in
-  let incr top n = act ~top ~args:[ Value.int n ] "incr" in
-  let decr top n = act ~top ~args:[ Value.int n ] "decr" in
+  (* probes pinned at the counter's current state, as the engine pins
+     the actions it executes *)
+  let pin () = Escrow_counter.pin c in
+  let incr top n = act ~top ~args:[ Value.int n ] ~pin:(pin ()) "incr" in
+  let decr top n = act ~top ~args:[ Value.int n ] ~pin:(pin ()) "decr" in
   let read top = act ~top "read" in
   check_bool "small updates commute" true
     (Commutativity.test spec (incr 1 2) (decr 2 3));
@@ -46,7 +49,19 @@ let test_escrow_commutativity () =
   (* state-dependence: after draining the counter, decrements conflict *)
   Escrow_counter.decr c 5;
   check_bool "empty counter: decrements conflict" false
-    (Commutativity.test spec (decr 1 1) (decr 2 1))
+    (Commutativity.test spec (decr 1 1) (decr 2 1));
+  (* the verdict reads the pins, never the live counter: a pair pinned
+     at 5 still commutes after the drain, and the test must hold at both
+     pins — 2 + 3 fits from 5 but not from 9 *)
+  let at v top n = act ~top ~args:[ Value.int n ] ~pin:(Value.int v) "incr" in
+  check_bool "pins decide, not live state" true
+    (Commutativity.test spec (at 5 1 2) (at 5 2 3));
+  check_bool "tested at both pinned pre-states" false
+    (Commutativity.test spec (at 5 1 2) (at 9 2 3));
+  check_bool "unpinned updates conflict" false
+    (Commutativity.test spec
+       (act ~top:1 ~args:[ Value.int 1 ] "incr")
+       (act ~top:2 ~args:[ Value.int 1 ] "incr"))
 
 let test_kv_set () =
   let s = Kv_set.create () in
@@ -94,9 +109,9 @@ let test_fifo_queue () =
 
 let test_fifo_commutativity () =
   let q = Fifo_queue.create () in
-  let spec = Fifo_queue.spec q in
-  let enq top = act ~top "enqueue" in
-  let deq top = act ~top "dequeue" in
+  let spec = Fifo_queue.spec in
+  let enq top = act ~top ~pin:(Fifo_queue.pin q) "enqueue" in
+  let deq top = act ~top ~pin:(Fifo_queue.pin q) "dequeue" in
   check_bool "enq/deq conflict on empty queue" false
     (Commutativity.test spec (enq 1) (deq 2));
   Fifo_queue.enqueue q (Value.int 1);
@@ -105,7 +120,12 @@ let test_fifo_commutativity () =
   check_bool "enq/enq never commute" false
     (Commutativity.test spec (enq 1) (enq 2));
   check_bool "deq/deq never commute" false
-    (Commutativity.test spec (deq 1) (deq 2))
+    (Commutativity.test spec (deq 1) (deq 2));
+  check_bool "enq/deq conflict unless both pins are non-empty" false
+    (Commutativity.test spec (enq 1)
+       (act ~top:2 ~pin:(Value.bool true) "dequeue"));
+  check_bool "unpinned enq/deq conflict" false
+    (Commutativity.test spec (act ~top:1 "enqueue") (act ~top:2 "dequeue"))
 
 let test_directory () =
   let d = Directory.create () in
@@ -150,6 +170,7 @@ let prop_escrow_sound =
       let act_of top d =
         act ~top
           ~args:[ Value.int (abs d) ]
+          ~pin:(Escrow_counter.pin c)
           (if d >= 0 then "incr" else "decr")
       in
       let apply c d = if d >= 0 then Escrow_counter.incr c d else Escrow_counter.decr c (-d) in

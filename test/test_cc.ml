@@ -168,6 +168,26 @@ let test_deadlock_detection () =
     (Deadlock.victim [ (3, [ 7 ]); (7, [ 5 ]); (5, [ 3 ]) ]);
   check_bool "self-wait ignored" true (Deadlock.find_cycle [ (1, [ 1 ]) ] = None)
 
+(* Pinned escrow locks: two held decrements of the same amount but
+   different pins fall into different classes — a class probe on one
+   must not dismiss the other. *)
+let test_lock_table_pinned_classes () =
+  let c = Ooser_adts.Escrow_counter.create ~low:0 ~high:10 10 in
+  let reg = Commutativity.uniform (Ooser_adts.Escrow_counter.spec c) in
+  let t = Lock_table.create ~cache:(Commutativity.cached reg) () in
+  let decr top pin =
+    Action.with_pin (act ~args:[ Value.int 3 ] top [ 1 ] "C" "decr") (Value.int pin)
+  in
+  (* decr 3 pinned at 4 conflicts with a request pinned at 10 (4-3-3 < 0);
+     decr 3 pinned at 10 commutes with it *)
+  Lock_table.add t ~action:(decr 2 4) ~scope:(aid 2 []);
+  Lock_table.add t ~action:(decr 1 10) ~scope:(aid 1 []);
+  match Lock_table.conflicting reg t (decr 3 10) with
+  | [ e ] ->
+      check_int "the holder pinned at 4 conflicts" 2
+        (Ids.Action_id.top (Action.id e.Lock_table.action))
+  | l -> Alcotest.failf "expected one conflict, got %d" (List.length l)
+
 let suites =
   [
     ( "cc",
@@ -175,6 +195,8 @@ let suites =
         Alcotest.test_case "lock table basics" `Quick test_lock_table_basics;
         Alcotest.test_case "call-path compatibility" `Quick test_lock_table_call_path;
         Alcotest.test_case "release by transaction" `Quick test_release_top;
+        Alcotest.test_case "pinned escrow lock classes" `Quick
+          test_lock_table_pinned_classes;
         Alcotest.test_case "class-bucket skip and lazy purge" `Quick
           test_lock_table_class_skip;
         Alcotest.test_case "escalation via retainer index" `Quick

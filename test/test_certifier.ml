@@ -223,42 +223,114 @@ let test_certifier_oracle_mode_agrees () =
     check_bool (Fmt.str "seed %d: modes agree" seed) true (inc = orc)
   done
 
-let test_certifier_unstable_spec_falls_back () =
-  (* a state-reading spec (stable = false) makes cached decisions
-     unsound: the engine must abandon the incremental certifier and
-     certify with the oracle *)
+let test_certifier_escrow_stays_incremental () =
+  (* escrow decides on the balances pinned at execution, so the spec is
+     stable: a certified banking run near the bounds must stay on the
+     incremental certifier for every commit, and agree with the oracle
+     mode decision for decision *)
+  let rejected = ref 0 in
+  for seed = 1 to 10 do
+    let run ~oracle =
+      let p =
+        {
+          Banking.default_params with
+          Banking.n_txns = 6;
+          accounts = 3;
+          initial = 6;
+          high = 12;
+          amount = 2;
+          transfers_per_txn = 2;
+        }
+      in
+      let db, counters = Banking.setup ~semantics:`Escrow p in
+      let txns = Banking.transactions ~rng:(Rng.create ~seed) p in
+      let config =
+        { (certified_config ~seed:(seed * 7) ()) with Engine.certify_oracle = oracle }
+      in
+      let out = Engine.run ~config db ~protocol:config.Engine.protocol txns in
+      (out, List.map Ooser_adts.Escrow_counter.value (Array.to_list counters))
+    in
+    let out, balances = run ~oracle:false in
+    let commits = List.length out.Engine.committed in
+    (* every certification, accepted (a commit) or rejected (a retry),
+       ran on the incremental certifier *)
+    check_int (Fmt.str "seed %d: every commit certified incrementally" seed)
+      (commits + metric out "certification-failures")
+      (metric out "cert-incremental");
+    check_int (Fmt.str "seed %d: oracle never consulted" seed) 0
+      (metric out "cert-oracle");
+    check_bool (Fmt.str "seed %d: history oo-serializable" seed) true
+      (Serializability.oo_serializable out.Engine.history);
+    rejected := !rejected + metric out "certification-failures";
+    let orc, orc_balances = run ~oracle:true in
+    check_bool (Fmt.str "seed %d: oracle mode decides the same" seed) true
+      (out.Engine.committed = orc.Engine.committed
+      && balances = orc_balances
+      && metric out "certification-failures"
+         = metric orc "certification-failures")
+  done;
+  check_bool "some certification rejected a commit" true (!rejected > 0)
+
+let test_pins_are_execution_states () =
+  (* lock-free, a granted call may run several scheduler steps after its
+     request: the recorded pin must be the balance the call actually ran
+     on — replaying the execution order from the initial balance
+     reproduces every pin *)
+  for seed = 1 to 20 do
+    let db = Database.create () in
+    ignore (Adt_objects.register_counter db (o "C") 50);
+    let rng = Rng.create ~seed in
+    let body ctx =
+      for _ = 1 to 3 do
+        let meth = if Rng.int rng 2 = 0 then "incr" else "decr" in
+        ignore (Runtime.call ctx (o "C") meth [ Value.int (1 + Rng.int rng 5) ])
+      done;
+      Value.unit
+    in
+    let config = certified_config ~seed () in
+    let out =
+      Engine.run
+        ~config:{ config with Engine.certify = false }
+        db ~protocol:config.Engine.protocol
+        (List.init 4 (fun i -> (i + 1, Printf.sprintf "t%d" i, body)))
+    in
+    let h = out.Engine.history in
+    let acts =
+      List.concat_map Call_tree.all_actions (History.tops h)
+      |> List.map (fun a -> (Action.id a, a))
+    in
+    ignore
+      (List.fold_left
+         (fun balance id ->
+           let a = List.assoc id acts in
+           check_bool (Fmt.str "seed %d: %a pinned at %d" seed Action.pp a balance)
+             true
+             (Action.pin a = Some (Value.int balance));
+           match Ooser_adts.Escrow_counter.delta_of a with
+           | Some d -> balance + d
+           | None -> balance)
+         50 (History.order h))
+  done
+
+let test_certifier_refuses_unstable_spec () =
+  (* a spec reading live state would let cached decisions go stale: a
+     certifying engine refuses it up front, naming the object *)
   let db = Database.create () in
   ignore (register_cell db "A" 0);
-  let state = ref 0 in
-  let add ctx args =
-    match args with
-    | [ Value.Int v ] ->
-        Runtime.on_undo ctx (fun () -> state := !state - v);
-        state := !state + v;
-        Value.unit
-    | _ -> invalid_arg "add"
-  in
-  (* same decision table as all_conflict, but declared state-reading *)
-  let moody =
-    Commutativity.make ~name:"moody" (fun _ _ -> false)
-  in
-  Database.register db (o "M") ~spec:moody
-    [ ("add", Database.primitive add) ];
-  let config = certified_config ~seed:5 () in
-  let out =
-    Engine.run ~config db ~protocol:config.Engine.protocol
-      [
-        (1, "t1", fun ctx ->
-          ignore (Runtime.call ctx (o "M") "add" [ Value.int 1 ]);
-          Value.unit);
-        (2, "t2", fun ctx ->
-          ignore (Runtime.call ctx (o "A") "add" [ Value.int 1 ]);
-          Value.unit);
-      ]
-  in
-  check_int "both committed" 2 (List.length out.Engine.committed);
-  check_bool "fell back to the oracle" true (metric out "cert-oracle" > 0);
-  check_int "incremental path never used" 0 (metric out "cert-incremental")
+  Database.register db (o "M")
+    ~spec:(Commutativity.make ~name:"moody" (fun _ _ -> false))
+    [ ("add", Database.primitive (fun _ _ -> Value.unit)) ];
+  let config = certified_config () in
+  match Engine.create ~config db ~protocol:config.Engine.protocol [] with
+  | _ -> Alcotest.fail "unstable spec accepted"
+  | exception Invalid_argument msg ->
+      let needle = "object M " in
+      let n = String.length needle in
+      let rec scan i =
+        i + n <= String.length msg
+        && (String.sub msg i n = needle || scan (i + 1))
+      in
+      check_bool "message names the object" true (scan 0)
 
 let suites =
   [
@@ -276,7 +348,11 @@ let suites =
           test_certifier_uses_incremental_path;
         Alcotest.test_case "oracle mode agrees with incremental" `Quick
           test_certifier_oracle_mode_agrees;
-        Alcotest.test_case "unstable spec forces oracle fallback" `Quick
-          test_certifier_unstable_spec_falls_back;
+        Alcotest.test_case "escrow stays incremental" `Quick
+          test_certifier_escrow_stays_incremental;
+        Alcotest.test_case "pins are execution-time states" `Quick
+          test_pins_are_execution_states;
+        Alcotest.test_case "unstable spec refused" `Quick
+          test_certifier_refuses_unstable_spec;
       ] );
   ]

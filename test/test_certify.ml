@@ -368,6 +368,84 @@ let prop_serial_agreement =
       let r = Certify.run ~workers:2 ~segment_target:1 ~registry t in
       r.Certify.ok = verdict_oracle h)
 
+(* ---------- pinned escrow traces ---------- *)
+
+(* A near-bound escrow banking run recorded through the engine's trace
+   sink, lock-free, with certification on or off.  Returns the trace
+   image and the engine's committed history. *)
+let escrow_trace ~seed ~certify =
+  let module Engine = Ooser_oodb.Engine in
+  let module Banking = Ooser_workload.Banking in
+  let p =
+    {
+      Banking.default_params with
+      Banking.accounts = 3;
+      initial = 6;
+      high = 12;
+      amount = 2;
+      transfers_per_txn = 2;
+      n_txns = 6;
+    }
+  in
+  let db, _ = Banking.setup ~semantics:`Escrow p in
+  let protocol = Ooser_cc.Protocol.unlocked () in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.certify;
+      strategy = Engine.Random_pick (Ooser_sim.Rng.create ~seed);
+      max_restarts = 3;
+    }
+  in
+  let txns = Banking.transactions ~rng:(Ooser_sim.Rng.create ~seed) p in
+  let eng = Engine.create ~config db ~protocol txns in
+  let path = tmp_trace () in
+  let w = Trace.create_writer ~registry:"banking" path in
+  Engine.set_trace_sink eng
+    (Some (fun ~top ~tree ~prims -> Trace.append w { Trace.top; tree; prims }));
+  ignore (Engine.pump eng);
+  Trace.close w;
+  (* offline, specs resolve against a REBUILT database: fresh counters
+     at their initial balances — only the recorded pins can reproduce
+     the online verdicts *)
+  let fresh, _ = Banking.setup ~semantics:`Escrow p in
+  Ooser_oodb.Database.register fresh (Obj_id.v "S")
+    ~spec:Commutativity.all_commute [];
+  (Trace.load path, Engine.final_history eng, Ooser_oodb.Database.spec_registry fresh)
+
+let pins_of tree =
+  List.map (fun a -> (Action.id a, Action.pin a)) (Call_tree.primitives tree)
+
+let test_escrow_trace_pins () =
+  let rejected = ref 0 in
+  for seed = 1 to 20 do
+    (* the codec carries every pin *)
+    let t, h, registry = escrow_trace ~seed ~certify:true in
+    let online =
+      List.concat_map pins_of (History.tops h) |> List.sort compare
+    in
+    let decoded =
+      List.init (Trace.length t) (fun i -> (Trace.record t i).Trace.tree)
+      |> List.concat_map pins_of |> List.sort compare
+    in
+    Alcotest.(check bool) "pins round-trip" true (online = decoded);
+    Alcotest.(check bool) "pins recorded" true
+      (List.exists (fun (_, p) -> p <> None) decoded);
+    (* every commit the online certifier admitted certifies offline *)
+    Alcotest.(check bool) "certified run certifies offline" true
+      (Certify.run ~workers:1 ~registry t).Certify.ok;
+    (* certification off: offline verdict = oracle on the pinned history *)
+    let t, _, registry = escrow_trace ~seed ~certify:false in
+    let oracle =
+      Serializability.oo_serializable (Trace.to_history t ~commut:registry)
+    in
+    let offline = (Certify.run ~workers:1 ~registry t).Certify.ok in
+    Alcotest.(check bool) (Printf.sprintf "seed %d: offline = oracle" seed)
+      oracle offline;
+    if not offline then incr rejected
+  done;
+  Alcotest.(check bool) "some uncertified history rejected" true (!rejected > 0)
+
 let suites =
   [
     ( "certify",
@@ -377,6 +455,8 @@ let suites =
         Alcotest.test_case "trace bad magic" `Quick test_not_a_trace;
         Alcotest.test_case "trace zero-byte file" `Quick test_trace_zero_byte;
         Alcotest.test_case "trace header only" `Quick test_trace_header_only;
+        Alcotest.test_case "escrow trace: pins round-trip, offline = online"
+          `Quick test_escrow_trace_pins;
         Alcotest.test_case "segmenter quiescent cuts" `Quick
           test_segment_quiescent;
         Alcotest.test_case "segmenter degenerate 1-txn segments" `Quick

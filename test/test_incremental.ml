@@ -29,10 +29,7 @@ let prims_of_tree order tree =
    (and the relations of every object) with the oracle on the committed
    subset.  Returns the number of rejected commits, to assert the suite
    exercises both outcomes overall. *)
-let run_seed ~params ~seed =
-  let tops, reg = Random_schedules.system ~seed params in
-  let rng = Rng.create ~seed:(seed + 7919) in
-  let order = Random_schedules.random_order rng tops in
+let agree ~seed ~tops ~order ~reg =
   let cert = Incremental.create reg in
   let rejected = ref 0 in
   let committed = ref [] in
@@ -93,6 +90,12 @@ let run_seed ~params ~seed =
     tops;
   !rejected
 
+let run_seed ~params ~seed =
+  let tops, reg = Random_schedules.system ~seed params in
+  let rng = Rng.create ~seed:(seed + 7919) in
+  let order = Random_schedules.random_order rng tops in
+  agree ~seed ~tops ~order ~reg
+
 let test_oracle_agreement () =
   let params =
     { Random_schedules.default_params with n_txns = 4; p_commute = 0.5 }
@@ -105,6 +108,73 @@ let test_oracle_agreement () =
      vacuous on one side *)
   check_bool "some commits rejected" true (!total_rejects > 0);
   check_bool "some commits accepted" true (!total_rejects < 400)
+
+(* State-dependent specs under pins.  A near-bound escrow counter
+   (balance <= 10 in [0, 10], amounts 1-5) and a fifo queue, driven by
+   2-4 concurrent transactions the engine executes lock-free — the
+   certify protocol's execution — with certification off, so the
+   committed stream keeps the crossing interleavings the certifier must
+   reject.  Every action carries the pin the engine recorded when it ran,
+   and the harness above compares the incremental verdicts and edge sets
+   with the oracle on exactly that pinned history. *)
+let pinned_history ~seed =
+  let open Ooser_oodb in
+  let rand = Random.State.make [| seed |] in
+  let call =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun n -> ("C", "incr", [ Value.int n ])) (int_range 1 5);
+          map (fun n -> ("C", "decr", [ Value.int n ])) (int_range 1 5);
+          pure ("C", "read", []);
+          map (fun v -> ("Q", "enqueue", [ Value.int v ])) (int_range 0 2);
+          pure ("Q", "dequeue", []);
+        ])
+  in
+  let txn = QCheck2.Gen.(list_size (int_range 1 3) call) in
+  let plans = QCheck2.Gen.(generate1 ~rand (list_size (int_range 2 4) txn)) in
+  let db = Database.create () in
+  let balance = QCheck2.Gen.(generate1 ~rand (int_range 0 10)) in
+  ignore (Adt_objects.register_counter db (Obj_id.v "C") ~low:0 ~high:10 balance);
+  ignore (Adt_objects.register_queue db (Obj_id.v "Q"));
+  let protocol = Ooser_cc.Protocol.unlocked () in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.strategy = Engine.Random_pick (Rng.create ~seed);
+      max_restarts = 0;
+    }
+  in
+  let bodies =
+    List.mapi
+      (fun i calls ->
+        ( i + 1,
+          Printf.sprintf "t%d" (i + 1),
+          fun ctx ->
+            List.iter
+              (fun (obj, meth, args) ->
+                ignore (Runtime.call ctx (Obj_id.v obj) meth args))
+              calls;
+            Value.unit ))
+      plans
+  in
+  let h = (Engine.run ~config db ~protocol bodies).Engine.history in
+  (History.tops h, History.order h, History.commut h)
+
+let test_pinned_agreement () =
+  let rejected = ref 0 and pinned = ref 0 in
+  for seed = 1 to 100 do
+    let tops, order, reg = pinned_history ~seed in
+    List.iter
+      (fun tree ->
+        List.iter
+          (fun a -> if Action.pin a <> None then incr pinned)
+          (Call_tree.primitives tree))
+      tops;
+    rejected := !rejected + agree ~seed ~tops ~order ~reg
+  done;
+  check_bool "actions carry pins" true (!pinned > 0);
+  check_bool "some commits rejected" true (!rejected > 0)
 
 let test_oracle_agreement_contended () =
   (* denser conflicts: more pages shared, mostly writes *)
@@ -271,6 +341,8 @@ let suites =
           test_oracle_agreement;
         Alcotest.test_case "oracle agreement, contended" `Quick
           test_oracle_agreement_contended;
+        Alcotest.test_case "oracle agreement, pinned escrow + fifo (100 seeds)"
+          `Quick test_pinned_agreement;
         Alcotest.test_case "rollback restores state" `Quick
           test_rollback_restores_state;
         Alcotest.test_case "commutativity cache effective" `Quick

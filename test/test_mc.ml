@@ -68,6 +68,30 @@ let test_mutant_witness_replays () =
       check_bool "trace codec round-trips" true
         (Explore.trace_of_string s = Some w)
 
+(* Escrow under commit-time certification: the pinned spec keeps every
+   commit on the incremental certifier, and every interleaving ends in a
+   state some serial order of the committed set produces.  The planted
+   twin (an always-commute escrow spec) must be caught with a minimised
+   witness that replays. *)
+let test_escrow_certify () =
+  let r = Mc.run_scenario (scenario "escrow-certify") in
+  check_bool "scenario ok" true r.Mc.r_ok;
+  check_bool "naive exhausted" true (exhausted r.Mc.r_naive);
+  check_bool "dpor exhausted" true (exhausted r.Mc.r_dpor);
+  check_bool "no violations" true (r.Mc.r_violations = [])
+
+let test_escrow_certify_mutant () =
+  let sc = scenario "escrow-certify-mutant" in
+  check_bool "declared expect-failure" true sc.Scenario.expect_failure;
+  let r = Mc.run_scenario sc in
+  check_bool "mutant caught" true r.Mc.r_ok;
+  match r.Mc.r_witness with
+  | None -> Alcotest.fail "no minimised witness"
+  | Some w ->
+      let _, v = Mc.replay sc w in
+      check_bool "witness replays the serial-state violation" true
+        (List.mem "state: matches no serial order of the committed set" v)
+
 (* The doctors-on-duty write skew on the multiversion store: under
    validated occ (commute probes or the rw projection) every explored
    interleaving ends in a state some serial order produces — the
@@ -146,6 +170,10 @@ let suites =
           test_disjoint_reduction;
         Alcotest.test_case "shared register: no unsound pruning" `Quick
           test_shared_register_no_pruning;
+        Alcotest.test_case "escrow certify: serial-state oracle holds" `Quick
+          test_escrow_certify;
+        Alcotest.test_case "escrow certify mutant: caught + witness" `Quick
+          test_escrow_certify_mutant;
         Alcotest.test_case "mutant: minimal witness replays" `Quick
           test_mutant_witness_replays;
         Alcotest.test_case "occ write skew: commute validation aborts it"

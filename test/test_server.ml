@@ -273,6 +273,52 @@ let test_e2e_commit () =
       | r -> Alcotest.failf "BYE: %a" Wire.pp_response r);
       Client.close c)
 
+(* A single-engine certify server answers [certified] (and STATS) from
+   its live incremental certifier in O(1), with no sweep; the answer must
+   equal the from-scratch oracle on the drained history.  Two sessions
+   interleave escrow transfers, so the certifier sees crossing work. *)
+let test_e2e_certify_live_verdict () =
+  let config =
+    {
+      (Server.default_config (Server.Unix_sock (temp_sock ()))) with
+      Server.db_kind = `Banking;
+      protocol_kind = `Certify;
+      accounts = 3;
+    }
+  in
+  with_server config (fun srv ->
+      let c1 = connect srv config and c2 = connect srv config in
+      let ok c req =
+        match Client.request c req with
+        | Wire.Error _ as r -> Alcotest.failf "%a" Wire.pp_response r
+        | _ -> ()
+      in
+      let call obj meth n = Wire.Call { obj; meth; args = [ Value.int n ] } in
+      ok c1 (Wire.Hello "a");
+      ok c2 (Wire.Hello "b");
+      for i = 1 to 6 do
+        ok c1 (Wire.Begin { name = "a"; timeout_ms = 0 });
+        ok c2 (Wire.Begin { name = "b"; timeout_ms = 0 });
+        ok c1 (call "Account0" "withdraw" i);
+        ok c2 (call "Account1" "withdraw" i);
+        ok c1 (call "Account1" "deposit" i);
+        ok c2 (call "Account0" "deposit" i);
+        ignore (Client.request c1 Wire.Commit);
+        ignore (Client.request c2 Wire.Commit)
+      done;
+      let eng = Server.engine srv in
+      check_bool "commits happened" true
+        (Stats.Counter.get (Engine.counters eng) "commits" > 0);
+      check_bool "answered by the live certifier" true
+        (Engine.live_certified eng = Some true);
+      check_int "no oracle certification" 0
+        (Stats.Counter.get (Engine.counters eng) "cert-oracle");
+      check_bool "live verdict = oracle" true
+        (Server.certified srv
+        = Serializability.oo_serializable (Engine.final_history eng));
+      Client.close c1;
+      Client.close c2)
+
 (* Durable server: commit through incarnation one, drop it WITHOUT
    draining (the kill -9 model — no checkpoint runs), then boot a second
    incarnation on the same directory: recovery must replay the committed
@@ -470,6 +516,8 @@ let suites =
         Alcotest.test_case "session deadline aborts and compensates" `Quick
           test_deadline_expiry;
         Alcotest.test_case "loopback commit end to end" `Quick test_e2e_commit;
+        Alcotest.test_case "certify: live O(1) verdict = oracle" `Quick
+          test_e2e_certify_live_verdict;
         Alcotest.test_case "durable restart recovers committed state" `Quick
           test_e2e_durable_restart;
         Alcotest.test_case "admission control delays BEGIN" `Quick
