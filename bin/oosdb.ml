@@ -941,8 +941,7 @@ let recover_cmd =
     if ok && checkpoint then begin
       let base = Option.value snapshot ~default:RSnapshot.empty in
       let snap = Recovery.snapshot_of ~base plan in
-      RSnapshot.save ~dir:sdir snap;
-      try Sys.remove (Oplog.log_file ~dir:sdir) with Sys_error _ -> ()
+      RSnapshot.checkpoint ~dir:sdir snap
     end;
     ignore shards;
     ok
@@ -1046,8 +1045,7 @@ let recover_cmd =
         Option.value snapshot ~default:RSnapshot.empty
       in
       let snap = Recovery.snapshot_of ~base plan in
-      RSnapshot.save ~dir snap;
-      (try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ());
+      RSnapshot.checkpoint ~dir snap;
       Fmt.pr "checkpointed: %d snapshot entries, log truncated@."
         (List.length snap.RSnapshot.entries)
     end;

@@ -1,6 +1,7 @@
 open Ooser_core
 open Ooser_storage
 open Ids
+module Record_log = Ooser_recovery.Record_log
 
 let magic = "OOSERTRC"
 let version = 2  (* 2: actions carry their execution-time pin *)
@@ -11,43 +12,7 @@ type record = {
   prims : (Action_id.t * int) list;
 }
 
-(* ---------- value / tree codec ---------- *)
-
-let rec write_value w (v : Value.t) =
-  match v with
-  | Value.Unit -> Codec.Writer.u8 w 0
-  | Value.Bool b ->
-      Codec.Writer.u8 w 1;
-      Codec.Writer.u8 w (if b then 1 else 0)
-  | Value.Int i ->
-      Codec.Writer.u8 w 2;
-      Codec.Writer.i64 w i
-  | Value.Str s ->
-      Codec.Writer.u8 w 3;
-      Codec.Writer.lstring w s
-  | Value.Pair (a, b) ->
-      Codec.Writer.u8 w 4;
-      write_value w a;
-      write_value w b
-  | Value.List l ->
-      Codec.Writer.u8 w 5;
-      Codec.Writer.u32 w (List.length l);
-      List.iter (write_value w) l
-
-let rec read_value r : Value.t =
-  match Codec.Reader.u8 r with
-  | 0 -> Value.Unit
-  | 1 -> Value.Bool (Codec.Reader.u8 r <> 0)
-  | 2 -> Value.Int (Codec.Reader.i64 r)
-  | 3 -> Value.Str (Codec.Reader.lstring r)
-  | 4 ->
-      let a = read_value r in
-      let b = read_value r in
-      Value.Pair (a, b)
-  | 5 ->
-      let n = Codec.Reader.u32 r in
-      Value.List (List.init n (fun _ -> read_value r))
-  | t -> failwith (Printf.sprintf "Trace: bad value tag %d" t)
+(* ---------- tree codec ---------- *)
 
 (* Action ids inside a record all share the record's top, so only the
    path (and a virtual rank, 0 for real ids) is written. *)
@@ -85,12 +50,12 @@ let rec write_node w (node : Call_tree.t) =
   write_obj w (Action.obj act);
   Codec.Writer.string w (Action.meth act);
   Codec.Writer.u16 w (List.length (Action.args act));
-  List.iter (write_value w) (Action.args act);
+  List.iter (Record_log.write_value w) (Action.args act);
   (match Action.pin act with
   | None -> Codec.Writer.u8 w 0
   | Some p ->
       Codec.Writer.u8 w 1;
-      write_value w p);
+      Record_log.write_value w p);
   Codec.Writer.u32 w (Process_id.top (Action.process act));
   Codec.Writer.u32 w (Process_id.branch (Action.process act));
   Codec.Writer.u16 w (List.length node.Call_tree.prec);
@@ -107,11 +72,11 @@ let rec read_node r ~top =
   let obj = read_obj r in
   let meth = Codec.Reader.string r in
   let n_args = Codec.Reader.u16 r in
-  let args = List.init n_args (fun _ -> read_value r) in
+  let args = List.init n_args (fun _ -> Record_log.read_value r) in
   let pin =
     match Codec.Reader.u8 r with
     | 0 -> None
-    | 1 -> Some (read_value r)
+    | 1 -> Some (Record_log.read_value r)
     | t -> failwith (Printf.sprintf "Trace: bad pin tag %d" t)
   in
   let ptop = Codec.Reader.u32 r in
@@ -177,12 +142,7 @@ let decode_record payload = decode_payload (Codec.Reader.create payload)
 
 (* ---------- writer ---------- *)
 
-type writer = { oc : out_channel; lock : Mutex.t }
-
-let frame payload =
-  let w = Codec.Writer.create () in
-  Codec.Writer.lstring w payload;
-  Codec.Writer.contents w
+type writer = { sink : Record_log.sink; lock : Mutex.t }
 
 let header_payload registry =
   let w = Codec.Writer.create () in
@@ -192,28 +152,21 @@ let header_payload registry =
   Codec.Writer.contents w
 
 let create_writer ?(registry = "unknown") path =
-  let oc = open_out_bin path in
-  output_string oc (frame (header_payload registry));
-  { oc; lock = Mutex.create () }
+  (try Sys.remove path with Sys_error _ -> ());
+  let sink = Record_log.open_sink path in
+  Record_log.append sink (header_payload registry);
+  { sink; lock = Mutex.create () }
+
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let append t rec_ =
-  let bytes = frame (encode_record rec_) in
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> output_string t.oc bytes)
+  let payload = encode_record rec_ in
+  locked t (fun () -> Record_log.append t.sink payload)
 
-let flush t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> Stdlib.flush t.oc)
-
-let close t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> close_out t.oc)
+let flush t = locked t (fun () -> Record_log.flush t.sink)
+let close t = locked t (fun () -> Record_log.close t.sink)
 
 let write_history ?registry path h =
   let w = create_writer ?registry path in
@@ -256,10 +209,21 @@ type entry = {
 
 type t = { buf : string; registry : string; index : entry array }
 
-let of_string buf =
-  match Codec.frame_spans buf with
-  | [] -> failwith "Trace: empty or torn header"
-  | (hoff, hlen) :: rest ->
+(* the fixed header every record frame starts with; a frame too short
+   for it does not decode *)
+let index_entry buf off len =
+  let r = Codec.Reader.create (String.sub buf off (min len 64)) in
+  let e_top = Codec.Reader.u32 r in
+  let min_stamp = Codec.Reader.i64 r in
+  let max_stamp = Codec.Reader.i64 r in
+  let max_depth = Codec.Reader.u16 r in
+  let n_prims = Codec.Reader.u32 r in
+  { off; len; e_top; n_prims; min_stamp; max_stamp; max_depth }
+
+let of_string ?(name = "trace") buf =
+  match Record_log.frame_at buf 0 with
+  | None -> failwith "Trace: empty or torn header"
+  | Some (hoff, hlen) ->
       let hr = Codec.Reader.create (String.sub buf hoff hlen) in
       let m = try Codec.Reader.string hr with Failure _ -> "" in
       if m <> magic then failwith "Trace: bad magic (not a history trace)";
@@ -271,34 +235,16 @@ let of_string buf =
               before 2 lack execution-time pins — re-record them)"
              v version);
       let registry = Codec.Reader.string hr in
-      let entries = ref [] in
-      (try
-         List.iter
-           (fun (off, len) ->
-             let r = Codec.Reader.create (String.sub buf off (min len 64)) in
-             let e_top = Codec.Reader.u32 r in
-             let min_stamp = Codec.Reader.i64 r in
-             let max_stamp = Codec.Reader.i64 r in
-             let max_depth = Codec.Reader.u16 r in
-             let n_prims = Codec.Reader.u32 r in
-             entries :=
-               { off; len; e_top; n_prims; min_stamp; max_stamp; max_depth }
-               :: !entries)
-           rest
-       with Failure _ -> ());
-      { buf; registry; index = Array.of_list (List.rev !entries) }
+      let index =
+        Record_log.scan ~from:(hoff + hlen) ~name buf (index_entry buf)
+      in
+      { buf; registry; index = Array.of_list index }
 
 let load path =
-  let ic =
-    try open_in_bin path
-    with Sys_error e -> failwith (Printf.sprintf "Trace: %s" e)
-  in
-  let buf =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string buf
+  match Record_log.read_file path with
+  | Some buf -> of_string ~name:path buf
+  | None -> failwith (Printf.sprintf "Trace: %s: No such file or directory" path)
+  | exception Sys_error e -> failwith ("Trace: " ^ e)
 
 let registry_name t = t.registry
 let length t = Array.length t.index

@@ -2,8 +2,8 @@
     everything that executes transactions (engine, sharded server,
     recovery, load generators) and the offline certifier.
 
-    A trace is a sequence of u32-length-prefixed frames ({!Ooser_storage}
-    codec, same convention as the operation log): one header frame
+    A trace is a {!Ooser_recovery.Record_log} image, the format of the
+    operation log: one header frame
     (magic, version, the name of the commutativity registry the history
     ran under), then one frame per committed top-level transaction
     carrying its call tree (every action with its execution-time pin,
@@ -18,9 +18,9 @@
     trace without decoding any call tree; records are decoded lazily,
     per segment, by whichever worker certifies them.
 
-    Readers tolerate a torn tail: a crash between append and force
-    truncates to the last complete frame, as {!Ooser_recovery.Oplog}
-    does. *)
+    Readers follow the record log's rules: a torn or zero-filled tail
+    (a crash between append and flush) truncates to the last complete
+    record, and a corrupt record followed by good ones is an error. *)
 
 open Ooser_core
 open Ids
@@ -41,8 +41,8 @@ type record = {
 type writer
 
 val create_writer : ?registry:string -> string -> writer
-(** Open [path] for append (truncating any existing file) and write the
-    header frame.  [registry] (default ["unknown"]) names the
+(** Start a fresh trace at [path] (removing any existing file) and write
+    the header frame.  [registry] (default ["unknown"]) names the
     commutativity registry certification must resolve. *)
 
 val append : writer -> record -> unit
@@ -77,10 +77,11 @@ type t
 val load : string -> t
 (** Read [path] and index every complete frame; a torn or corrupt tail
     is truncated.
-    @raise Failure if the file is missing or not a trace. *)
+    @raise Failure if the file is missing, not a trace, or corrupt
+    before its tail. *)
 
-val of_string : string -> t
-(** Index an in-memory trace image. *)
+val of_string : ?name:string -> string -> t
+(** Index an in-memory trace image; [name] labels corruption errors. *)
 
 val registry_name : t -> string
 val length : t -> int

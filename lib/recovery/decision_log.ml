@@ -2,10 +2,7 @@ open Ooser_storage
 
 type decision = { top : int; commit : bool; participants : int list }
 
-type t = {
-  mutable sink : out_channel option;
-  mutable appends : int;
-}
+type t = { mutable sink : Record_log.sink option; mutable appends : int }
 
 let log_file ~dir = Filename.concat dir "decisions.bin"
 
@@ -26,48 +23,26 @@ let decode (s : string) : decision =
   { top; commit; participants }
 
 let open_dir ~dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (log_file ~dir)
-  in
-  { sink = Some oc; appends = 0 }
+  { sink = Some (Record_log.open_sink (log_file ~dir)); appends = 0 }
 
+(* after [close], appends and forces are no-ops *)
 let append t d =
-  match t.sink with
-  | Some oc ->
-      let w = Codec.Writer.create () in
-      Codec.Writer.lstring w (encode d);
-      output_string oc (Codec.Writer.contents w);
-      t.appends <- t.appends + 1
-  | None -> ()
+  Option.iter
+    (fun sink ->
+      Record_log.append sink (encode d);
+      t.appends <- t.appends + 1)
+    t.sink
 
-let force t =
-  match t.sink with
-  | Some oc -> (
-      flush oc;
-      try Unix.fsync (Unix.descr_of_out_channel oc) with _ -> ())
-  | None -> ()
+let force t = Option.iter Record_log.force t.sink
 
 let close t =
-  (match t.sink with Some oc -> close_out_noerr oc | None -> ());
+  Option.iter Record_log.close t.sink;
   t.sink <- None
 
 let appends t = t.appends
 
-let load ~dir =
-  let path = log_file ~dir in
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let raw = really_input_string ic n in
-    close_in_noerr ic;
-    (* a coordinator crash mid-append leaves a torn final frame: keep
-       the stable prefix, exactly like {!Oplog.load} — every decision
-       before it was forced and stands *)
-    Codec.fold_frames raw ~init:[] ~f:(fun acc frame -> decode frame :: acc)
-    |> List.rev
-  end
+(* every decision before a torn final frame was forced and stands *)
+let load ~dir = Record_log.load (log_file ~dir) decode
 
 let reset ~dir =
   let path = log_file ~dir in

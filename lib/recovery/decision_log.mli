@@ -22,13 +22,20 @@ val open_dir : dir:string -> t
 (** Append to [dir/decisions.bin], created if missing. *)
 
 val append : t -> decision -> unit
+
 val force : t -> unit
+(** @raise Unix.Unix_error when fsync fails: the decision is not
+    durable and no shard may be told to commit. *)
+
 val close : t -> unit
+(** Idempotent; later appends and forces do nothing. *)
+
 val appends : t -> int
 
 val load : dir:string -> decision list
-(** Stable decisions, oldest first; a torn final frame is dropped.
-    [[]] when the file is absent. *)
+(** Stable decisions, oldest first, under the {!Record_log} torn-tail
+    and corruption rules.  [[]] when the file is absent.
+    @raise Failure on mid-log corruption. *)
 
 val reset : dir:string -> unit
 (** Delete the decision file — called after a quiescent checkpoint has

@@ -1,5 +1,6 @@
 (* Umbrella module for the durability / recovery subsystem. *)
 
+module Record_log = Record_log
 module Crash = Crash
 module Oplog = Oplog
 module Snapshot = Snapshot

@@ -12,9 +12,9 @@
    The log is append-only.  Appends are buffered; [force] makes the
    prefix stable (and, with a file backend, flushes and fsyncs).  The
    crash model mirrors [Wal]: exactly the forced prefix survives.  The
-   file backend frames each record as a u32-length-prefixed codec
-   payload; [load] tolerates a torn final frame, which is precisely the
-   unforced suffix a real crash leaves behind. *)
+   file backend is a {!Record_log} sink, one frame per record; [load]
+   drops a torn final frame, which is precisely the unforced suffix a
+   real crash leaves behind. *)
 
 open Ooser_core
 open Ooser_storage
@@ -46,67 +46,26 @@ type t = {
   mutable len : int;
   mutable stable_len : int;  (* entries.(0 .. stable_len-1) survive a crash *)
   mutable injector : Crash.t option;
-  sink : out_channel option;  (* file backend; flushed+fsynced on force *)
+  mutable sink : Record_log.sink option;  (* file backend, until [close] *)
   mutable appends : int;
   mutable forces : int;
 }
 
 let log_file ~dir = Filename.concat dir "oplog.bin"
-let rec_file ~dir = Filename.concat dir "oplog.rec"
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-(* -- value / record serialization --------------------------------------------- *)
-
-let rec write_value w (v : Value.t) =
-  match v with
-  | Value.Unit -> Codec.Writer.u8 w 0
-  | Value.Bool b ->
-      Codec.Writer.u8 w 1;
-      Codec.Writer.u8 w (if b then 1 else 0)
-  | Value.Int i ->
-      Codec.Writer.u8 w 2;
-      Codec.Writer.i64 w i
-  | Value.Str s ->
-      Codec.Writer.u8 w 3;
-      Codec.Writer.lstring w s
-  | Value.Pair (a, b) ->
-      Codec.Writer.u8 w 4;
-      write_value w a;
-      write_value w b
-  | Value.List vs ->
-      Codec.Writer.u8 w 5;
-      Codec.Writer.u32 w (List.length vs);
-      List.iter (write_value w) vs
-
-let rec read_value r : Value.t =
-  match Codec.Reader.u8 r with
-  | 0 -> Value.Unit
-  | 1 -> Value.Bool (Codec.Reader.u8 r <> 0)
-  | 2 -> Value.Int (Codec.Reader.i64 r)
-  | 3 -> Value.Str (Codec.Reader.lstring r)
-  | 4 ->
-      let a = read_value r in
-      let b = read_value r in
-      Value.Pair (a, b)
-  | 5 ->
-      let n = Codec.Reader.u32 r in
-      Value.List (List.init n (fun _ -> read_value r))
-  | t -> failwith (Printf.sprintf "Oplog: unknown value tag %d" t)
+(* -- record serialization ------------------------------------------------------ *)
 
 let write_invocation w { obj; meth; args } =
   Codec.Writer.string w (Obj_id.name obj);
   Codec.Writer.string w meth;
   Codec.Writer.u16 w (List.length args);
-  List.iter (write_value w) args
+  List.iter (Record_log.write_value w) args
 
 let read_invocation r =
   let obj = Obj_id.v (Codec.Reader.string r) in
   let meth = Codec.Reader.string r in
   let n = Codec.Reader.u16 r in
-  let args = List.init n (fun _ -> read_value r) in
+  let args = List.init n (fun _ -> Record_log.read_value r) in
   { obj; meth; args }
 
 let encode_invocation inv =
@@ -191,37 +150,10 @@ let decode_record s =
       Abort { top; attempt; reason }
   | k -> failwith (Printf.sprintf "Oplog.decode_record: bad tag %d" k)
 
-let pp_invocation ppf { obj; meth; args } =
-  Fmt.pf ppf "%s.%s(%a)" (Obj_id.name obj) meth
-    (Fmt.list ~sep:Fmt.comma Value.pp)
-    args
-
-let pp_record ppf = function
-  | Begin { top; attempt; name } ->
-      Fmt.pf ppf "BEGIN T%d.%d %s" top attempt name
-  | Call { top; attempt; seq; inv; comp } ->
-      Fmt.pf ppf "CALL T%d.%d #%d %a%a" top attempt seq pp_invocation inv
-        (Fmt.option (fun ppf c -> Fmt.pf ppf " comp=%a" pp_invocation c))
-        comp
-  | Subcommit { top; attempt; path; _ } ->
-      Fmt.pf ppf "SUBCOMMIT T%d.%d [%a]" top attempt
-        (Fmt.list ~sep:(Fmt.any ".") Fmt.int)
-        path
-  | Commit { top; attempt } -> Fmt.pf ppf "COMMIT T%d.%d" top attempt
-  | Abort { top; attempt; reason } ->
-      Fmt.pf ppf "ABORT T%d.%d (%s)" top attempt reason
-
 (* -- log object ---------------------------------------------------------------- *)
 
 let create ?file () =
-  let sink =
-    match file with
-    | None -> None
-    | Some path ->
-        ensure_dir (Filename.dirname path);
-        Some
-          (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path)
-  in
+  let sink = Option.map Record_log.open_sink file in
   {
     entries = Array.make 64 (Commit { top = 0; attempt = 0 });
     len = 0;
@@ -232,9 +164,7 @@ let create ?file () =
     forces = 0;
   }
 
-let open_dir ~dir =
-  ensure_dir dir;
-  create ~file:(log_file ~dir) ()
+let open_dir ~dir = create ~file:(log_file ~dir) ()
 
 let set_injector t inj = t.injector <- inj
 
@@ -254,32 +184,19 @@ let append t record =
   let lsn = t.len in
   t.len <- t.len + 1;
   t.appends <- t.appends + 1;
-  (match t.sink with
-  | Some oc ->
-      (* frame: u32 length prefix + payload (a torn tail decodes as a
-         truncated frame and is dropped by [load]) *)
-      let w = Codec.Writer.create () in
-      Codec.Writer.lstring w (encode_record record);
-      output_string oc (Codec.Writer.contents w)
-  | None -> ());
+  Option.iter (fun sink -> Record_log.append sink (encode_record record)) t.sink;
   Crash.point t.injector Crash.After_append;
   lsn
 
 let force t =
-  (match t.sink with
-  | Some oc -> (
-      flush oc;
-      try Unix.fsync (Unix.descr_of_out_channel oc) with _ -> ())
-  | None -> ());
+  Option.iter Record_log.force t.sink;
   t.stable_len <- t.len;
   t.forces <- t.forces + 1;
   Crash.point t.injector Crash.After_force
 
 let close t =
-  match t.sink with Some oc -> close_out_noerr oc | None -> ()
-
-let size t = t.len
-let stable_size t = t.stable_len
+  Option.iter Record_log.close t.sink;
+  t.sink <- None
 let appends t = t.appends
 let forces t = t.forces
 
@@ -306,20 +223,6 @@ let of_records records =
   force t;
   t
 
-(* Stable records from a directory's log file.  A truncated final frame
-   (the crash tore an unforced append) ends the scan silently. *)
-let load ~dir =
-  let path = log_file ~dir in
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let raw = really_input_string ic n in
-    close_in_noerr ic;
-    (* a crash mid-append leaves a torn final frame: keep the stable
-       prefix, drop the tail ([Codec.fold_frames] stops at the first
-       incomplete or undecodable frame) *)
-    Codec.fold_frames raw ~init:[] ~f:(fun acc frame ->
-        decode_record frame :: acc)
-    |> List.rev
-  end
+(* Stable records from a directory's log file: the torn-tail and
+   corruption rules are {!Record_log.scan}'s. *)
+let load ~dir = Record_log.load (log_file ~dir) decode_record

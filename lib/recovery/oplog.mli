@@ -9,8 +9,9 @@
     cover uncommitted primitive actions (see {!Ooser_storage.Wal}).
 
     The crash model mirrors [Wal]: exactly the forced prefix survives
-    {!crash}.  With a file backend, {!force} flushes and fsyncs; a torn
-    final frame on disk is dropped by {!load}. *)
+    {!crash}.  The file backend is a {!Record_log} sink: {!force}
+    flushes and fsyncs, and {!load} keeps the stable prefix under the
+    record log's torn-tail and corruption rules. *)
 
 open Ooser_core
 
@@ -51,12 +52,11 @@ val of_records : record list -> t
 val append : t -> record -> lsn
 val force : t -> unit
 (** Everything appended so far becomes stable (file backend: flush +
-    fsync). *)
+    fsync).
+    @raise Unix.Unix_error when fsync fails; nothing new is stable then. *)
 
 val close : t -> unit
-
-val size : t -> int
-val stable_size : t -> int
+(** Detach the file backend; the log lives on in memory. *)
 
 val appends : t -> int
 val forces : t -> int
@@ -69,11 +69,12 @@ val crash : t -> t
 (** The log as seen after a crash: only the forced prefix remains. *)
 
 val load : dir:string -> record list
-(** Stable records from [dir]'s log file; a truncated final frame (torn
-    unforced append) ends the scan silently.  [[]] when absent. *)
+(** Stable records from [dir]'s log file; a torn or zero-filled tail
+    (an unforced append cut by a crash) ends the scan.  [[]] when
+    absent.
+    @raise Failure on mid-log corruption ({!Record_log.scan}). *)
 
 val log_file : dir:string -> string
-val rec_file : dir:string -> string
 
 val set_injector : t -> Crash.t option -> unit
 (** Arm (or clear) a fault injector consulted at the append/force
@@ -85,6 +86,3 @@ val decode_invocation : string -> invocation
 val encode_record : record -> string
 val decode_record : string -> record
 (** @raise Failure on corrupt input. *)
-
-val pp_record : Format.formatter -> record -> unit
-val pp_invocation : Format.formatter -> invocation -> unit

@@ -10,8 +10,9 @@
    engine.  Aborted attempts have zero net effect (their compensations
    ran) and are dropped.
 
-   Stored as one codec blob, written to a temp file and renamed, so a
-   crash during checkpointing leaves the previous snapshot intact. *)
+   Stored as one codec blob through {!Record_log.replace} (temp file,
+   fsync, rename, directory fsync), so a crash during checkpointing
+   leaves the previous snapshot intact. *)
 
 open Ooser_storage
 
@@ -64,24 +65,13 @@ let decode s =
   in
   { next_top; entries }
 
-let save ~dir t =
-  if not (Sys.file_exists dir) then (
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = file ~dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (encode t);
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with _ -> ());
-  close_out oc;
-  Sys.rename tmp path
+(* [Record_log.replace] fsyncs the directory after its rename, so the
+   unlink below cannot reach the disk without the snapshot covering it. *)
+let checkpoint ~dir t =
+  Record_log.replace (file ~dir) (encode t);
+  try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ()
 
 let load ~dir =
-  let path = file ~dir in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let raw = really_input_string ic (in_channel_length ic) in
-    close_in_noerr ic;
-    match decode raw with t -> Some t | exception Failure _ -> None
-  end
+  match Record_log.read_file (file ~dir) with
+  | None -> None
+  | Some raw -> ( match decode raw with t -> Some t | exception Failure _ -> None)

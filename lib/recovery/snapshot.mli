@@ -5,7 +5,8 @@
     after a completed recovery): the committed projection is then
     certified oo-serializable, i.e. equivalent to the serial execution
     of the winners in commit order — which is exactly how a snapshot is
-    restored.  Saved atomically (temp file + rename). *)
+    restored.  Saved atomically ({!Record_log.replace}: temp file,
+    fsync, rename, directory fsync). *)
 
 type entry = {
   top : int;
@@ -22,11 +23,13 @@ val keys : t -> (int * int) list
 (** [(top, attempt)] of every entry — the already-applied set to skip
     during log replay. *)
 
-val encode : t -> string
-val decode : string -> t
-(** @raise Failure on corrupt input. *)
+val checkpoint : dir:string -> t -> unit
+(** Make [t] the directory's snapshot and start an empty log: save the
+    snapshot atomically, fsync the directory, then unlink the
+    {!Oplog} file.  A crash between the steps is benign — replay dedups
+    the surviving log against the snapshot's {!keys}.
+    @raise Unix.Unix_error when an fsync fails (the log is kept). *)
 
-val save : dir:string -> t -> unit
 val load : dir:string -> t option
 (** [None] when absent or unreadable. *)
 

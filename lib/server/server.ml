@@ -231,8 +231,7 @@ let durable_boot ~dir ~engine_config db protocol =
   in
   let base = Option.value snapshot ~default:Snapshot.empty in
   let snap = Recovery.snapshot_of ~base report.Engine.plan in
-  Snapshot.save ~dir snap;
-  (try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ());
+  Snapshot.checkpoint ~dir snap;
   let journal = Oplog.open_dir ~dir in
   Engine.set_journal eng (Some journal);
   (eng, journal, snap, report)
@@ -762,10 +761,9 @@ let checkpoint_durable t =
       Oplog.force j;
       let plan = Recovery.analyze (Oplog.all j) in
       let snap = Recovery.snapshot_of ~base:t.base_snap plan in
-      Snapshot.save ~dir snap;
+      Snapshot.checkpoint ~dir snap;
       Engine.set_journal t.engine None;
       Oplog.close j;
-      (try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ());
       t.base_snap <- snap;
       Metrics.incr t.metrics "checkpoints"
   | _ -> ()

@@ -3,9 +3,10 @@
    Frames are length-prefixed: a little-endian u32 payload length
    followed by the payload; payloads above [max_frame] are rejected
    before allocation, so a corrupt or hostile peer cannot make the
-   server buffer unbounded input.  Payloads are built from the binary
-   primitives of [Ooser_storage.Codec] — the same writer/reader pair the
-   page store uses — with a tag byte selecting the message constructor.
+   server buffer unbounded input.  Frames and values are those of
+   [Ooser_recovery.Record_log] — the bytes of a value on the wire are its
+   bytes in the operation log — with a tag byte selecting the message
+   constructor.
 
    The protocol is a strict request/response alternation per session:
    every request gets exactly one response, and the server never pushes
@@ -18,54 +19,19 @@
 
 open Ooser_core
 module Codec = Ooser_storage.Codec
+module Record_log = Ooser_recovery.Record_log
 
 let max_frame = 16 * 1024 * 1024
 
 (* -- Value.t ----------------------------------------------------------------- *)
 
-let rec write_value w (v : Value.t) =
-  match v with
-  | Value.Unit -> Codec.Writer.u8 w 0
-  | Value.Bool b ->
-      Codec.Writer.u8 w 1;
-      Codec.Writer.u8 w (if b then 1 else 0)
-  | Value.Int i ->
-      Codec.Writer.u8 w 2;
-      Codec.Writer.i64 w i
-  | Value.Str s ->
-      Codec.Writer.u8 w 3;
-      Codec.Writer.lstring w s
-  | Value.Pair (a, b) ->
-      Codec.Writer.u8 w 4;
-      write_value w a;
-      write_value w b
-  | Value.List vs ->
-      Codec.Writer.u8 w 5;
-      Codec.Writer.u32 w (List.length vs);
-      List.iter (write_value w) vs
-
-let rec read_value r : Value.t =
-  match Codec.Reader.u8 r with
-  | 0 -> Value.Unit
-  | 1 -> Value.Bool (Codec.Reader.u8 r <> 0)
-  | 2 -> Value.Int (Codec.Reader.i64 r)
-  | 3 -> Value.Str (Codec.Reader.lstring r)
-  | 4 ->
-      let a = read_value r in
-      let b = read_value r in
-      Value.Pair (a, b)
-  | 5 ->
-      let n = Codec.Reader.u32 r in
-      Value.List (List.init n (fun _ -> read_value r))
-  | t -> failwith (Printf.sprintf "Wire: unknown value tag %d" t)
-
 let write_values w vs =
   Codec.Writer.u32 w (List.length vs);
-  List.iter (write_value w) vs
+  List.iter (Record_log.write_value w) vs
 
 let read_values r =
   let n = Codec.Reader.u32 r in
-  List.init n (fun _ -> read_value r)
+  List.init n (fun _ -> Record_log.read_value r)
 
 (* -- messages ----------------------------------------------------------------- *)
 
@@ -151,13 +117,13 @@ let encode_response (p : response) =
       Codec.Writer.i64 w top
   | Result v ->
       Codec.Writer.u8 w 2;
-      write_value w v
+      Record_log.write_value w v
   | Failed msg ->
       Codec.Writer.u8 w 3;
       Codec.Writer.lstring w msg
   | Committed v ->
       Codec.Writer.u8 w 4;
-      write_value w v
+      Record_log.write_value w v
   | Aborted reason ->
       Codec.Writer.u8 w 5;
       Codec.Writer.lstring w reason
@@ -181,9 +147,9 @@ let decode_response s : response =
         let protocol = Codec.Reader.string r in
         Welcome { server; db; protocol }
     | 1 -> Begun { top = Codec.Reader.i64 r }
-    | 2 -> Result (read_value r)
+    | 2 -> Result (Record_log.read_value r)
     | 3 -> Failed (Codec.Reader.lstring r)
-    | 4 -> Committed (read_value r)
+    | 4 -> Committed (Record_log.read_value r)
     | 5 -> Aborted (Codec.Reader.lstring r)
     | 6 -> Stats_json (Codec.Reader.lstring r)
     | 7 ->
@@ -199,11 +165,9 @@ let decode_response s : response =
 (* -- framing ----------------------------------------------------------------- *)
 
 let frame payload =
-  let n = String.length payload in
-  if n > max_frame then invalid_arg "Wire.frame: payload too large";
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w n;
-  Codec.Writer.contents w ^ payload
+  if String.length payload > max_frame then
+    invalid_arg "Wire.frame: payload too large";
+  Record_log.frame payload
 
 (* Incremental frame extraction from a byte stream: [feed] appends
    whatever the socket produced, [pop] yields the next complete payload.

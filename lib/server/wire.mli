@@ -1,6 +1,7 @@
 (** Wire protocol of the transaction server: length-prefixed binary
     frames (little-endian u32 length + payload) whose payloads are built
-    from the {!Ooser_storage.Codec} primitives.
+    from the {!Ooser_storage.Codec} primitives and the
+    {!Ooser_recovery.Record_log} value codec.
 
     The session protocol is a strict request/response alternation:
     every request gets exactly one response and the server never pushes

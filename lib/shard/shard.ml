@@ -217,8 +217,7 @@ let durable_boot ~dir ~decisions ~engine_config db protocol =
   in
   let base = Option.value snapshot ~default:Snapshot.empty in
   let snap = Recovery.snapshot_of ~base report.Engine.plan in
-  Snapshot.save ~dir snap;
-  (try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ());
+  Snapshot.checkpoint ~dir snap;
   let journal = Oplog.open_dir ~dir in
   Engine.set_journal eng (Some journal);
   (eng, journal, snap, report)
@@ -526,10 +525,9 @@ let apply sh = function
           Oplog.force j;
           let plan = Recovery.analyze (Oplog.all j) in
           let snap = Recovery.snapshot_of ~base:sh.base_snap plan in
-          Snapshot.save ~dir snap;
+          Snapshot.checkpoint ~dir snap;
           Engine.set_journal sh.engine None;
           Oplog.close j;
-          (try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ());
           sh.base_snap <- snap
       | _ -> ());
       sh.emit (Ev_checkpointed { shard = sh.idx; token })

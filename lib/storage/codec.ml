@@ -94,34 +94,10 @@ module Reader = struct
   let at_end r = r.pos = String.length r.data
 end
 
-(* A log image is a sequence of u32-length-prefixed frames.  A crash
-   between append and force can leave a torn final frame (a partial
-   length prefix, or a prefix promising more bytes than follow): every
-   complete leading frame is a stable record, everything after the tear
-   is garbage.  Both scanners keep the stable prefix and ignore the
-   tail — the discipline every on-disk log in the tree shares. *)
-
-let frame_spans data =
-  let n = String.length data in
-  let spans = ref [] in
-  let pos = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !pos + 4 <= n do
-    let b i = Char.code data.[!pos + i] in
-    let len = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-    if !pos + 4 + len > n then stop := true
-    else begin
-      spans := (!pos + 4, len) :: !spans;
-      pos := !pos + 4 + len
-    end
-  done;
-  List.rev !spans
-
-let fold_frames data ~init ~f =
-  let acc = ref init in
-  (try
-     List.iter
-       (fun (off, len) -> acc := f !acc (String.sub data off len))
-       (frame_spans data)
-   with Failure _ -> ());
-  !acc
+(* Framing is not done here.  The operation log, the 2PC decision log,
+   certify traces and the server wire frame their payloads through
+   [Ooser_recovery.Record_log] (a u32-LE length, then the payload), and
+   snapshots are written through its atomic [replace].  That module also
+   owns the one [Value.t] codec, the loading rules — a torn or
+   zero-filled tail ends a log, an undecodable record followed by a
+   decodable one raises — and fsync, whose errors it lets propagate. *)

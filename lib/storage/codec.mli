@@ -35,15 +35,3 @@ module Reader : sig
   val i64 : t -> int
   val at_end : t -> bool
 end
-
-val frame_spans : string -> (int * int) list
-(** [(payload offset, payload length)] of every complete
-    u32-length-prefixed frame in a log image, in order.  A torn tail — a
-    partial length prefix, or a prefix promising more bytes than the
-    image holds — ends the scan; the stable prefix is kept. *)
-
-val fold_frames : string -> init:'a -> f:('a -> string -> 'a) -> 'a
-(** Fold [f] over each complete frame payload.  Stops, keeping the
-    accumulated prefix, at a torn tail or when [f] raises [Failure]
-    (a torn or corrupt record body) — the loading convention shared by
-    {!Ooser_recovery.Oplog} and every other on-disk log. *)

@@ -4,9 +4,8 @@
    were no failures"; this module provides the substrate: slot-level
    before/after-image logging with a force operation modelling stable
    storage.  A simulated crash keeps exactly the records forced so far.
-
-   Records are also serialised through the binary codec so the log can be
-   externalised; the in-memory form is authoritative for the simulator. *)
+   The log lives in memory only; the durable engine's on-disk log is the
+   logical [Ooser_recovery.Oplog]. *)
 
 type lsn = int
 
@@ -92,93 +91,3 @@ let crash t =
     next_lsn = t.stable_lsn;
     stable_lsn = t.stable_lsn;
   }
-
-(* -- serialization --------------------------------------------------------- *)
-
-let encode_record r =
-  let w = Codec.Writer.create () in
-  let opt_string = function
-    | None -> Codec.Writer.u8 w 0
-    | Some s ->
-        Codec.Writer.u8 w 1;
-        Codec.Writer.string w s
-  in
-  (match r with
-  | Begin txn ->
-      Codec.Writer.u8 w 1;
-      Codec.Writer.u32 w txn
-  | Update { txn; page; slot; before; after } ->
-      Codec.Writer.u8 w 2;
-      Codec.Writer.u32 w txn;
-      Codec.Writer.u32 w page;
-      Codec.Writer.u16 w slot;
-      opt_string before;
-      opt_string after
-  | Commit txn ->
-      Codec.Writer.u8 w 3;
-      Codec.Writer.u32 w txn
-  | Abort txn ->
-      Codec.Writer.u8 w 4;
-      Codec.Writer.u32 w txn
-  | Checkpoint active ->
-      Codec.Writer.u8 w 5;
-      Codec.Writer.u16 w (List.length active);
-      List.iter (Codec.Writer.u32 w) active
-  | Clr { txn; page; slot; restore; undo_next } ->
-      Codec.Writer.u8 w 6;
-      Codec.Writer.u32 w txn;
-      Codec.Writer.u32 w page;
-      Codec.Writer.u16 w slot;
-      opt_string restore;
-      Codec.Writer.u32 w undo_next);
-  Codec.Writer.contents w
-
-let decode_record s =
-  let r = Codec.Reader.create s in
-  let opt_string () =
-    match Codec.Reader.u8 r with 0 -> None | _ -> Some (Codec.Reader.string r)
-  in
-  match Codec.Reader.u8 r with
-  | 1 -> Begin (Codec.Reader.u32 r)
-  | 2 ->
-      let txn = Codec.Reader.u32 r in
-      let page = Codec.Reader.u32 r in
-      let slot = Codec.Reader.u16 r in
-      let before = opt_string () in
-      let after = opt_string () in
-      Update { txn; page; slot; before; after }
-  | 3 -> Commit (Codec.Reader.u32 r)
-  | 4 -> Abort (Codec.Reader.u32 r)
-  | 5 ->
-      let n = Codec.Reader.u16 r in
-      Checkpoint (List.init n (fun _ -> Codec.Reader.u32 r))
-  | 6 ->
-      let txn = Codec.Reader.u32 r in
-      let page = Codec.Reader.u32 r in
-      let slot = Codec.Reader.u16 r in
-      let restore = opt_string () in
-      let undo_next = Codec.Reader.u32 r in
-      Clr { txn; page; slot; restore; undo_next }
-  | k -> failwith (Printf.sprintf "Wal.decode_record: bad tag %d" k)
-
-let pp_record ppf = function
-  | Begin t -> Fmt.pf ppf "BEGIN %d" t
-  | Commit t -> Fmt.pf ppf "COMMIT %d" t
-  | Abort t -> Fmt.pf ppf "ABORT %d" t
-  | Checkpoint active ->
-      Fmt.pf ppf "CHECKPOINT active=[%a]" (Fmt.list ~sep:(Fmt.any " ") Fmt.int)
-        active
-  | Update { txn; page; slot; before; after } ->
-      let o ppf = function
-        | None -> Fmt.string ppf "_"
-        | Some s -> Fmt.pf ppf "%S" s
-      in
-      Fmt.pf ppf "UPDATE txn=%d page=%d slot=%d %a -> %a" txn page slot o
-        before o after
-  | Clr { txn; page; slot; restore; undo_next } ->
-      let o ppf = function
-        | None -> Fmt.string ppf "_"
-        | Some s -> Fmt.pf ppf "%S" s
-      in
-      Fmt.pf ppf "CLR txn=%d page=%d slot=%d restore=%a undo-next=%d" txn page
-        slot o restore undo_next

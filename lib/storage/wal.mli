@@ -55,9 +55,3 @@ val truncate : t -> upto:lsn -> unit
 
 val crash : t -> t
 (** The log as seen after a crash: unforced records are gone. *)
-
-val encode_record : record -> string
-val decode_record : string -> record
-(** @raise Failure on corrupt input. *)
-
-val pp_record : Format.formatter -> record -> unit

@@ -19,26 +19,6 @@ let test_wal_basics () =
   let crashed = Wal.crash w in
   check_int "unforced record lost" 2 (List.length (Wal.all crashed))
 
-let test_wal_codec_roundtrip () =
-  let records =
-    [
-      Wal.Begin 7;
-      Wal.Update { txn = 7; page = 3; slot = 2; before = None; after = Some "x" };
-      Wal.Update
-        { txn = 7; page = 3; slot = 2; before = Some "x"; after = Some "yy" };
-      Wal.Update { txn = 7; page = 3; slot = 2; before = Some "yy"; after = None };
-      Wal.Commit 7;
-      Wal.Abort 9;
-      Wal.Clr { txn = 7; page = 3; slot = 2; restore = Some "x"; undo_next = 1 };
-      Wal.Clr { txn = 7; page = 3; slot = 2; restore = None; undo_next = 0 };
-    ]
-  in
-  List.iter
-    (fun r ->
-      check_bool "roundtrip" true
-        (Wal.decode_record (Wal.encode_record r) = r))
-    records
-
 let test_committed_survives_crash () =
   let s = Logged_store.create () in
   let p = Logged_store.alloc_page s in
@@ -284,7 +264,6 @@ let suites =
     ( "recovery",
       [
         Alcotest.test_case "wal basics" `Quick test_wal_basics;
-        Alcotest.test_case "wal codec roundtrip" `Quick test_wal_codec_roundtrip;
         Alcotest.test_case "committed survives crash (no-force)" `Quick
           test_committed_survives_crash;
         Alcotest.test_case "uncommitted rolled back (steal)" `Quick
