@@ -27,7 +27,10 @@
    per-entry rules below only ever remove conflicts).  Release paths
    are driven by secondary indexes (scope, retainer, top) instead of
    whole-table scans: releasing marks entries dead in place, and the
-   buckets purge dead entries lazily the next time they are scanned. *)
+   buckets purge dead entries lazily the next time they are scanned.  A
+   bucket whose last live entry is released leaves its object's table at
+   once, so a probe only meets the classes held now, not every class the
+   object has ever seen. *)
 
 open Ooser_core
 
@@ -43,7 +46,8 @@ type entry = {
    on it *)
 type clazz = string * Value.t list * Value.t option
 
-type obj_locks = { buckets : (clazz, entry list ref) Hashtbl.t }
+type bucket = { mutable members : entry list; mutable n_held : int }
+type obj_locks = { buckets : (clazz, bucket) Hashtbl.t }
 
 type t = {
   objs : (Obj_id.t, obj_locks) Hashtbl.t;
@@ -73,8 +77,8 @@ let index tbl key e =
   | Some r -> r := e :: !r
   | None -> Hashtbl.add tbl key (ref [ e ])
 
-(* drop dead entries from an index/bucket list in place *)
-let purge r = r := List.filter (fun e -> e.live) !r
+(* drop dead entries from a bucket in place *)
+let purge b = b.members <- List.filter (fun e -> e.live) b.members
 
 let obj_locks t obj =
   match Hashtbl.find_opt t.objs obj with
@@ -84,10 +88,17 @@ let obj_locks t obj =
       Hashtbl.add t.objs obj ol;
       ol
 
+let clazz action = (Action.meth action, Action.args action, Action.pin action)
+
 let add t ~action ~scope =
   let e = { action; scope; retainer = Action.id action; live = true } in
   let ol = obj_locks t (Action.obj action) in
-  index ol.buckets (Action.meth action, Action.args action, Action.pin action) e;
+  let key = clazz action in
+  (match Hashtbl.find_opt ol.buckets key with
+  | Some b ->
+      b.members <- e :: b.members;
+      b.n_held <- b.n_held + 1
+  | None -> Hashtbl.add ol.buckets key { members = [ e ]; n_held = 1 });
   index t.by_scope scope e;
   index t.by_retainer e.retainer e;
   index t.by_top (Action_id.top scope) e;
@@ -98,9 +109,9 @@ let entries_on t obj =
   | None -> []
   | Some ol ->
       Hashtbl.fold
-        (fun _ r acc ->
-          purge r;
-          !r @ acc)
+        (fun _ b acc ->
+          purge b;
+          b.members @ acc)
         ol.buckets []
 
 (* Same transaction and one is an ancestor of (or equal to) the other. *)
@@ -128,9 +139,9 @@ let conflicting reg t action =
           (Commutativity.spec_for reg (Action.obj action))
       in
       Hashtbl.fold
-        (fun _ r acc ->
-          purge r;
-          match !r with
+        (fun _ b acc ->
+          purge b;
+          match b.members with
           | [] -> acc
           | rep :: _ ->
               (* one memoised raw-spec probe dismisses the whole class
@@ -157,13 +168,25 @@ let conflicting reg t action =
                       && Commutativity.conflicts reg action e.action
                     then e :: acc
                     else acc)
-                  acc !r)
+                  acc b.members)
         ol.buckets []
+      (* the fold's order follows the buckets' hash layout, which
+         dropping and re-adding buckets reshuffles; holder order reaches
+         wound-wait's victim sequence, so fix it by the holders' ids *)
+      |> List.sort (fun a b ->
+             Action_id.compare (Action.id a.action) (Action.id b.action))
 
+(* the entry's bucket leaves its object's table with its last live
+   entry *)
 let kill t e =
   if e.live then begin
     e.live <- false;
-    t.n_live <- t.n_live - 1
+    t.n_live <- t.n_live - 1;
+    let buckets = (Hashtbl.find t.objs (Action.obj e.action)).buckets in
+    let key = clazz e.action in
+    let b = Hashtbl.find buckets key in
+    b.n_held <- b.n_held - 1;
+    if b.n_held = 0 then Hashtbl.remove buckets key
   end
 
 let drain tbl key =
@@ -195,9 +218,12 @@ let release_top t top = List.iter (kill t) (drain t.by_top top)
 let live_for_top t top =
   match Hashtbl.find_opt t.by_top top with
   | None -> []
-  | Some r ->
-      purge r;
-      !r
+  | Some r -> List.filter (fun e -> e.live) !r
+
+let classes t obj =
+  match Hashtbl.find_opt t.objs obj with
+  | None -> 0
+  | Some ol -> Hashtbl.length ol.buckets
 
 let all_entries t =
   Hashtbl.fold (fun obj _ objs -> obj :: objs) t.objs []

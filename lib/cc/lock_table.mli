@@ -7,7 +7,7 @@
     over which the paper's transaction dependencies at O matter.  In flat
     2PL the scope is the top-level transaction.
 
-    Entries are bucketed per object by (method, args) class, with
+    Entries are bucketed per object by (method, args, pin) class, with
     secondary indexes on scope, retainer and top-level transaction: a
     conflict probe touches only the classes held on one object (and can
     dismiss an entire class with a single memoised raw commutativity
@@ -60,6 +60,11 @@ val release_top : t -> int -> unit
 val live_for_top : t -> int -> entry list
 (** Live entries held on behalf of one top-level transaction — after a
     session abort this must be empty. *)
+
+val classes : t -> Obj_id.t -> int
+(** The (method, args, pin) classes holding live entries on the object —
+    the buckets a {!conflicting} probe on it visits.  A class leaves with
+    its last live entry. *)
 
 val all_entries : t -> entry list
 val total : t -> int

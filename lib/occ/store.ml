@@ -335,10 +335,13 @@ let validate store ~top ~tree ~prims =
             (not (Action.is_virtual a)) && Hashtbl.mem store.objs (Action.obj a))
           (Call_tree.primitives tree)
       in
-      (* 1. concurrency check against the snapshot window (snap, now] *)
-      let concurrent =
-        List.filter (fun c -> c.c_ts > buf.b_snap) store.committed
+      (* 1. concurrency check against the snapshot window (snap, now]:
+         [committed] is newest first, so the window is a prefix *)
+      let rec window = function
+        | c :: rest when c.c_ts > buf.b_snap -> c :: window rest
+        | _ -> []
       in
+      let concurrent = window store.committed in
       let conflict = ref None in
       let saves = ref 0 in
       List.iter

@@ -159,6 +159,11 @@ type txn = {
          longer be aborted unilaterally by this engine — wound-wait and
          deadline expiry skip it and leave the decision to the
          coordinator (see [wounded_pinned]) *)
+  mutable prims : (Ids.Action_id.t * int) list;
+      (* the current attempt's recorded primitives with their stamps,
+         newest first — handed to validation, certification and the
+         trace sink at the commit point, published to [order] on commit
+         and dropped on abort *)
 }
 
 (* What a scheduler hook sees of one runnable unit: enough to tell
@@ -251,18 +256,13 @@ type t = {
   db : Database.t;
   config : config;
   mutable txns : txn list;
-  mutable retired : (int * int) list;
-      (* (top, final attempt) of committed transactions dropped from
-         [txns] by {!retire}; their entries in [order]/[trees] still
-         belong to the committed history, so certification and
-         [final_history] must keep counting them *)
-  mutable order : (int * int * Ids.Action_id.t * int) list;
-      (* reversed; (top, attempt, id, stamp).  The stamp is a monotone
-         global execution counter assigned when the primitive is
-         recorded: unlike a position in [order] it survives the removal
-         of aborted attempts' entries, so the incremental certifier can
-         use it as a stable span coordinate. *)
-  mutable trees : (int * Call_tree.t) list;
+  mutable order : (Ids.Action_id.t * int) list;
+      (* (id, stamp) of every committed transaction's primitives, newest
+         commit first.  The stamp is a monotone execution counter
+         assigned when the primitive is recorded, so sorting by it
+         restores the execution order; an attempt's primitives only
+         arrive here when it commits. *)
+  mutable trees : (int * Call_tree.t) list;  (* committed, by top *)
   mutable steps : int;
   mutable clock : int;
   mutable stamp : int;  (* next execution stamp *)
@@ -424,11 +424,7 @@ let finish_abort (eng : t) txn ~retry reason =
   txn.aborting <- None;
   txn.tasks <- [];
   Protocol.on_top_abort eng.config.protocol txn.top;
-  (* drop this attempt's recorded primitives *)
-  eng.order <-
-    List.filter
-      (fun (top, att, _, _) -> not (top = txn.top && att = txn.attempt))
-      eng.order;
+  txn.prims <- [];
   if retry && txn.attempt < eng.config.max_restarts then begin
     Stats.Counter.incr eng.counters "restarts";
     txn.attempt <- txn.attempt + 1;
@@ -497,24 +493,18 @@ let abort_txn (eng : t) txn ~retry ?items reason =
         !start_compensation_hook eng txn items
       end
 
-let commit_txn (eng : t) txn v =
+let commit_txn (eng : t) txn ~tree v =
   txn.commit_step <- eng.steps;
   journal_append eng (Oplog.Commit { top = txn.top; attempt = txn.attempt });
   journal_force eng;
   Stats.Counter.incr eng.counters "commits";
   (match eng.trace_sink with
-  | Some sink -> (
-      match List.assoc_opt txn.top eng.trees with
-      | Some tree ->
-          let prims =
-            List.rev eng.order
-            |> List.filter_map (fun (top, att, id, stamp) ->
-                   if top = txn.top && att = txn.attempt then Some (id, stamp)
-                   else None)
-          in
-          if prims <> [] then sink ~top:txn.top ~tree ~prims
-      | None -> ())
-  | None -> ());
+  | Some sink when txn.prims <> [] ->
+      sink ~top:txn.top ~tree ~prims:(List.rev txn.prims)
+  | Some _ | None -> ());
+  eng.trees <- (txn.top, tree) :: eng.trees;
+  eng.order <- txn.prims @ eng.order;
+  txn.prims <- [];
   Protocol.on_top_commit eng.config.protocol txn.top;
   txn.status <- Committed;
   txn.result <- Some v;
@@ -533,26 +523,13 @@ let commit_txn (eng : t) txn v =
    an unstable spec).  [certify_oracle] swaps in the from-scratch
    checker instead — the cross-checking mode. *)
 
-let certification_oracle (eng : t) txn =
-  let committed_tops =
-    (txn.top, txn.attempt)
-    :: List.filter_map
-         (fun x -> if x.status = Committed then Some (x.top, x.attempt) else None)
-         eng.txns
-    @ eng.retired
-  in
-  let trees =
-    List.filter (fun (top, _) -> List.mem_assoc top committed_tops) eng.trees
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  in
-  let order =
-    List.rev eng.order
-    |> List.filter_map (fun (top, att, id, _) ->
-           match List.assoc_opt top committed_tops with
-           | Some final when final = att -> Some id
-           | _ -> None)
-  in
+(* Committed trees sorted by top, and primitives in execution order. *)
+let by_top trees = List.sort (fun (a, _) (b, _) -> Int.compare a b) trees
+let by_stamp order = List.sort (fun (_, a) (_, b) -> Int.compare a b) order
+
+let certification_oracle (eng : t) txn ~tree =
+  let trees = List.map snd (by_top ((txn.top, tree) :: eng.trees)) in
+  let order = List.map fst (by_stamp (txn.prims @ eng.order)) in
   let h = History.v ~tops:trees ~order ~commut:(Database.spec_registry eng.db) in
   (* extend once per certified prefix — memoised on the prefix order, so
      re-certifying an unchanged committed set (the retry after a failed
@@ -591,18 +568,11 @@ let certification_oracle (eng : t) txn =
     false
   end
 
-let certification_passes (eng : t) txn =
+let certification_passes (eng : t) txn ~tree =
   match eng.cert with
   | Some cert ->
-      let tree = List.assoc txn.top eng.trees in
-      let prims =
-        List.rev eng.order
-        |> List.filter_map (fun (top, att, id, stamp) ->
-               if top = txn.top && att = txn.attempt then Some (id, stamp)
-               else None)
-      in
       Stats.Counter.incr eng.counters "cert-incremental";
-      let o = Incremental.add_commit cert ~tree ~prims in
+      let o = Incremental.add_commit cert ~tree ~prims:(List.rev txn.prims) in
       (match o.Incremental.rejection with
       | Some r ->
           eng.last_reject <-
@@ -611,11 +581,11 @@ let certification_passes (eng : t) txn =
       o.Incremental.accepted
   | None ->
       Stats.Counter.incr eng.counters "cert-oracle";
-      certification_oracle eng txn
+      certification_oracle eng txn ~tree
 
 (* -- frame completion ------------------------------------------------------------ *)
 
-let deliver_to_parent eng txn task ~undo v =
+let deliver_to_parent eng txn task ~tree ~undo v =
   match task.t_parent with
   | None -> (
       match txn.aborting with
@@ -629,38 +599,24 @@ let deliver_to_parent eng txn task ~undo v =
              committing attempt's call tree and its stamped primitives *)
           let validation =
             if Protocol.has_validate eng.config.protocol then
-              match List.assoc_opt txn.top eng.trees with
-              | Some tree ->
-                  let prims =
-                    List.rev eng.order
-                    |> List.filter_map (fun (top, att, id, stamp) ->
-                           if top = txn.top && att = txn.attempt then
-                             Some (id, stamp)
-                           else None)
-                  in
-                  Protocol.validate eng.config.protocol ~top:txn.top ~tree
-                    ~prims
-              | None -> Ok ()
+              Protocol.validate eng.config.protocol ~top:txn.top ~tree
+                ~prims:(List.rev txn.prims)
             else Ok ()
           in
           match validation with
           | Error reason ->
-              (* validation failed: take the tree back, roll back through
-                 a proper compensation phase, retry — the same internal-
-                 retry path as a failed certification *)
+              (* validation failed: roll back through a proper
+                 compensation phase, retry — the same internal-retry path
+                 as a failed certification *)
               Stats.Counter.incr eng.counters "validation-failures";
-              eng.trees <-
-                List.filter (fun (top, _) -> top <> txn.top) eng.trees;
               abort_txn eng txn ~retry:true ~items:undo reason
           | Ok () ->
-              if (not eng.config.certify) || certification_passes eng txn
-              then commit_txn eng txn v
+              if (not eng.config.certify) || certification_passes eng txn ~tree
+              then commit_txn eng txn ~tree v
               else begin
-                (* certification failed: take the tree back, roll back
-                   through a proper compensation phase, retry *)
+                (* certification failed: roll back through a proper
+                   compensation phase, retry *)
                 Stats.Counter.incr eng.counters "certification-failures";
-                eng.trees <-
-                  List.filter (fun (top, _) -> top <> txn.top) eng.trees;
                 let reason =
                   match eng.last_reject with
                   | Some r -> r
@@ -703,7 +659,7 @@ let complete_frame eng txn task v =
               eng.stamp <- eng.stamp + 1;
               s
         in
-        eng.order <- (txn.top, txn.attempt, Action.id f.action, stamp) :: eng.order
+        txn.prims <- (Action.id f.action, stamp) :: txn.prims
       end;
       let is_txn_root = rest = [] && task.t_parent = None in
       if not is_txn_root then Protocol.on_end eng.config.protocol f.action;
@@ -784,9 +740,7 @@ let complete_frame eng txn task v =
           in
           pf.child_trees <- (idx, tree) :: pf.child_trees;
           pf.undo <- undo_contribution @ pf.undo
-      | None ->
-          (* the compensation phase leaves no trace in the history *)
-          if txn.aborting = None then eng.trees <- (txn.top, tree) :: eng.trees);
+      | None -> ());
       (match rest with
       | _ :: _ -> (
           match f.caller_k with
@@ -794,7 +748,7 @@ let complete_frame eng txn task v =
           | Caught k ->
               task.pending <- Step (fun () -> Effect.Deep.continue k (Ok v))
           | To_parent -> invalid_arg "Engine: nested frame without caller")
-      | [] -> deliver_to_parent eng txn task ~undo:undo_contribution v)
+      | [] -> deliver_to_parent eng txn task ~tree ~undo:undo_contribution v)
 
 (* -- invocation start --------------------------------------------------------------- *)
 
@@ -1019,17 +973,21 @@ let fork_branches eng txn task invs k =
     task.join <- Some join;
     task.tstatus <- Runnable;
     task.pending <- Joining;
+    (* a branch that dies at its first request (wait-die) aborts the
+       transaction, which unwinds this task: fork no further branches *)
     List.iteri
       (fun slot (idx, inv) ->
-        txn.branch_counter <- txn.branch_counter + 1;
-        let process = Ids.Process_id.v ~top:txn.top ~branch:txn.branch_counter in
-        let child = fresh_task eng txn ~process ~parent:(Some (task, slot)) in
-        let id = Ids.Action_id.child (Action.id parent_frame.action) idx in
-        let action =
-          Action.v ~id ~obj:inv.Runtime.target ~meth:inv.Runtime.meth_name
-            ~args:inv.Runtime.args ~process ()
-        in
-        start_invocation eng txn child inv action To_parent)
+        if task.tstatus <> Finished then begin
+          txn.branch_counter <- txn.branch_counter + 1;
+          let process = Ids.Process_id.v ~top:txn.top ~branch:txn.branch_counter in
+          let child = fresh_task eng txn ~process ~parent:(Some (task, slot)) in
+          let id = Ids.Action_id.child (Action.id parent_frame.action) idx in
+          let action =
+            Action.v ~id ~obj:inv.Runtime.target ~meth:inv.Runtime.meth_name
+              ~args:inv.Runtime.args ~process ()
+          in
+          start_invocation eng txn child inv action To_parent
+        end)
       (List.combine indices invs)
   end
 
@@ -1255,6 +1213,7 @@ let create ?(config : config option) db ~protocol bodies =
           commit_step = -1;
           deadline = None;
           pinned = false;
+          prims = [];
         })
       bodies
   in
@@ -1262,7 +1221,6 @@ let create ?(config : config option) db ~protocol bodies =
     db;
     config;
     txns;
-    retired = [];
     order = [];
     trees = [];
     steps = 0;
@@ -1318,26 +1276,10 @@ let atlas_hits (eng : t) =
   cert_hits + lock_hits
 
 let final_history (eng : t) =
-  let committed_tops =
-    List.filter_map
-      (fun txn ->
-        if txn.status = Committed then Some (txn.top, txn.attempt) else None)
-      eng.txns
-    @ eng.retired
-  in
-  let trees =
-    List.filter (fun (top, _) -> List.mem_assoc top committed_tops) eng.trees
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  in
-  let order =
-    List.rev eng.order
-    |> List.filter_map (fun (top, att, id, _) ->
-           match List.assoc_opt top committed_tops with
-           | Some final when final = att -> Some id
-           | _ -> None)
-  in
-  History.v ~tops:trees ~order ~commut:(Database.spec_registry eng.db)
+  History.v
+    ~tops:(List.map snd (by_top eng.trees))
+    ~order:(List.map fst (by_stamp eng.order))
+    ~commut:(Database.spec_registry eng.db)
 
 (* The online certifier only ever holds an acyclic committed set, so
    once it has admitted every commit the committed history is
@@ -1592,6 +1534,7 @@ let submit (eng : t) ~top ~name ?deadline body =
           commit_step = -1;
           deadline;
           pinned = false;
+          prims = [];
         };
       ]
 
@@ -1690,21 +1633,20 @@ let pump (eng : t) =
   loop ();
   eng.steps - start
 
-(* Drop committed and aborted transactions the driver no longer needs —
-   a long-running server retires sessions so [eng.txns] (and the
-   per-transaction scan costs above) stay proportional to the live set.
-   The committed work itself stays in [eng.order]/[eng.trees]: the
-   certifier needs the full committed history. *)
 let deadline_of (eng : t) ~top =
   match find_txn eng top with
   | Some txn when txn.status = Running -> txn.deadline
   | _ -> None
 
+(* Drop committed and aborted transactions the caller no longer needs —
+   a long-running server retires each finished one so [eng.txns] (and the
+   per-transaction scan costs above) stay proportional to the live set.
+   A committed transaction's tree and primitives were published to
+   [eng.trees]/[eng.order] at its commit, so retiring it loses nothing
+   the history needs. *)
 let retire (eng : t) ~top =
   match find_txn eng top with
   | Some txn when txn.status <> Running ->
-      if txn.status = Committed then
-        eng.retired <- (txn.top, txn.attempt) :: eng.retired;
       eng.txns <- List.filter (fun x -> x.top <> top) eng.txns;
       true
   | Some _ | None -> false
@@ -1763,16 +1705,6 @@ let txn_quiescent (eng : t) ~top =
    completed no root-level call yet are omitted entirely (their root
    would be an order-less leaf). *)
 let observed_history (eng : t) =
-  let committed_tops =
-    List.filter_map
-      (fun txn ->
-        if txn.status = Committed then Some (txn.top, txn.attempt) else None)
-      eng.txns
-    @ eng.retired
-  in
-  let committed_trees =
-    List.filter (fun (top, _) -> List.mem_assoc top committed_tops) eng.trees
-  in
   let live =
     List.filter_map
       (fun txn ->
@@ -1781,16 +1713,14 @@ let observed_history (eng : t) =
           | Some task -> (
               match List.rev task.stack with
               | root :: _ when root.child_trees <> [] ->
-                  Some ((txn.top, txn.attempt), tree_of_frame root)
+                  Some (txn, tree_of_frame root)
               | _ -> None)
           | None -> None
         else None)
       eng.txns
   in
-  let atts = committed_tops @ List.map (fun ((top, att), _) -> (top, att)) live in
   let trees =
-    committed_trees @ List.map (fun ((top, _), tree) -> (top, tree)) live
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    by_top (eng.trees @ List.map (fun (txn, tree) -> (txn.top, tree)) live)
   in
   let leaves =
     List.fold_left
@@ -1802,32 +1732,18 @@ let observed_history (eng : t) =
       Ids.Action_id.Set.empty trees
   in
   let order =
-    List.rev eng.order
-    |> List.filter_map (fun (top, att, id, _) ->
-           match List.assoc_opt top atts with
-           | Some a when a = att && Ids.Action_id.Set.mem id leaves -> Some id
-           | _ -> None)
+    List.fold_left (fun acc (txn, _) -> txn.prims @ acc) eng.order live
+    |> List.filter (fun (id, _) -> Ids.Action_id.Set.mem id leaves)
+    |> by_stamp |> List.map fst
   in
   History.v ~tops:(List.map snd trees) ~order
     ~commut:(Database.spec_registry eng.db)
 
 (* The committed execution order with its stamps, final attempts only —
-   [(action id, stamp)] in log order.  With a shared [next_stamp]
+   [(action id, stamp)] sorted by stamp.  With a shared [next_stamp]
    counter, sorting several shards' stamped orders together reconstructs
    the global execution order. *)
-let stamped_order (eng : t) =
-  let committed_tops =
-    List.filter_map
-      (fun txn ->
-        if txn.status = Committed then Some (txn.top, txn.attempt) else None)
-      eng.txns
-    @ eng.retired
-  in
-  List.rev eng.order
-  |> List.filter_map (fun (top, att, id, stamp) ->
-         match List.assoc_opt top committed_tops with
-         | Some final when final = att -> Some (id, stamp)
-         | _ -> None)
+let stamped_order (eng : t) = by_stamp eng.order
 
 (* The certifier-side validation frontier: the smallest execution stamp
    recorded by any still-running transaction's current attempt, or
@@ -1842,35 +1758,16 @@ let stamped_order (eng : t) =
    still-live transaction, which is why the shard keeps a monotone
    watermark rather than using the instantaneous frontier directly. *)
 let validation_frontier (eng : t) =
-  let live =
-    List.filter_map
-      (fun txn ->
-        if txn.status = Running && txn.aborting = None then
-          Some (txn.top, txn.attempt)
-        else None)
-      eng.txns
-  in
-  if live = [] then max_int
-  else
-    List.fold_left
-      (fun acc (top, att, _, stamp) ->
-        match List.assoc_opt top live with
-        | Some a when a = att -> min acc stamp
-        | _ -> acc)
-      max_int eng.order
+  List.fold_left
+    (fun acc txn ->
+      if txn.status = Running && txn.aborting = None then
+        List.fold_left (fun acc (_, stamp) -> min acc stamp) acc txn.prims
+      else acc)
+    max_int eng.txns
 
 (* Committed call trees by top, final attempts — the raw material for a
    dispatcher-side merged history. *)
-let committed_trees (eng : t) =
-  let committed_tops =
-    List.filter_map
-      (fun txn ->
-        if txn.status = Committed then Some (txn.top, txn.attempt) else None)
-      eng.txns
-    @ eng.retired
-  in
-  List.filter (fun (top, _) -> List.mem_assoc top committed_tops) eng.trees
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let committed_trees (eng : t) = by_top eng.trees
 
 (* -- durable recovery ---------------------------------------------------------
 

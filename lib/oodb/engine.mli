@@ -247,8 +247,8 @@ val observed_history : t -> History.t
     omitted. *)
 
 val stamped_order : t -> (Ids.Action_id.t * int) list
-(** The committed execution order with stamps, final attempts only, in
-    log order.  With a shared {!type-config}[.next_stamp] counter,
+(** The committed execution order with stamps, final attempts only,
+    sorted by stamp (execution order).  With a shared {!type-config}[.next_stamp] counter,
     sorting several shards' stamped orders merges them into one global
     execution order. *)
 

@@ -146,6 +146,44 @@ let test_wait_die_resolves_crossing () =
     (Baselines.conventional_serializable out.Engine.history);
   check_bool "state consistent" true (!a > 0 && !b > 0)
 
+let test_wait_die_first_branch_dies () =
+  (* the younger transaction's first parallel branch dies on the older
+     holder's lock, aborting the transaction while call_par is still
+     forking: the remaining branch must not be started for it *)
+  let db = Database.create () in
+  let a = register_cell db "A" 0 in
+  let b = register_cell db "B" 0 in
+  let older ctx =
+    ignore (Runtime.call ctx (o "A") "write" [ Value.int 1 ]);
+    ignore (Runtime.call ctx (o "A") "read" []);
+    Value.unit
+  in
+  let younger ctx =
+    ignore
+      (Runtime.call_par ctx
+         [
+           Runtime.invocation (o "A") "write" [ Value.int 2 ];
+           Runtime.invocation (o "B") "write" [ Value.int 2 ];
+         ]);
+    Value.unit
+  in
+  let protocol = Protocol.flat_2pl ~reg:(Database.spec_registry db) () in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.deadlock = Engine.Wait_die;
+      (* the older one takes A's lock before the younger one forks *)
+      Engine.strategy = Engine.Scripted (ref [ 1; 1; 1; 2; 2 ]);
+    }
+  in
+  let out =
+    Engine.run ~config db ~protocol [ (1, "older", older); (2, "younger", younger) ]
+  in
+  check_int "both committed" 2 (List.length out.Engine.committed);
+  check_bool "the younger transaction died" true
+    ((try List.assoc "dies" out.Engine.metrics with Not_found -> 0) > 0);
+  check_bool "younger wrote last" true (!a = 2 && !b = 2)
+
 let test_policies_agree_on_results () =
   (* both policies produce correct (if different) schedules over many
      seeds *)
@@ -191,6 +229,8 @@ let suites =
         Alcotest.test_case "wounds are counted" `Quick test_wounds_counted;
         Alcotest.test_case "wait-die resolves the crossing" `Quick
           test_wait_die_resolves_crossing;
+        Alcotest.test_case "wait-die: first parallel branch dies" `Quick
+          test_wait_die_first_branch_dies;
         Alcotest.test_case "many transactions make progress" `Quick
           test_wound_wait_many_txns;
         Alcotest.test_case "policies agree on correctness" `Quick
