@@ -30,6 +30,7 @@ module BT = Ooser_certify.Bench_trace
 module Certify = Ooser_certify.Certify
 module Trace = Ooser_certify.Trace
 module Incremental = Ooser_core.Incremental
+module Json = Ooser_sim.Json
 
 let gate_speedup = 2.5
 let worker_points = [ 1; 2; 4; 8 ]
@@ -113,48 +114,36 @@ let run_curve trace =
 
 let to_json ~params ~trace_bytes points ~online:(on_txns, on_s, on_edges, on_ok)
     ~planted:(planted_txns, seg_reject, on_reject) ~speedup ~agree ~gate_ok =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"txns\": %d, \"keys\": %d, \"calls\": %d, \
-        \"burst\": %d, \"p_write\": %g, \"seed\": %d, \"trace_bytes\": %d},\n"
-       params.BT.txns params.BT.keys params.BT.calls params.BT.burst
-       params.BT.p_write params.BT.seed trace_bytes);
-  Buffer.add_string b "  \"curve\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workers\": %d, \"ok\": %b, \"segments\": %d, \
-            \"quiescent_cuts\": %d, \"heuristic_cuts\": %d, \"act_edges\": \
-            %d, \"peak_live\": %d, \"seg_seconds\": %.3f, \
-            \"stitch_seconds\": %.3f, \"elapsed_s\": %.3f, \
-            \"txn_per_s\": %.1f}%s\n"
-           p.p_workers p.p_ok p.p_segments p.p_quiescent p.p_heuristic
-           p.p_act_edges p.p_peak_live p.p_seg_seconds p.p_stitch_seconds
-           p.p_elapsed p.p_txn_per_s
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"online\": {\"txns\": %d, \"elapsed_s\": %.3f, \"act_edges\": %d, \
-        \"ok\": %b},\n"
-       on_txns on_s on_edges on_ok);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"planted_cycle\": {\"txns\": %d, \"segmented_rejects\": %b, \
-        \"online_rejects\": %b},\n"
-       planted_txns seg_reject on_reject);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"speedup_workers4_over_1\": %.2f,\n\
-       \  \"verdicts_agree_with_online\": %b,\n\
-       \  \"gate\": {\"min_speedup\": %.1f, \"ok\": %b}\n"
-       speedup agree gate_speedup gate_ok);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let point p =
+    Json.(
+      Obj
+        [ "workers", Int p.p_workers; "ok", Bool p.p_ok;
+          "segments", Int p.p_segments; "quiescent_cuts", Int p.p_quiescent;
+          "heuristic_cuts", Int p.p_heuristic; "act_edges", Int p.p_act_edges;
+          "peak_live", Int p.p_peak_live; "seg_seconds", Float p.p_seg_seconds;
+          "stitch_seconds", Float p.p_stitch_seconds;
+          "elapsed_s", Float p.p_elapsed; "txn_per_s", Float p.p_txn_per_s ])
+  in
+  Json.(
+    Obj
+      [ ( "workload",
+          Obj
+            [ "txns", Int params.BT.txns; "keys", Int params.BT.keys;
+              "calls", Int params.BT.calls; "burst", Int params.BT.burst;
+              "p_write", Float params.BT.p_write; "seed", Int params.BT.seed;
+              "trace_bytes", Int trace_bytes ] );
+        "curve", List (List.map point points);
+        ( "online",
+          Obj
+            [ "txns", Int on_txns; "elapsed_s", Float on_s;
+              "act_edges", Int on_edges; "ok", Bool on_ok ] );
+        ( "planted_cycle",
+          Obj
+            [ "txns", Int planted_txns; "segmented_rejects", Bool seg_reject;
+              "online_rejects", Bool on_reject ] );
+        "speedup_workers4_over_1", Float speedup;
+        "verdicts_agree_with_online", Bool agree;
+        "gate", Obj [ "min_speedup", Float gate_speedup; "ok", Bool gate_ok ] ])
 
 let () =
   let out = ref "BENCH_certify.json" in
@@ -286,7 +275,7 @@ let () =
       ~speedup ~agree ~gate_ok
   in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.indented json ^ "\n");
   close_out oc;
   Fmt.pr "wrote %s@." !out;
   if not gate_ok then begin

@@ -20,6 +20,7 @@ open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
 module Rng = Ooser_sim.Rng
 module Dist = Ooser_sim.Dist
+module Json = Ooser_sim.Json
 module Banking = Ooser_workload.Banking
 module Occ = Ooser_occ
 
@@ -117,18 +118,21 @@ let occ_point ~mode ~seed ~theta ~txns =
     theta;
   }
 
-let json_of_point pt =
-  Printf.sprintf
-    "{\"theta\": %.2f, \"committed\": %d, \"attempts\": %d, \
-     \"aborted_attempts\": %d, \"abort_rate\": %.4f, \
-     \"throughput_txn_s\": %.1f, \"certified\": %b}"
-    pt.theta pt.committed pt.attempts pt.aborted_attempts pt.abort_rate
-    pt.throughput pt.certified
+let point_json pt =
+  Json.(
+    Obj
+      [ "theta", Float pt.theta; "committed", Int pt.committed;
+        "attempts", Int pt.attempts;
+        "aborted_attempts", Int pt.aborted_attempts;
+        "abort_rate", Float pt.abort_rate;
+        "throughput_txn_s", Float pt.throughput;
+        "certified", Bool pt.certified ])
 
-let json_of_curve c =
-  Printf.sprintf "    {\"protocol\": %S, \"points\": [\n      %s\n    ]}"
-    c.proto
-    (String.concat ",\n      " (List.map json_of_point c.points))
+let curve_json c =
+  Json.(
+    Obj
+      [ "protocol", String c.proto;
+        "points", List (List.map point_json c.points) ])
 
 let () =
   let txns = ref 64 and out = ref "BENCH_protocols.json" and seed = ref 11 in
@@ -207,30 +211,32 @@ let () =
     List.for_all (fun c -> List.for_all (fun pt -> pt.certified) c.points)
       curves
   in
+  let json =
+    let per_theta (theta, commute, rw) =
+      Json.(
+        Obj
+          [ "theta", Float theta; "occ_commute", Float commute;
+            "occ_rw", Float rw ])
+    in
+    Json.(
+      Obj
+        [ ( "workload",
+            Obj
+              [ "kind", String "banking-escrow"; "accounts", Int accounts;
+                "txns", Int !txns;
+                ( "transfers_per_txn",
+                  Int Banking.default_params.Banking.transfers_per_txn );
+                "seed", Int !seed ] );
+          "skews", List (List.map (fun t -> Float t) thetas);
+          "protocols", List (List.map curve_json curves);
+          ( "gate",
+            Obj
+              [ "occ_commute_abort_lt_occ_rw", Bool gate_ok;
+                "per_theta", List (List.map per_theta gate) ] );
+          "all_certified", Bool all_certified ])
+  in
   let oc = open_out !out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": {\"kind\": \"banking-escrow\", \"accounts\": %d, \
-     \"txns\": %d, \"transfers_per_txn\": %d, \"seed\": %d},\n\
-    \  \"skews\": [%s],\n\
-    \  \"protocols\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"gate\": {\"occ_commute_abort_lt_occ_rw\": %b, \"per_theta\": [%s]},\n\
-    \  \"all_certified\": %b\n\
-     }\n"
-    accounts !txns Banking.default_params.Banking.transfers_per_txn !seed
-    (String.concat ", " (List.map (Printf.sprintf "%.2f") thetas))
-    (String.concat ",\n" (List.map json_of_curve curves))
-    gate_ok
-    (String.concat ", "
-       (List.map
-          (fun (theta, commute, rw) ->
-            Printf.sprintf
-              "{\"theta\": %.2f, \"occ_commute\": %.4f, \"occ_rw\": %.4f}"
-              theta commute rw)
-          gate))
-    all_certified;
+  output_string oc (Json.indented json ^ "\n");
   close_out oc;
   Fmt.pr "wrote %s@." !out;
   if not all_certified then begin

@@ -26,6 +26,7 @@ open Ooser_oodb
 open Ooser_workload
 module Protocol = Ooser_cc.Protocol
 module Rng = Ooser_sim.Rng
+module Json = Ooser_sim.Json
 module Oplog = Ooser_recovery.Oplog
 module Recovery = Ooser_recovery.Recovery
 
@@ -170,39 +171,34 @@ let snapshot_cmp ~seed n records full_s =
 (* -- report -------------------------------------------------------------------- *)
 
 let to_json cp points sc =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"db\": \"encyclopedia\", \"protocol\": \"open\", \
-        \"ops_per_txn\": 4, \"preload\": 50},\n");
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"commit_path\": {\"txns\": %d, \"plain_s\": %.6f, \
-        \"journal_mem_s\": %.6f, \"journal_file_s\": %.6f, \
-        \"mem_overhead_pct\": %.1f, \"file_overhead_pct\": %.1f, \
-        \"gate_pct\": %.1f, \"gate_ok\": %b},\n"
-       commit_n cp.plain_s cp.mem_s cp.file_s cp.mem_overhead_pct
-       cp.file_overhead_pct gate_pct
-       (cp.mem_overhead_pct <= gate_pct));
-  Buffer.add_string b "  \"recovery_scaling\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"txns\": %d, \"records\": %d, \"replayed_calls\": %d, \
-            \"winners\": %d, \"recover_s\": %.6f}%s\n"
-           p.txns p.records p.replayed_calls p.winners p.recover_s
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"snapshot\": {\"txns\": %d, \"full_replay_s\": %.6f, \
-        \"snapshot_restore_s\": %.6f, \"speedup\": %.2f}\n"
-       sc.snap_txns sc.full_replay_s sc.snapshot_restore_s sc.speedup);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let point p =
+    Json.(
+      Obj
+        [ "txns", Int p.txns; "records", Int p.records;
+          "replayed_calls", Int p.replayed_calls; "winners", Int p.winners;
+          "recover_s", Float p.recover_s ])
+  in
+  Json.(
+    Obj
+      [ ( "workload",
+          Obj
+            [ "db", String "encyclopedia"; "protocol", String "open";
+              "ops_per_txn", Int 4; "preload", Int 50 ] );
+        ( "commit_path",
+          Obj
+            [ "txns", Int commit_n; "plain_s", Float cp.plain_s;
+              "journal_mem_s", Float cp.mem_s;
+              "journal_file_s", Float cp.file_s;
+              "mem_overhead_pct", Float cp.mem_overhead_pct;
+              "file_overhead_pct", Float cp.file_overhead_pct;
+              "gate_pct", Float gate_pct;
+              "gate_ok", Bool (cp.mem_overhead_pct <= gate_pct) ] );
+        "recovery_scaling", List (List.map point points);
+        ( "snapshot",
+          Obj
+            [ "txns", Int sc.snap_txns; "full_replay_s", Float sc.full_replay_s;
+              "snapshot_restore_s", Float sc.snapshot_restore_s;
+              "speedup", Float sc.speedup ] ) ])
 
 let () =
   let out = ref "BENCH_recovery.json" in
@@ -244,7 +240,7 @@ let () =
     sc.speedup;
   let json = to_json cp points sc in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.indented json ^ "\n");
   close_out oc;
   Fmt.pr "@.wrote %s@." !out;
   if cp.mem_overhead_pct > gate_pct then begin

@@ -32,7 +32,7 @@ let () =
   let r = Cert_bench.run ~n:!n ~samples () in
   Fmt.pr "%a@." Cert_bench.pp r;
   let oc = open_out !out in
-  output_string oc (Cert_bench.to_json r);
+  output_string oc Ooser_sim.Json.(indented (Obj (Cert_bench.json_fields r)));
   output_string oc "\n";
   close_out oc;
   Fmt.pr "wrote %s@." !out;

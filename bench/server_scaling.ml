@@ -24,6 +24,7 @@ module Server = Ooser_server.Server
 module Loadgen = Ooser_server.Loadgen
 module Dispatcher = Ooser_shard.Dispatcher
 module Stats = Ooser_sim.Stats
+module Json = Ooser_sim.Json
 
 let gate_speedup = 3.0
 let shard_points = [ 1; 2; 4; 8 ]
@@ -105,36 +106,26 @@ let run_point ~sessions ~txns ~calls ~preload ~seed ~cross shards =
       })
 
 let to_json ~sessions ~txns ~calls ~cross points ~speedup ~gate_ok =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"db\": \"encyclopedia\", \"protocol\": \"open\", \
-        \"sessions\": %d, \"txns_per_session\": %d, \"calls_per_txn\": %d, \
-        \"cross_per_call\": %g},\n"
-       sessions txns calls cross);
-  Buffer.add_string b "  \"curve\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"shards\": %d, \"committed\": %d, \"aborted\": %d, \
-            \"elapsed_s\": %.3f, \"throughput_txn_per_s\": %.1f, \
-            \"latency_p50_s\": %.6f, \"latency_p95_s\": %.6f, \
-            \"cross_shard_commits\": %d, \"2pc_aborts\": %d, \
-            \"certified\": %b}%s\n"
-           p.shards p.committed p.aborted p.elapsed p.throughput p.p50 p.p95
-           p.cross_commits p.two_pc_aborts p.certified
-           (if i = List.length points - 1 then "" else ",")))
-    points;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"speedup_shards4_over_1\": %.2f,\n\
-       \  \"gate\": {\"min_speedup\": %.1f, \"ok\": %b}\n"
-       speedup gate_speedup gate_ok);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let point p =
+    Json.(
+      Obj
+        [ "shards", Int p.shards; "committed", Int p.committed;
+          "aborted", Int p.aborted; "elapsed_s", Float p.elapsed;
+          "throughput_txn_per_s", Float p.throughput;
+          "latency_p50_s", Float p.p50; "latency_p95_s", Float p.p95;
+          "cross_shard_commits", Int p.cross_commits;
+          "2pc_aborts", Int p.two_pc_aborts; "certified", Bool p.certified ])
+  in
+  Json.(
+    Obj
+      [ ( "workload",
+          Obj
+            [ "db", String "encyclopedia"; "protocol", String "open";
+              "sessions", Int sessions; "txns_per_session", Int txns;
+              "calls_per_txn", Int calls; "cross_per_call", Float cross ] );
+        "curve", List (List.map point points);
+        "speedup_shards4_over_1", Float speedup;
+        "gate", Obj [ "min_speedup", Float gate_speedup; "ok", Bool gate_ok ] ])
 
 let () =
   let out = ref "BENCH_server.json" in
@@ -186,7 +177,7 @@ let () =
   Fmt.pr "@.shards=4 over shards=1: %.2fx (gate %.1fx)@." speedup gate_speedup;
   let json = to_json ~sessions ~txns:!txns ~calls ~cross:!cross points ~speedup ~gate_ok in
   let oc = open_out !out in
-  output_string oc json;
+  output_string oc (Json.indented json ^ "\n");
   close_out oc;
   Fmt.pr "wrote %s@." !out;
   if not gate_ok then begin

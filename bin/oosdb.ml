@@ -22,6 +22,7 @@ open Ooser_oodb
 open Ooser_workload
 module Protocol = Ooser_cc.Protocol
 module Rng = Ooser_sim.Rng
+module Json = Ooser_sim.Json
 module Occ = Ooser_occ
 
 let read_file path =
@@ -364,14 +365,15 @@ let shard_datapoint ~shards ~txns =
   let c k = match List.assoc_opt k (D.counters d) with Some v -> v | None -> 0 in
   let depths = List.map (fun s -> s.D.cert_depth) (D.stats d ()) in
   let commits = c "commits" and cross = c "cross-shard-commits" in
-  Printf.sprintf
-    "  \"shard\": {\"shards\": %d, \"txns\": %d, \"committed\": %d, \
-     \"cross_shard_commits\": %d, \"cross_rate\": %.3f, \
-     \"coordinator_roundtrip_ns\": %d, \"cert_depth\": [%s]}"
-    shards txns commits cross
-    (if commits > 0 then float_of_int cross /. float_of_int commits else 0.0)
-    (c "roundtrip-ns-avg")
-    (String.concat ", " (List.map string_of_int depths))
+  let rate =
+    if commits > 0 then float_of_int cross /. float_of_int commits else 0.0
+  in
+  Json.(
+    Obj
+      [ "shards", Int shards; "txns", Int txns; "committed", Int commits;
+        "cross_shard_commits", Int cross; "cross_rate", Float rate;
+        "coordinator_roundtrip_ns", Int (c "roundtrip-ns-avg");
+        "cert_depth", List (List.map (fun d -> Int d) depths) ])
 
 (* One offline-certification datapoint: a small synthetic trace through
    the segmented parallel certifier — segment throughput, stitch cost,
@@ -385,15 +387,7 @@ let certify_datapoint () =
   @@ fun () ->
   BT.generate ~path { BT.default_params with BT.txns = 20_000; keys = 128 };
   let t = Ooser_certify.Trace.load path in
-  let r = C.run ~workers:4 ~registry:(BT.registry ()) t in
-  Printf.sprintf
-    "  \"certify\": {\"txns\": %d, \"ok\": %b, \"workers\": %d, \
-     \"segments\": %d, \"quiescent_cuts\": %d, \"heuristic_cuts\": %d, \
-     \"peak_segments_live\": %d, \"segment_txn_per_s\": %.0f, \
-     \"stitch_seconds\": %.6f, \"elapsed_seconds\": %.4f}"
-    r.C.txns r.C.ok r.C.workers r.C.segments r.C.quiescent_cuts
-    r.C.heuristic_cuts r.C.peak_live r.C.segment_txn_per_s r.C.stitch_seconds
-    r.C.elapsed_seconds
+  C.to_json (C.run ~workers:4 ~registry:(BT.registry ()) t)
 
 (* One optimistic-protocol datapoint: the same escrow banking mix under
    commute-mode and rw-mode validation — the abort-rate gap is the value
@@ -432,17 +426,21 @@ let occ_datapoint () =
   in
   let cc, cv, ca, cs, cok = run Occ.Store.Commute in
   let rc, rv, ra, _, rok = run Occ.Store.Rw in
-  Printf.sprintf
-    "  \"occ\": {\"txns\": 64, \"commute\": {\"committed\": %d, \
-     \"validations\": %d, \"aborts\": %d, \"commute_saves\": %d, \
-     \"abort_rate\": %.3f, \"certified\": %b}, \"rw\": {\"committed\": %d, \
-     \"validations\": %d, \"aborts\": %d, \"abort_rate\": %.3f, \
-     \"certified\": %b}}"
-    cc cv ca cs
-    (if cv > 0 then float_of_int ca /. float_of_int cv else 0.0)
-    cok rc rv ra
-    (if rv > 0 then float_of_int ra /. float_of_int rv else 0.0)
-    rok
+  let rate a v =
+    Json.Float (if v > 0 then float_of_int a /. float_of_int v else 0.0)
+  in
+  Json.(
+    Obj
+      [ "txns", Int 64;
+        ( "commute",
+          Obj
+            [ "committed", Int cc; "validations", Int cv; "aborts", Int ca;
+              "commute_saves", Int cs; "abort_rate", rate ca cv;
+              "certified", Bool cok ] );
+        ( "rw",
+          Obj
+            [ "committed", Int rc; "validations", Int rv; "aborts", Int ra;
+              "abort_rate", rate ra rv; "certified", Bool rok ] ) ])
 
 let bench_cmd =
   let n =
@@ -461,22 +459,18 @@ let bench_cmd =
     in
     let r = Cert_bench.run ~n ~samples () in
     Fmt.pr "%a@." Cert_bench.pp r;
-    let shard_json = shard_datapoint ~shards:4 ~txns:48 in
-    Fmt.pr "shard datapoint:@.%s@." shard_json;
-    let certify_json = certify_datapoint () in
-    Fmt.pr "certify datapoint:@.%s@." certify_json;
-    let occ_json = occ_datapoint () in
-    Fmt.pr "occ datapoint:@.%s@." occ_json;
+    let shard = shard_datapoint ~shards:4 ~txns:48 in
+    let certify = certify_datapoint () in
+    let occ = occ_datapoint () in
+    let datapoints = [ ("shard", shard); ("certify", certify); ("occ", occ) ] in
+    List.iter
+      (fun (name, v) -> Fmt.pr "%s datapoint:@.%s@." name (Json.indented v))
+      datapoints;
     (match json with
     | Some file ->
         let oc = open_out file in
-        let base = Cert_bench.to_json r in
-        (* splice the shard, certify and occ datapoints into the
-           top-level object *)
-        let body = String.sub base 0 (String.rindex base '}') in
         output_string oc
-          (body ^ ",\n" ^ shard_json ^ ",\n" ^ certify_json ^ ",\n" ^ occ_json
-         ^ "\n}");
+          (Json.indented (Json.Obj (Cert_bench.json_fields r @ datapoints)));
         output_string oc "\n";
         close_out oc;
         Fmt.pr "wrote %s@." file
@@ -545,7 +539,8 @@ let lint_cmd =
         | `Text -> Analysis.Lint.report Fmt.stdout t diags
         | `Json ->
             List.iter
-              (fun d -> print_endline (Analysis.Diagnostic.to_json d))
+              (fun d ->
+                print_endline (Json.compact (Analysis.Diagnostic.to_json d)))
               diags);
         max code (Analysis.Lint.exit_code ~strict diags))
       0
@@ -566,8 +561,9 @@ let analyze_cmd =
     Arg.(value
          & opt (enum [ ("text", `Text); ("json", `Json); ("dot", `Dot) ]) `Text
          & info [ "format" ]
-             ~doc:"Output: text (atlas report), json (one document per \
-                   suite), or dot (conflict graph).")
+             ~doc:"Output: text (atlas report), json (JSON Lines: one \
+                   document per suite, one line each), or dot (conflict \
+                   graph).")
   in
   let budget =
     Arg.(value & opt int 20_000
@@ -581,7 +577,7 @@ let analyze_cmd =
         let atlas = Analysis.Atlas.build ~max_interleavings:budget t in
         (match format with
         | `Text -> Fmt.pr "%a@." Analysis.Atlas.pp atlas
-        | `Json -> print_endline (Analysis.Atlas.to_json atlas)
+        | `Json -> print_endline (Json.compact (Analysis.Atlas.to_json atlas))
         | `Dot -> print_string (Analysis.Atlas.to_dot atlas));
         (* an unsafe pair is a warning: raw interleavings of the two
            types can violate oo-serializability, so the pair depends on
@@ -661,7 +657,7 @@ let infer_cmd =
         let r = Analysis.Infer.run ~seed ~random_states t in
         (match format with
         | `Text -> Fmt.pr "%a@." Analysis.Infer.pp r
-        | `Json -> print_endline (Analysis.Infer.to_json r));
+        | `Json -> print_endline (Json.compact (Analysis.Infer.to_json r)));
         max code (Analysis.Lint.exit_code ~strict r.Analysis.Infer.diagnostics))
       0 targets
   in
@@ -1240,7 +1236,7 @@ let certify_cmd =
                 | None -> None)
                 ~registry t
             in
-            if json then print_string (Certify.to_json r)
+            if json then print_endline (Json.indented (Certify.to_json r))
             else Fmt.pr "%a@." Certify.pp r;
             if r.Certify.ok then 0 else 1)
   in
@@ -1471,7 +1467,7 @@ let loadgen_cmd =
     (match json with
     | Some file ->
         let oc = open_out file in
-        output_string oc (Loadgen.to_json r);
+        output_string oc (Json.indented (Loadgen.to_json r));
         output_string oc "\n";
         close_out oc;
         Fmt.pr "wrote %s@." file
@@ -1639,7 +1635,7 @@ let mc_cmd =
             (match json with
             | Some file ->
                 let oc = open_out file in
-                output_string oc (Mc.json_of_reports reports);
+                output_string oc (Json.compact (Mc.to_json reports) ^ "\n");
                 close_out oc;
                 Fmt.pr "wrote %s@." file
             | None -> ());

@@ -22,6 +22,7 @@
    an open-nested abort path) rules. *)
 
 open Ooser_core
+module Json = Ooser_sim.Json
 
 type safe_reason =
   | No_conflict  (* no conflicting leaf pair: no cross edges at all *)
@@ -397,77 +398,58 @@ let pp ppf t =
     (count (fun e -> match e.verdict with Unsafe _ -> true | _ -> false) t)
     (count (fun e -> match e.verdict with Unknown _ -> true | _ -> false) t)
 
-let esc = Diagnostic.json_escape
-
-let verdict_json = function
-  | Safe r ->
-      Printf.sprintf
-        "{\"kind\": \"safe\", \"reason\": \"%s\"}"
-        (match r with
-        | No_conflict -> "no-conflict"
-        | Isolated_channels -> "isolated-channels"
-        | Exhausted n -> Printf.sprintf "exhausted-%d" n)
-  | Unsafe w ->
-      Printf.sprintf
-        "{\"kind\": \"unsafe\", \"switches\": %d, \"objects\": [%s], \
-         \"witness\": [%s]}"
-        w.w_switches
-        (String.concat ", "
-           (List.map
-              (fun o -> Printf.sprintf "\"%s\"" (esc (Obj_id.to_string o)))
-              w.w_objects))
-        (String.concat ", "
-           (List.map
-              (fun id ->
-                Printf.sprintf "\"%s\"" (esc (Action_id.to_string id)))
-              w.w_order))
-  | Unknown reason ->
-      Printf.sprintf "{\"kind\": \"unknown\", \"reason\": \"%s\"}" (esc reason)
+let verdict_json =
+  Json.(
+    function
+    | Safe r ->
+        let reason =
+          match r with
+          | No_conflict -> "no-conflict"
+          | Isolated_channels -> "isolated-channels"
+          | Exhausted n -> Printf.sprintf "exhausted-%d" n
+        in
+        Obj [ "kind", String "safe"; "reason", String reason ]
+    | Unsafe w ->
+        Obj
+          [ "kind", String "unsafe"; "switches", Int w.w_switches;
+            "objects", strings (List.map Obj_id.to_string w.w_objects);
+            "witness", strings (List.map Action_id.to_string w.w_order) ]
+    | Unknown reason ->
+        Obj [ "kind", String "unknown"; "reason", String reason ])
 
 let to_json t =
   let objs, cells = Commutativity.table_stats t.table in
   let entry e =
-    Printf.sprintf
-      "    {\"left\": \"%s\", \"right\": \"%s\", \"channels\": %d, \
-       \"shared\": %d, \"interleavings\": %d, \"verdict\": %s}"
-      (esc (fst e.pair))
-      (esc (snd e.pair))
-      (List.length e.inh.Inherit.channels)
-      (List.length e.inh.Inherit.shared)
-      e.interleavings (verdict_json e.verdict)
+    Json.(
+      Obj
+        [ "left", String (fst e.pair); "right", String (snd e.pair);
+          "channels", Int (List.length e.inh.Inherit.channels);
+          "shared", Int (List.length e.inh.Inherit.shared);
+          "interleavings", Int e.interleavings;
+          "verdict", verdict_json e.verdict ])
   in
-  String.concat "\n"
-    ([
-       "{";
-       Printf.sprintf "  \"target\": \"%s\"," (esc t.target_name);
-       Printf.sprintf "  \"transaction_types\": %d,"
-         (List.length t.summaries);
-       "  \"pairs\": [";
-     ]
-    @ [ String.concat ",\n" (List.map entry t.entries) ]
-    @ [
-        "  ],";
-        "  \"diagnostics\": [";
-        String.concat ",\n"
-          (List.map (fun d -> "    " ^ Diagnostic.to_json d) t.diagnostics);
-        "  ],";
-        Printf.sprintf "  \"table\": {\"objects\": %d, \"cells\": %d}," objs
-          cells;
-        Printf.sprintf "  \"safe\": %d, \"unsafe\": %d, \"unknown\": %d"
-          (List.length (safe_entries t))
-          (List.length (unsafe_entries t))
-          (List.length (unknown_entries t));
-        "}";
-      ])
+  let count f = Json.Int (List.length (f t)) in
+  Json.(
+    Obj
+      [ "target", String t.target_name;
+        "transaction_types", Int (List.length t.summaries);
+        "pairs", List (List.map entry t.entries);
+        "diagnostics", List (List.map Diagnostic.to_json t.diagnostics);
+        "table", Obj [ "objects", Int objs; "cells", Int cells ];
+        "safe", count safe_entries; "unsafe", count unsafe_entries;
+        "unknown", count unknown_entries ])
 
+(* DOT quoted strings take the same escapes as JSON ones for the quotes
+   and backslashes a name can hold, so one escaper serves both. *)
 let to_dot t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "graph \"atlas-%s\" {\n  overlap=false;\n" t.target_name);
+    (Printf.sprintf "graph %s {\n  overlap=false;\n"
+       (Json.quote ("atlas-" ^ t.target_name)));
   List.iter
     (fun (s : Summary.t) ->
       Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" [shape=box];\n" (esc s.Summary.name)))
+        (Printf.sprintf "  %s [shape=box];\n" (Json.quote s.Summary.name)))
     t.summaries;
   List.iter
     (fun e ->
@@ -476,14 +458,15 @@ let to_dot t =
         match e.verdict with
         | Safe _ -> "color=darkgreen, style=dashed, label=\"safe\""
         | Unsafe w ->
-            Printf.sprintf "color=red, style=bold, label=\"unsafe: %s\""
-              (esc
-                 (String.concat ","
-                    (List.map Obj_id.to_string w.w_objects)))
+            Printf.sprintf "color=red, style=bold, label=%s"
+              (Json.quote
+                 ("unsafe: "
+                 ^ String.concat "," (List.map Obj_id.to_string w.w_objects)))
         | Unknown _ -> "color=gray, style=dotted, label=\"unknown\""
       in
       Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" -- \"%s\" [%s];\n" (esc l) (esc r) attrs))
+        (Printf.sprintf "  %s -- %s [%s];\n" (Json.quote l) (Json.quote r)
+           attrs))
     t.entries;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -63,7 +63,7 @@ val unknown_entries : t -> entry list
 
 val verdict_label : verdict -> string
 val pp : Format.formatter -> t -> unit
-val to_json : t -> string
+val to_json : t -> Ooser_sim.Json.t
 (** One JSON document: pairs with verdicts and witnesses, diagnostics
     (via {!Diagnostic.to_json}), and table statistics. *)
 

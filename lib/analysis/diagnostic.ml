@@ -1,6 +1,8 @@
 (* Diagnostics emitted by the static analyzer: stable code + severity +
    location + one-line fix hint.  See the .mli for the code table. *)
 
+module Json = Ooser_sim.Json
+
 type severity = Error | Warning | Info
 
 type location = {
@@ -48,40 +50,18 @@ let exit_code ?(strict = false) ds =
   else if strict && warnings ds <> [] then 1
   else 0
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   let field name v rest =
-    match v with
-    | None -> rest
-    | Some v -> Printf.sprintf "%S: \"%s\"" name (json_escape v) :: rest
+    match v with None -> rest | Some v -> (name, Json.String v) :: rest
   in
-  let fields =
-    Printf.sprintf "\"code\": \"%s\"" (json_escape d.code)
-    :: Printf.sprintf "\"severity\": \"%s\"" (severity_label d.severity)
-    :: field "obj" d.loc.obj
-         (field "meth" d.loc.meth
-            (field "txn" d.loc.txn
-               [
-                 Printf.sprintf "\"message\": \"%s\"" (json_escape d.message);
-                 Printf.sprintf "\"hint\": \"%s\"" (json_escape d.hint);
-               ]))
-  in
-  "{" ^ String.concat ", " fields ^ "}"
+  Json.(
+    Obj
+      (("code", String d.code)
+      :: ("severity", String (severity_label d.severity))
+      :: field "obj" d.loc.obj
+           (field "meth" d.loc.meth
+              (field "txn" d.loc.txn
+                 [ "message", String d.message; "hint", String d.hint ]))))
 
 let pp_location ppf loc =
   let parts =

@@ -68,12 +68,8 @@ val exit_code : ?strict:bool -> t list -> int
     (default [false]) promotes warnings to the failing side.  Infos
     never affect the exit code. *)
 
-val json_escape : string -> string
-(** JSON string-body escaping, shared by every hand-rolled serializer in
-    the analyzer. *)
-
-val to_json : t -> string
-(** One-line JSON object
+val to_json : t -> Ooser_sim.Json.t
+(** The JSON object
     [{"code": ..., "severity": ..., "obj": ..., "meth": ..., "txn": ...,
     "message": ..., "hint": ...}] with absent location fields omitted —
     the machine-readable form shared by [oosdb lint --format json] and

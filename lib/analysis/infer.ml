@@ -11,6 +11,7 @@
    a minimal replayable witness. *)
 
 open Ooser_core
+module Json = Ooser_sim.Json
 
 type arg_rel = Same_args | Same_key | Distinct | Mixed | Any
 
@@ -566,64 +567,43 @@ let pp ppf t =
   end
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let esc s = Diagnostic.json_escape s in
-  Buffer.add_string b
-    (Printf.sprintf "{\"target\":\"%s\",\"decided\":%d,\"total\":%d,"
-       (esc t.target_name) t.decided t.total);
   let objs, covered = Commutativity.table_stats t.table in
-  Buffer.add_string b
-    (Printf.sprintf "\"table\":{\"objects\":%d,\"cells\":%d}," objs covered);
-  Buffer.add_string b "\"groups\":[";
-  List.iteri
-    (fun i g ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"spec\":\"%s\",\"audited\":%b,\"members\":[%s],"
-           (esc g.spec_name) g.audited
-           (String.concat ","
-              (List.map (fun m -> Printf.sprintf "\"%s\"" (esc m)) g.members)));
-      Buffer.add_string b "\"cells\":[";
-      List.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"meth\":\"%s\",\"meth2\":\"%s\",\"rel\":\"%s\","
-               (esc c.meth) (esc c.meth') (rel_label c.rel));
-          (match c.verdict with
-          | Commutes (Structural r) ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"verdict\":\"commutes\",\"evidence\":\"structural\",\
-                    \"reason\":\"%s\"}"
-                   (esc r))
-          | Commutes (Tested { states; arg_pairs }) ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"verdict\":\"commutes\",\"evidence\":\"tested\",\
-                    \"states\":%d,\"arg_pairs\":%d}"
-                   states arg_pairs)
-          | Conflicts w ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"verdict\":\"conflicts\",\"witness\":{\"state\":\"%s\",\
-                    \"args\":\"%s\",\"args2\":\"%s\",\"reason\":\"%s\"}}"
-                   (esc (Value.to_string w.w_state))
-                   (esc (args_str w.w_args))
-                   (esc (args_str w.w_args'))
-                   (esc w.w_reason))
-          | Undecided r ->
-              Buffer.add_string b
-                (Printf.sprintf "\"verdict\":\"undecided\",\"reason\":\"%s\"}"
-                   (esc r))))
-        g.cells;
-      Buffer.add_string b "]}")
-    t.groups;
-  Buffer.add_string b "],\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Diagnostic.to_json d))
-    t.diagnostics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let verdict =
+    Json.(
+      function
+      | Commutes (Structural r) ->
+          [ "verdict", String "commutes"; "evidence", String "structural";
+            "reason", String r ]
+      | Commutes (Tested { states; arg_pairs }) ->
+          [ "verdict", String "commutes"; "evidence", String "tested";
+            "states", Int states; "arg_pairs", Int arg_pairs ]
+      | Conflicts w ->
+          [ "verdict", String "conflicts";
+            ( "witness",
+              Obj
+                [ "state", String (Value.to_string w.w_state);
+                  "args", String (args_str w.w_args);
+                  "args2", String (args_str w.w_args');
+                  "reason", String w.w_reason ] ) ]
+      | Undecided r -> [ "verdict", String "undecided"; "reason", String r ])
+  in
+  let cell c =
+    Json.(
+      Obj
+        ([ "meth", String c.meth; "meth2", String c.meth';
+           "rel", String (rel_label c.rel) ]
+        @ verdict c.verdict))
+  in
+  let group g =
+    Json.(
+      Obj
+        [ "spec", String g.spec_name; "audited", Bool g.audited;
+          "members", strings g.members; "cells", List (List.map cell g.cells) ])
+  in
+  Json.(
+    Obj
+      [ "target", String t.target_name; "decided", Int t.decided;
+        "total", Int t.total;
+        "table", Obj [ "objects", Int objs; "cells", Int covered ];
+        "groups", List (List.map group t.groups);
+        "diagnostics", List (List.map Diagnostic.to_json t.diagnostics) ])

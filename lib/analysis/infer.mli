@@ -118,6 +118,6 @@ val witness_history :
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Ooser_sim.Json.t
 (** Stable JSON document: groups with per-cell verdicts and witnesses,
     table stats, coverage, and the diagnostics. *)

@@ -1,5 +1,6 @@
 open Ooser_core
 open Ids
+module Json = Ooser_sim.Json
 
 module Itop = struct
   type t = int
@@ -395,43 +396,32 @@ let run ?(workers = 4) ?segment_target ~registry trace =
   }
 
 let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"ok\": %b, \"txns\": %d, \"segments\": %d, \"workers\": %d,\n" r.ok
-       r.txns r.segments r.workers);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"quiescent_cuts\": %d, \"heuristic_cuts\": %d, \"multi_chains\": \
-        %d, \"escalated\": %d,\n"
-       r.quiescent_cuts r.heuristic_cuts r.multi_chains r.escalated);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"probes\": %d, \"probe_edges\": %d, \"root_edges\": %d, \
-        \"act_edges\": %d, \"txn_edges\": %d,\n"
-       r.probes r.probe_edges r.root_edges r.act_edges r.txn_edges);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"peak_live_segments\": %d, \"segment_txn_per_s\": %.1f,\n"
-       r.peak_live r.segment_txn_per_s);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"seg_seconds\": %.3f, \"seg_busy_seconds\": %.3f, \
-        \"stitch_seconds\": %.3f, \"elapsed_seconds\": %.3f"
-       r.seg_seconds r.seg_busy_seconds r.stitch_seconds r.elapsed_seconds);
-  (match r.violation with
-  | Some v ->
-      Buffer.add_string b
-        (Printf.sprintf ",\n  \"violation\": {\"where\": \"%s\", \"witness\": [%s]}"
-           (match v.where with
-           | `Segment s -> Printf.sprintf "segment-%d" s
-           | `Probe (a, b) -> Printf.sprintf "probe-T%d-T%d" a b
-           | `Stitch -> "stitch")
-           (String.concat ", " (List.map string_of_int v.witness)))
-  | None -> ());
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let violation v =
+    let where =
+      match v.where with
+      | `Segment s -> Printf.sprintf "segment-%d" s
+      | `Probe (a, b) -> Printf.sprintf "probe-T%d-T%d" a b
+      | `Stitch -> "stitch"
+    in
+    let witness = List.map (fun t -> Json.Int t) v.witness in
+    Json.[ "violation", Obj [ "where", String where; "witness", List witness ] ]
+  in
+  Json.(
+    Obj
+      ([ "ok", Bool r.ok; "txns", Int r.txns; "segments", Int r.segments;
+         "workers", Int r.workers; "quiescent_cuts", Int r.quiescent_cuts;
+         "heuristic_cuts", Int r.heuristic_cuts;
+         "multi_chains", Int r.multi_chains;
+         "escalated", Int r.escalated; "probes", Int r.probes;
+         "probe_edges", Int r.probe_edges; "root_edges", Int r.root_edges;
+         "act_edges", Int r.act_edges; "txn_edges", Int r.txn_edges;
+         "peak_live_segments", Int r.peak_live;
+         "segment_txn_per_s", Float r.segment_txn_per_s;
+         "seg_seconds", Float r.seg_seconds;
+         "seg_busy_seconds", Float r.seg_busy_seconds;
+         "stitch_seconds", Float r.stitch_seconds;
+         "elapsed_seconds", Float r.elapsed_seconds ]
+      @ Option.fold ~none:[] ~some:violation r.violation))
 
 let pp ppf r =
   Fmt.pf ppf

@@ -76,7 +76,7 @@ val run :
     the online incremental certifier (escrow and fifo qualify: they
     decide on the pins the trace records). *)
 
-val to_json : report -> string
-(** Hand-rolled JSON, the [oosdb certify --json] payload. *)
+val to_json : report -> Ooser_sim.Json.t
+(** The [oosdb certify --json] payload. *)
 
 val pp : Format.formatter -> report -> unit

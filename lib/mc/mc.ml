@@ -13,6 +13,7 @@ module Crash = Ooser_recovery.Crash
 module Shard = Ooser_shard.Shard
 module Dispatcher = Ooser_shard.Dispatcher
 module Counter = Ooser_sim.Stats.Counter
+module Json = Ooser_sim.Json
 
 let ( let* ) = Option.bind
 
@@ -920,70 +921,37 @@ let replay (sc : Scenario.t) trace =
 
 (* -- JSON report -------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let exploration_json e =
+  let s = e.stats in
+  Json.(
+    Obj
+      [ "schedules", Int s.Explore.schedules;
+        "pruned", Int s.Explore.pruned_runs;
+        "deepest", Int s.Explore.deepest; "exhausted", Bool s.Explore.exhausted;
+        "verdicts", Int (List.length e.verdicts) ])
 
-let json_of_exploration e =
-  Printf.sprintf
-    "{\"schedules\":%d,\"pruned\":%d,\"deepest\":%d,\"exhausted\":%b,\"verdicts\":%d}"
-    e.stats.Explore.schedules e.stats.Explore.pruned_runs
-    e.stats.Explore.deepest e.stats.Explore.exhausted
-    (List.length e.verdicts)
+let audit_json a =
+  Json.(
+    Obj
+      [ "audited", Int a.audited; "recorded", Int a.recorded;
+        "mismatches", Int a.mismatches;
+        "vote_full_votes", Int a.vote_full_votes ])
 
-let json_of_report r =
-  let opt name = function
-    | None -> Printf.sprintf "\"%s\":null" name
-    | Some s -> Printf.sprintf "\"%s\":%s" name s
-  in
-  String.concat ","
-    [
-      Printf.sprintf "\"scenario\":\"%s\"" (json_escape r.r_scenario);
-      Printf.sprintf "\"mode\":\"%s\"" r.r_mode;
-      Printf.sprintf "\"ok\":%b" r.r_ok;
-      Printf.sprintf "\"expect_failure\":%b" r.r_expect_failure;
-      opt "naive" (Option.map json_of_exploration r.r_naive);
-      opt "dpor" (Option.map json_of_exploration r.r_dpor);
-      Printf.sprintf "\"verdicts_agree\":%b" r.r_verdicts_agree;
-      opt "reduction"
-        (Option.map (fun f -> Printf.sprintf "%.2f" f) r.r_reduction);
-      opt "witness"
-        (Option.map
-           (fun w ->
-             Printf.sprintf "\"%s\"" (json_escape (Explore.trace_to_string w)))
-           r.r_witness);
-      Printf.sprintf "\"violations\":[%s]"
-        (String.concat ","
-           (List.map
-              (fun v -> Printf.sprintf "\"%s\"" (json_escape v))
-              r.r_violations));
-      opt "audit"
-        (Option.map
-           (fun a ->
-             Printf.sprintf
-               "{\"audited\":%d,\"recorded\":%d,\"mismatches\":%d,\"vote_full_votes\":%d}"
-               a.audited a.recorded a.mismatches a.vote_full_votes)
-           r.r_audit);
-      Printf.sprintf "\"problems\":[%s]"
-        (String.concat ","
-           (List.map
-              (fun p -> Printf.sprintf "\"%s\"" (json_escape p))
-              r.r_problems));
-      Printf.sprintf "\"seconds\":%.3f" r.r_seconds;
-    ]
-  |> Printf.sprintf "{%s}"
+let report_json r =
+  Json.(
+    Obj
+      [ "scenario", String r.r_scenario; "mode", String r.r_mode;
+        "ok", Bool r.r_ok; "expect_failure", Bool r.r_expect_failure;
+        "naive", opt exploration_json r.r_naive;
+        "dpor", opt exploration_json r.r_dpor;
+        "verdicts_agree", Bool r.r_verdicts_agree;
+        "reduction", opt (fun f -> Float f) r.r_reduction;
+        ( "witness",
+          opt (fun w -> String (Explore.trace_to_string w)) r.r_witness );
+        "violations", strings r.r_violations; "audit", opt audit_json r.r_audit;
+        "problems", strings r.r_problems; "seconds", Float r.r_seconds ])
 
-let json_of_reports rs =
-  Printf.sprintf "{\"reports\":[%s],\"ok\":%b}\n"
-    (String.concat "," (List.map json_of_report rs))
-    (List.for_all (fun r -> r.r_ok) rs)
+let to_json rs =
+  Json.Obj
+    [ "reports", Json.List (List.map report_json rs);
+      "ok", Json.Bool (List.for_all (fun r -> r.r_ok) rs) ]

@@ -71,7 +71,15 @@ let checkpoint ~dir t =
   Record_log.replace (file ~dir) (encode t);
   try Sys.remove (Oplog.log_file ~dir) with Sys_error _ -> ()
 
+(* An undecodable snapshot is fatal, not absent: [checkpoint] unlinked
+   the log it covers, so booting empty would drop every winner it
+   holds. *)
 let load ~dir =
-  match Record_log.read_file (file ~dir) with
+  let path = file ~dir in
+  match Record_log.read_file path with
   | None -> None
-  | Some raw -> ( match decode raw with t -> Some t | exception Failure _ -> None)
+  | Some raw -> (
+      match decode raw with
+      | t -> Some t
+      | exception Failure msg ->
+          failwith (Printf.sprintf "%s: undecodable snapshot (%s)" path msg))

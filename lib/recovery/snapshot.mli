@@ -31,6 +31,9 @@ val checkpoint : dir:string -> t -> unit
     @raise Unix.Unix_error when an fsync fails (the log is kept). *)
 
 val load : dir:string -> t option
-(** [None] when absent or unreadable. *)
+(** [None] when absent.
+    @raise Failure ["<file>: undecodable snapshot (...)"] when the file
+    exists but does not decode — booting empty instead would lose every
+    winner it holds, since {!checkpoint} already unlinked their log. *)
 
 val file : dir:string -> string

@@ -16,6 +16,7 @@
 module Rng = Ooser_sim.Rng
 module Dist = Ooser_sim.Dist
 module Stats = Ooser_sim.Stats
+module Json = Ooser_sim.Json
 module Router = Ooser_shard.Router
 open Ooser_core
 
@@ -145,6 +146,12 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   nn = 0 || at 0
+
+(* STATS is ours (Metrics through Json): a substring probe for the
+   member as Json prints it beats a parser *)
+let certified_of_stats j =
+  let has b = contains j (Json.member "certified" (Json.Bool b)) in
+  if has true then Some true else if has false then Some false else None
 
 let queue_req sess req = sess.out <- sess.out ^ Wire.frame (Wire.encode_request req)
 
@@ -529,13 +536,7 @@ let run ?(tick = fun () -> ()) cfg =
           | Wire.Welcome _ -> (
               match Client.request c Wire.Stats with
               | Wire.Stats_json j ->
-                  (* the JSON is ours; a substring probe beats a parser *)
-                  let certified =
-                    if contains j "\"certified\": true" then Some true
-                    else if contains j "\"certified\": false" then Some false
-                    else None
-                  in
-                  (certified, Some j)
+                  (certified_of_stats j, Some j)
               | _ -> (None, None))
           | _ -> (None, None)
         in
@@ -560,31 +561,14 @@ let run ?(tick = fun () -> ()) cfg =
   }
 
 let to_json (r : result) =
-  let q p = Stats.Histogram.quantile r.latency p in
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"db\": %S," r.db;
-      Printf.sprintf "  \"protocol\": %S," r.protocol;
-      Printf.sprintf "  \"sessions\": %d," r.n_sessions;
-      Printf.sprintf "  \"txns_committed\": %d," r.committed;
-      Printf.sprintf "  \"txns_aborted\": %d," r.aborted;
-      Printf.sprintf "  \"calls\": %d," r.calls;
-      Printf.sprintf "  \"failed_calls\": %d," r.failed_calls;
-      Printf.sprintf "  \"elapsed_seconds\": %.3f," r.elapsed;
-      Printf.sprintf "  \"throughput_txn_per_s\": %.1f," r.throughput;
-      Printf.sprintf "  \"mode\": %S,"
-        (if r.offered_rate > 0.0 then "open" else "closed");
-      Printf.sprintf "  \"offered_rate_txn_per_s\": %.1f," r.offered_rate;
-      Printf.sprintf
-        "  \"latency_seconds\": {\"mean\": %.6f, \"p50\": %.6f, \"p95\": \
-         %.6f, \"p99\": %.6f, \"max\": %.6f},"
-        (Stats.Histogram.mean r.latency)
-        (q 0.50) (q 0.95) (q 0.99)
-        (Stats.Histogram.max_value r.latency);
-      Printf.sprintf "  \"certified\": %s"
-        (match r.certified with
-        | None -> "null"
-        | Some b -> if b then "true" else "false");
-      "}";
-    ]
+  Json.(
+    Obj
+      [ "db", String r.db; "protocol", String r.protocol;
+        "sessions", Int r.n_sessions; "txns_committed", Int r.committed;
+        "txns_aborted", Int r.aborted; "calls", Int r.calls;
+        "failed_calls", Int r.failed_calls; "elapsed_seconds", Float r.elapsed;
+        "throughput_txn_per_s", Float r.throughput;
+        "mode", String (if r.offered_rate > 0.0 then "open" else "closed");
+        "offered_rate_txn_per_s", Float r.offered_rate;
+        "latency_seconds", Stats.Histogram.to_json r.latency;
+        "certified", opt (fun b -> Bool b) r.certified ])

@@ -75,4 +75,8 @@ val run : ?tick:(unit -> unit) -> cfg -> result
     in-process server single-threaded.
     @raise Failure if the run exceeds 300s or a stream is poisoned. *)
 
-val to_json : result -> string
+val certified_of_stats : string -> bool option
+(** The [certified] verdict of a STATS document; [None] when it is
+    [null] or missing. *)
+
+val to_json : result -> Ooser_sim.Json.t

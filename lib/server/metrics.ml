@@ -7,6 +7,7 @@
    certification retries, which is what a client experiences. *)
 
 module Stats = Ooser_sim.Stats
+module Json = Ooser_sim.Json
 
 type t = {
   counters : Stats.Counter.t;
@@ -29,73 +30,22 @@ let observe_call t seconds = Stats.Histogram.add t.call_latency seconds
 
 (* -- JSON -------------------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_counters kvs =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%S: %d" (escape k) v) kvs)
-
-let json_histogram h =
-  let q p = Stats.Histogram.quantile h p in
-  Printf.sprintf
-    "{\"count\": %d, \"mean\": %.9f, \"p50\": %.9f, \"p95\": %.9f, \"p99\": \
-     %.9f, \"max\": %.9f}"
-    (Stats.Histogram.count h) (Stats.Histogram.mean h) (q 0.50) (q 0.95)
-    (q 0.99)
-    (Stats.Histogram.max_value h)
-
 (* [engine] carries the engine + lock-protocol counters; [certified] is
    the verdict of a full oo-serializability check of the committed
-   history when one was run (None while the server is live — the check
-   is a shutdown/STATS-time sweep, not per-commit).  [shards], when
+   history, or [None] when none was run.  [Server.stats_json] always
+   passes one: STATS and the drain both certify.  [shards], when
    non-empty, adds a per-shard counter breakdown next to the merged
    [engine] view so load imbalance between shards is visible in STATS. *)
 let to_json ?(shards = []) t ~now ~engine ~certified =
-  let shard_section =
-    match shards with
-    | [] -> []
-    | kvs ->
-        [
-          Printf.sprintf "  \"shards\": {%s},"
-            (String.concat ", "
-               (List.map
-                  (fun (i, counters) ->
-                    Printf.sprintf "\"shard%d\": {%s}" i
-                      (json_counters counters))
-                  kvs));
-        ]
-  in
-  String.concat "\n"
-    ([
-       "{";
-       Printf.sprintf "  \"uptime_seconds\": %.3f," (now -. t.started);
-       Printf.sprintf "  \"server\": {%s},"
-         (json_counters (Stats.Counter.to_list t.counters));
-       Printf.sprintf "  \"engine\": {%s}," (json_counters engine);
-     ]
-    @ shard_section
-    @ [
-        Printf.sprintf "  \"commit_latency_seconds\": %s,"
-          (json_histogram t.commit_latency);
-        Printf.sprintf "  \"call_latency_seconds\": %s,"
-          (json_histogram t.call_latency);
-        Printf.sprintf "  \"certified\": %s"
-          (match certified with
-          | None -> "null"
-          | Some b -> if b then "true" else "false");
-        "}";
-      ])
+  let counters = Stats.Counter.json_of_list
+  and hist = Stats.Histogram.to_json in
+  let shard (i, kvs) = (Printf.sprintf "shard%d" i, counters kvs) in
+  Json.Obj
+    ([ "uptime_seconds", Json.Float (now -. t.started);
+       "server", counters (Stats.Counter.to_list t.counters);
+       "engine", counters engine ]
+    @ (if shards = [] then []
+       else [ "shards", Json.Obj (List.map shard shards) ])
+    @ [ "commit_latency_seconds", hist t.commit_latency;
+        "call_latency_seconds", hist t.call_latency;
+        "certified", Json.opt (fun b -> Json.Bool b) certified ])

@@ -454,8 +454,9 @@ let stats_json ?certified:(verdict = None) t =
             per_shard flat )
   in
   let verdict = match verdict with Some _ -> verdict | None -> Some (certified t) in
-  Metrics.to_json ~shards t.metrics ~now:(Unix.gettimeofday ())
-    ~engine:engine_counters ~certified:verdict
+  Ooser_sim.Json.indented
+    (Metrics.to_json ~shards t.metrics ~now:(Unix.gettimeofday ())
+       ~engine:engine_counters ~certified:verdict)
 
 (* -- shutdown ----------------------------------------------------------------- *)
 

@@ -3,3 +3,4 @@
 module Rng = Rng
 module Dist = Dist
 module Stats = Stats
+module Json = Json

@@ -131,6 +131,13 @@ module Histogram = struct
     Fmt.pf ppf "n=%d mean=%.6f p50=%.6f p95=%.6f p99=%.6f max=%.6f" t.n
       (mean t) (quantile t 0.50) (quantile t 0.95) (quantile t 0.99)
       (max_value t)
+
+  let to_json t =
+    let q p = Json.Float (quantile t p) in
+    Json.(
+      Obj
+        [ "count", Int t.n; "mean", Float (mean t); "p50", q 0.50;
+          "p95", q 0.95; "p99", q 0.99; "max", Float (max_value t) ])
 end
 
 (* Counters keyed by string, for event tallies. *)
@@ -149,6 +156,8 @@ module Counter = struct
   let to_list t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let json_of_list kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
 
   let pp ppf t =
     Fmt.pf ppf "%a"

@@ -34,6 +34,10 @@ module Histogram : sig
 
   val merge : t -> t -> t
   val pp : Format.formatter -> t -> unit
+
+  val to_json : t -> Json.t
+  (** [{"count", "mean", "p50", "p95", "p99", "max"}], in seconds: the
+      one latency shape of STATS and loadgen. *)
 end
 
 (** Counters keyed by string, for event tallies. *)
@@ -44,5 +48,10 @@ module Counter : sig
   val incr : ?by:int -> t -> string -> unit
   val get : t -> string -> int
   val to_list : t -> (string * int) list
+
+  val json_of_list : (string * int) list -> Json.t
+  (** A counter listing ({!to_list}, or one merged by hand) as a JSON
+      object of integers, in list order. *)
+
   val pp : Format.formatter -> t -> unit
 end

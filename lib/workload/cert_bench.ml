@@ -155,6 +155,7 @@ module Engine = Ooser_oodb.Engine
 module Runtime = Ooser_oodb.Runtime
 module Protocol = Ooser_cc.Protocol
 module Analysis = Ooser_analysis
+module Json = Ooser_sim.Json
 
 let chain_db n =
   let db = Db.create () in
@@ -346,44 +347,32 @@ let run ?(n = 600) ?(chunk = 50) ?(samples = [ 50; 150; 300; 600 ]) () =
     infer = infer_stats ();
   }
 
-let json_points name points =
-  Printf.sprintf "  %S: [%s]" name
-    (String.concat ", "
-       (List.map
-          (fun p -> Printf.sprintf "{\"upto\": %d, \"seconds\": %.9f}" p.upto p.seconds)
-          points))
-
-let to_json r =
-  String.concat "\n"
-    [
-      "{";
-      Printf.sprintf "  \"n_txns\": %d," r.n_txns;
-      Printf.sprintf "  \"chunk\": %d," r.chunk;
-      json_points "incremental_per_commit" r.incremental ^ ",";
-      json_points "scratch_full_check" r.scratch ^ ",";
-      Printf.sprintf "  \"act_edges\": %d," r.act_edges;
-      Printf.sprintf "  \"inc_growth\": %.3f," r.inc_growth;
-      Printf.sprintf "  \"scratch_growth\": %.3f," r.scratch_growth;
-      Printf.sprintf "  \"len_growth\": %.3f," r.len_growth;
-      Printf.sprintf "  \"incremental_sublinear\": %b," r.incremental_sublinear;
-      Printf.sprintf "  \"scratch_superlinear\": %b," r.scratch_superlinear;
-      Printf.sprintf
-        "  \"atlas\": {\"n\": %d, \"parity\": %b, \"committed\": %d, \
-         \"aborted\": %d, \"atlas_hits\": %d, \"table_cells\": %d, \
-         \"probe_ns\": %.1f, \"table_ns\": %.1f}"
-        r.atlas.atlas_n r.atlas.parity r.atlas.committed r.atlas.aborted
-        r.atlas.atlas_hits r.atlas.table_cells r.atlas.probe_ns
-        r.atlas.table_ns
-      ^ ",";
-      Printf.sprintf
-        "  \"infer\": {\"decided\": %d, \"total\": %d, \"table_cells\": %d, \
-         \"table_hits\": %d, \"hand_probe_ns\": %.1f, \
-         \"inferred_table_ns\": %.1f}"
-        r.infer.infer_decided r.infer.infer_total r.infer.infer_table_cells
-        r.infer.infer_table_hits r.infer.hand_probe_ns
-        r.infer.inferred_table_ns;
-      "}";
-    ]
+let json_fields r =
+  let point p = Json.(Obj [ "upto", Int p.upto; "seconds", Float p.seconds ]) in
+  let a = r.atlas and i = r.infer in
+  Json.
+    [ "n_txns", Int r.n_txns; "chunk", Int r.chunk;
+      "incremental_per_commit", List (List.map point r.incremental);
+      "scratch_full_check", List (List.map point r.scratch);
+      "act_edges", Int r.act_edges; "inc_growth", Float r.inc_growth;
+      "scratch_growth", Float r.scratch_growth;
+      "len_growth", Float r.len_growth;
+      "incremental_sublinear", Bool r.incremental_sublinear;
+      "scratch_superlinear", Bool r.scratch_superlinear;
+      ( "atlas",
+        Obj
+          [ "n", Int a.atlas_n; "parity", Bool a.parity;
+            "committed", Int a.committed;
+            "aborted", Int a.aborted; "atlas_hits", Int a.atlas_hits;
+            "table_cells", Int a.table_cells; "probe_ns", Float a.probe_ns;
+            "table_ns", Float a.table_ns ] );
+      ( "infer",
+        Obj
+          [ "decided", Int i.infer_decided; "total", Int i.infer_total;
+            "table_cells", Int i.infer_table_cells;
+            "table_hits", Int i.infer_table_hits;
+            "hand_probe_ns", Float i.hand_probe_ns;
+            "inferred_table_ns", Float i.inferred_table_ns ] ) ]
 
 let pp ppf r =
   Fmt.pf ppf "@[<v>certification scaling (%d txns, chunks of %d)@," r.n_txns

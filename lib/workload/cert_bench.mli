@@ -77,8 +77,8 @@ val run : ?n:int -> ?chunk:int -> ?samples:int list -> unit -> result
     50/150/300/600.  Raises [Invalid_argument] if the workload ever
     fails certification — it is acyclic by construction. *)
 
-val to_json : result -> string
-(** Hand-rolled JSON (no external dependency), the BENCH_incremental.json
-    payload. *)
+val json_fields : result -> (string * Ooser_sim.Json.t) list
+(** The members of the BENCH_incremental.json object ([oosdb bench]
+    appends its datapoints to them). *)
 
 val pp : Format.formatter -> result -> unit

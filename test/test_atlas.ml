@@ -498,7 +498,7 @@ let test_json () =
     Diagnostic.v ~code:"HOT001" ~severity:Diagnostic.Warning ~obj:{|O"x|}
       ~meth:"m" ~hint:"fix\nit" "line1\tline2"
   in
-  let j = Diagnostic.to_json d in
+  let j = Ooser_sim.Json.compact (Diagnostic.to_json d) in
   check_bool "one line" false (String.contains j '\n');
   check_bool "quotes escaped" true (contains_sub j {|O\"x|});
   check_bool "tab escaped" true (contains_sub j {|line1\tline2|});
@@ -506,7 +506,7 @@ let test_json () =
   let t1 = Summary.txn "t1" [ Summary.call (o "A") "write" []; Summary.call (o "B") "write" [] ]
   and t2 = Summary.txn "t2" [ Summary.call (o "B") "write" []; Summary.call (o "A") "write" [] ] in
   let atlas = Atlas.build (target "opposite" [ ("A", rw); ("B", rw) ] [ t1; t2 ]) in
-  let j = Atlas.to_json atlas in
+  let j = Ooser_sim.Json.compact (Atlas.to_json atlas) in
   check_bool "atlas json has unsafe verdict" true (contains_sub j {|"unsafe"|});
   check_bool "atlas json carries a witness" true (contains_sub j {|"witness"|});
   let dot = Atlas.to_dot atlas in

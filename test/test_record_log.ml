@@ -14,6 +14,7 @@ module Decision_log = Ooser_recovery.Decision_log
 module Snapshot = Ooser_recovery.Snapshot
 module Trace = Ooser_certify.Trace
 module Wire = Ooser_server.Wire
+module Server = Ooser_server.Server
 
 let tmp_dir () =
   let d = Filename.temp_file "ooser_golden" "" in
@@ -325,6 +326,30 @@ let test_zero_filled_tail () =
   write path (read path ^ String.make 16 '\000');
   Alcotest.(check bool) "valid prefix kept" true (Oplog.load ~dir = three_records)
 
+(* A snapshot that frames but does not decode must stop the boot: the
+   log it replaced is gone, so starting empty would lose its winners. *)
+let test_undecodable_snapshot () =
+  let dir = tmp_dir () in
+  let path = Snapshot.file ~dir in
+  write path "\x00\x00";
+  Alcotest.(check bool) "file read" true (Record_log.read_file path <> None);
+  let raises_with_path f =
+    match f () with
+    | _ -> false
+    | exception Failure msg -> String.starts_with ~prefix:path msg
+  in
+  Alcotest.(check bool) "Snapshot.load raises" true
+    (raises_with_path (fun () -> ignore (Snapshot.load ~dir)));
+  let config =
+    {
+      (Server.default_config (Server.Unix_sock (Filename.concat dir "s.sock")))
+      with
+      Server.durable_dir = Some dir;
+    }
+  in
+  Alcotest.(check bool) "durable Server.create raises" true
+    (raises_with_path (fun () -> Server.close (Server.create config)))
+
 let test_fsync_error_propagates () =
   (* fsync on /dev/null fails (EINVAL on Linux): a force that returned
      normally would acknowledge a commit the disk never took *)
@@ -347,6 +372,8 @@ let suites =
           test_mid_log_corruption;
         Alcotest.test_case "zero-filled tail dropped" `Quick
           test_zero_filled_tail;
+        Alcotest.test_case "undecodable snapshot raises" `Quick
+          test_undecodable_snapshot;
         Alcotest.test_case "fsync error propagates" `Quick
           test_fsync_error_propagates;
       ] );
