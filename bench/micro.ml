@@ -92,46 +92,6 @@ let page_test =
          let s0 = Option.get (Page.insert p "hello world") in
          ignore (Page.delete p s0)))
 
-let recovery_test =
-  Test.make ~name:"storage/log-crash-recover"
-    (Staged.stage (fun () ->
-         let s = Logged_store.create ~page_size:256 () in
-         let p = Logged_store.alloc_page s in
-         Logged_store.begin_txn s 1;
-         Logged_store.write s ~txn:1 ~page:p ~slot:0 (Some "v");
-         Logged_store.commit s 1;
-         Logged_store.begin_txn s 2;
-         Logged_store.write s ~txn:2 ~page:p ~slot:1 (Some "w");
-         let s' = Logged_store.crash s in
-         ignore (Logged_store.recover s')))
-
-(* The WAL append hot path (now a growable array rather than a cons
-   list) and the cached-write path through the Hashtbl page cache. *)
-let wal_append_test =
-  Test.make ~name:"storage/wal-1000-appends"
-    (Staged.stage (fun () ->
-         let w = Wal.create () in
-         for i = 1 to 1000 do
-           ignore
-             (Wal.append w
-                (Wal.Update
-                   { txn = 1; page = i land 7; slot = i land 15;
-                     before = None; after = Some "v" }))
-         done;
-         Wal.force w))
-
-let logged_write_test =
-  let s = Logged_store.create ~page_size:4096 () in
-  let pages = Array.init 16 (fun _ -> Logged_store.alloc_page s) in
-  let () = Logged_store.begin_txn s 1 in
-  let counter = ref 0 in
-  Test.make ~name:"storage/logged-store-write"
-    (Staged.stage (fun () ->
-         incr counter;
-         let pid = pages.(!counter land 15) in
-         Logged_store.write s ~txn:1 ~page:pid ~slot:(!counter land 7)
-           (Some "payload")))
-
 let explain_test =
   let h = Paper_examples.example1_same_key () in
   Test.make ~name:"report/explain"
@@ -218,8 +178,7 @@ let tests =
     [
       checker_test; extension_test; conventional_test; random_history_test;
       btree_insert_test; btree_search_test; engine_test; page_test;
-      recovery_test; wal_append_test; logged_write_test; explain_test;
-      commut_probe_test; commut_table_test; infer_probe_test;
+      explain_test; commut_probe_test; commut_table_test; infer_probe_test;
       infer_table_test;
     ]
 

@@ -1,53 +1,60 @@
-(* Crash recovery walkthrough (the "reliably — as if there were no
-   failures" promise of §1):
+(* Crash recovery from the logical operation log (DESIGN §15):
 
      dune exec examples/recovery_demo.exe
 
-   Two transactions run against the logged store; one commits (its pages
-   are never flushed — no-force), the other is still in flight when a
-   dirty page holding its uncommitted data has already been stolen to
-   disk.  The machine crashes; recovery replays the log (redo = repeating
-   history) and rolls the loser back with compensation log records. *)
+   T1 inserts "alice" and commits.  T2 inserts "mallory" and is still in
+   flight at the crash, but its insert is a subtransaction that committed
+   and released its B-tree and page locks, so no page before-image can
+   soundly undo it.  Recovery replays every logged call through real
+   dispatch, undoes T2 by running the compensation its insert registered
+   (a delete) and re-certifies the history.  Exits 1 on any other outcome. *)
 
-open Ooser_storage
+open Ooser_core
+open Ooser_oodb
+module Protocol = Ooser_cc.Protocol
+module Oplog = Ooser_recovery.Oplog
 
-let show store label page slot =
-  match Logged_store.read_durable store page slot with
-  | Some v -> Fmt.pr "  %-28s %S@." label v
-  | None -> Fmt.pr "  %-28s (absent)@." label
+(* Recovery replays into a database built the way the run's began. *)
+let fresh () =
+  let db = Database.create () in
+  let reg = Database.spec_registry db in
+  (db, Encyclopedia.create db, Protocol.open_nested ~reg ())
+
+let insert enc key ctx =
+  Encyclopedia.insert enc ctx ~key ~text:"100";
+  Value.unit
 
 let () =
-  let store = Logged_store.create () in
-  let accounts = Logged_store.alloc_page store in
-
-  Fmt.pr "T1 deposits and commits (log forced, pages NOT flushed):@.";
-  Logged_store.begin_txn store 1;
-  Logged_store.write store ~txn:1 ~page:accounts ~slot:0 (Some "alice: 100");
-  Logged_store.commit store 1;
-
-  Fmt.pr "T2 updates but does not commit; its dirty page is stolen:@.";
-  Logged_store.begin_txn store 2;
-  Logged_store.write store ~txn:2 ~page:accounts ~slot:0 (Some "alice: 0");
-  Logged_store.write store ~txn:2 ~page:accounts ~slot:1 (Some "mallory: 100");
-  Logged_store.flush_page store accounts;
-
-  Fmt.pr "@.=== CRASH ===@.@.";
-  let store = Logged_store.crash store in
-  Fmt.pr "durable state before recovery (torn!):@.";
-  show store "alice" accounts 0;
-  show store "mallory" accounts 1;
-
-  let report = Logged_store.recover store in
-  Fmt.pr "@.recovery: winners=%a losers=%a redone=%d undone=%d@."
-    (Fmt.list ~sep:Fmt.sp Fmt.int) report.Logged_store.winners
-    (Fmt.list ~sep:Fmt.sp Fmt.int) report.Logged_store.losers
-    report.Logged_store.redone report.Logged_store.undone;
-
-  Fmt.pr "@.durable state after recovery:@.";
-  show store "alice (committed T1 value)" accounts 0;
-  show store "mallory (T2 rolled back)" accounts 1;
-
-  (* recovery is idempotent: crashing during recovery is harmless *)
-  ignore (Logged_store.recover store);
-  Fmt.pr "@.after recovering twice (idempotent):@.";
-  show store "alice" accounts 0
+  let db, enc, protocol = fresh () in
+  let journal = Oplog.create () in
+  let in_flight ctx =
+    ignore (insert enc "mallory" ctx);
+    Runtime.await ctx (* nothing pokes a batch run: T2 never commits *);
+    Value.unit
+  in
+  let txns = [ (1, "T1", insert enc "alice"); (2, "T2", in_flight) ] in
+  ignore (Engine.run ~journal db ~protocol txns);
+  (* a later force makes T2's logged insert stable, then the crash *)
+  Oplog.force journal;
+  Fmt.pr "=== CRASH ===@.";
+  let db, enc, protocol = fresh () in
+  let _, r = Engine.recover db ~protocol (Oplog.crash journal) in
+  let winners = List.map fst r.Engine.rec_winners in
+  let undone = List.map fst r.Engine.undone in
+  let ints = Fmt.(list ~sep:sp int) in
+  Fmt.pr "replayed: %d calls@.winners: %a@." r.Engine.replayed_calls ints winners;
+  Fmt.pr "undone: %a@.recertified: %b@." ints undone r.Engine.recertified;
+  let found = ref [] in
+  let read ctx =
+    let search key = (key, Encyclopedia.search enc ctx ~key) in
+    found := List.map search [ "alice"; "mallory" ];
+    Value.unit
+  in
+  ignore (Engine.run db ~protocol [ (3, "read", read) ]);
+  List.iter
+    (fun (k, v) -> Fmt.pr "  %-8s %s@." k (Option.value v ~default:"(absent)"))
+    !found;
+  let expected = [ ("alice", Some "100"); ("mallory", None) ] in
+  if r.Engine.replayed_calls <> 2 || winners <> [ 1 ] || undone <> [ 2 ]
+     || (not r.Engine.recertified) || !found <> expected
+  then (Fmt.epr "recovery_demo: wrong recovered state@."; exit 1)

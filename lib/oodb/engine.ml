@@ -1782,10 +1782,10 @@ let committed_trees (eng : t) = by_top eng.trees
    are aborted after the schedule, which drives the engine's own
    multi-level undo — compensations for their committed subtransactions,
    newest first (the reverse inheritance order of Defs. 10-13), as
-   re-registered during the replay itself.  Physical before-images for
-   uncommitted primitive actions are the page layer's business
-   ([Logged_store.recover]); at this layer an uncommitted primitive
-   simply never made it into the log.
+   re-registered during the replay itself.  Nothing below a root-level
+   call is logged: replay rebuilds the in-memory pages from a fresh
+   database, and an uncommitted primitive simply never made it into the
+   log.
 
    Replay runs each attempt as a live transaction fed from a Session-
    style command queue; the body re-reads its queue from the start on

@@ -1,7 +1,6 @@
 (* Logical, method-level operation log.
 
-   Where [Ooser_storage.Wal] logs slot-level before/after images, this
-   log records the *semantic* history of the engine: transaction BEGIN,
+   The engine's only log records its *semantic* history: transaction BEGIN,
    root-level method CALL together with the compensation the method
    registered, subtransaction COMMIT markers, top COMMIT and ABORT.  The
    multi-level recovery discipline (Börger/Schewe/Wang) needs exactly
@@ -10,11 +9,11 @@
    dispatch and undo must invoke the registered compensation.
 
    The log is append-only.  Appends are buffered; [force] makes the
-   prefix stable (and, with a file backend, flushes and fsyncs).  The
-   crash model mirrors [Wal]: exactly the forced prefix survives.  The
-   file backend is a {!Record_log} sink, one frame per record; [load]
-   drops a torn final frame, which is precisely the unforced suffix a
-   real crash leaves behind. *)
+   prefix stable (and, with a file backend, flushes and fsyncs).
+   Exactly the forced prefix survives a crash.  The file backend is a
+   {!Record_log} sink, one frame per record; [load] drops a torn final
+   frame, which is precisely the unforced suffix a real crash leaves
+   behind. *)
 
 open Ooser_core
 open Ooser_storage

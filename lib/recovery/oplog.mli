@@ -5,13 +5,13 @@
     markers, top COMMIT (forced) and ABORT.  Open nesting's recovery
     discipline needs the log at this level: a committed subtransaction
     released its locks, so redo replays the call through the real engine
-    dispatch and undo invokes the compensation — physical images only
-    cover uncommitted primitive actions (see {!Ooser_storage.Wal}).
+    dispatch and undo invokes the compensation.  It is the engine's only
+    log: nothing below a root-level call is logged.
 
-    The crash model mirrors [Wal]: exactly the forced prefix survives
-    {!crash}.  The file backend is a {!Record_log} sink: {!force}
-    flushes and fsyncs, and {!load} keeps the stable prefix under the
-    record log's torn-tail and corruption rules. *)
+    Exactly the forced prefix survives {!crash}.  The file backend is a
+    {!Record_log} sink: {!force} flushes and fsyncs, and {!load} keeps
+    the stable prefix under the record log's torn-tail and corruption
+    rules. *)
 
 open Ooser_core
 

@@ -344,7 +344,6 @@ let vote_window sh h =
   end
 
 let dependency_edges sh =
-  let t0 = Unix.gettimeofday () in
   let full = Engine.observed_history sh.engine in
   let commut =
     match sh.dep_commut with
@@ -357,13 +356,6 @@ let dependency_edges sh =
   let w = vote_window sh full in
   let h = History.v ~tops:(History.tops w) ~order:(History.order w) ~commut in
   let sched = Schedule.compute h in
-  (* vote cost is the sharded server's critical path: SHARD_DEBUG=1
-     prints window-size/full-size and elapsed per computation *)
-  (if Sys.getenv_opt "SHARD_DEBUG" <> None then
-     Printf.eprintf "[shard%d] dep_edges %d/%d tops %.1fms\n%!" sh.idx
-       (List.length (History.top_ids h))
-       (List.length (History.top_ids full))
-       (1000. *. (Unix.gettimeofday () -. t0)));
   let edges =
     List.fold_left
       (fun acc (os : Schedule.object_schedule) ->

@@ -17,8 +17,6 @@ type t = {
   capacity : int;
   frames : (Disk.page_id, frame) Hashtbl.t;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
@@ -31,17 +29,11 @@ let create ?(capacity = 64) disk =
     capacity;
     frames = Hashtbl.create (capacity * 2);
     clock = 0;
-    hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
 let disk t = t.disk
-let capacity t = t.capacity
-let hits t = t.hits
-let misses t = t.misses
 let evictions t = t.evictions
-let resident t = Hashtbl.length t.frames
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -74,12 +66,10 @@ let evict_one t =
 let pin t page_id =
   match Hashtbl.find_opt t.frames page_id with
   | Some f ->
-      t.hits <- t.hits + 1;
       f.pins <- f.pins + 1;
       f.last_use <- tick t;
       f.page
   | None ->
-      t.misses <- t.misses + 1;
       if Hashtbl.length t.frames >= t.capacity then evict_one t;
       let page = Page.of_bytes (Disk.read t.disk page_id) in
       let f = { page_id; page; pins = 1; dirty = false; last_use = tick t } in
@@ -103,8 +93,6 @@ let with_page t page_id ~f =
   | exception e ->
       unpin t page_id;
       raise e
-
-let flush_all t = Hashtbl.iter (fun _ f -> flush_frame t f) t.frames
 
 let alloc t =
   let id = Disk.alloc t.disk in

@@ -13,7 +13,6 @@ val create : ?capacity:int -> Disk.t -> t
 (** @raise Invalid_argument when [capacity <= 0]. *)
 
 val disk : t -> Disk.t
-val capacity : t -> int
 
 val pin : t -> Disk.page_id -> Page.t
 (** Fetch (or find) the page and pin it.  The returned page aliases the
@@ -31,9 +30,4 @@ val with_page : t -> Disk.page_id -> f:(Page.t -> 'a * bool) -> 'a
 val alloc : t -> Disk.page_id
 (** Allocate a fresh page on the underlying volume. *)
 
-val flush_all : t -> unit
-
-val resident : t -> int
-val hits : t -> int
-val misses : t -> int
 val evictions : t -> int

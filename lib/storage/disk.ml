@@ -2,8 +2,8 @@
 
    The paper's testbed stored pages on disk through the VODAK prototype;
    we keep page images in memory (see DESIGN.md, substitutions) behind the
-   same read/write-by-page-id interface, and count the I/Os so experiments
-   can report access statistics. *)
+   same read/write-by-page-id interface, and count the reads so tests can
+   observe the I/O a buffer pool miss costs. *)
 
 type page_id = int
 
@@ -12,16 +12,13 @@ type t = {
   mutable pages : Bytes.t option array;
   mutable next : int;
   mutable reads : int;
-  mutable writes : int;
 }
 
 let create ?(page_size = 4096) () =
-  { page_size; pages = Array.make 64 None; next = 0; reads = 0; writes = 0 }
+  { page_size; pages = Array.make 64 None; next = 0; reads = 0 }
 
-let page_size t = t.page_size
 let page_count t = t.next
 let reads t = t.reads
-let writes t = t.writes
 
 let grow t =
   let cap = Array.length t.pages in
@@ -53,5 +50,4 @@ let write t id bytes =
   check t id;
   if Bytes.length bytes <> t.page_size then
     invalid_arg "Disk.write: wrong page size";
-  t.writes <- t.writes + 1;
   t.pages.(id) <- Some (Bytes.copy bytes)

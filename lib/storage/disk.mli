@@ -1,14 +1,12 @@
 (** A volume of pages addressed by page id.
 
     Page images live in memory (see DESIGN.md, substitutions) behind a
-    disk-like read/write interface; I/Os are counted for the experiment
-    reports. *)
+    disk-like read/write interface; reads are counted. *)
 
 type page_id = int
 type t
 
 val create : ?page_size:int -> unit -> t
-val page_size : t -> int
 
 val alloc : t -> page_id
 (** Allocate a fresh zeroed page. *)
@@ -22,4 +20,3 @@ val write : t -> page_id -> Bytes.t -> unit
 
 val page_count : t -> int
 val reads : t -> int
-val writes : t -> int

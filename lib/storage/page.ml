@@ -54,7 +54,6 @@ let create ?(size = 4096) () =
 
 let of_bytes data = { data }
 let to_bytes page = page.data
-let copy page = { data = Bytes.copy page.data }
 
 let live_slots page =
   let n = num_slots page in
@@ -167,8 +166,8 @@ let update page slot record =
   end
 
 (* Force a record into a SPECIFIC slot, creating the slot (and any dead
-   slots before it) if needed — used by log-based recovery, which must
-   reproduce exact slot assignments. *)
+   slots before it) if needed — used by the undo of a slot delete, which
+   must restore the record under its old slot number. *)
 let write_at page slot record =
   if slot < 0 then invalid_arg "Page.write_at: negative slot";
   if is_live page slot then update page slot record
@@ -196,13 +195,3 @@ let write_at page slot record =
       true
     end
   end
-
-let iter page f =
-  List.iter (fun s -> f s (get_exn page s)) (live_slots page)
-
-let fold page f acc =
-  List.fold_left (fun acc s -> f acc s (get_exn page s)) acc (live_slots page)
-
-let pp ppf page =
-  Fmt.pf ppf "page[kind=%d slots=%d live=%d free=%d]" (kind page)
-    (num_slots page) (record_count page) (free_space page)

@@ -17,8 +17,6 @@ val of_bytes : Bytes.t -> t
 (** View raw bytes as a page (no copy). *)
 
 val to_bytes : t -> Bytes.t
-val copy : t -> t
-val size : t -> int
 
 val kind : t -> int
 (** A small tag free for access methods (e.g. B+ tree node kinds). *)
@@ -41,18 +39,13 @@ val is_live : t -> int -> bool
 
 val write_at : t -> int -> string -> bool
 (** Force a record into a {e specific} slot, growing the directory and
-    leaving intermediate slots dead if needed — used by log-based
-    recovery, which must reproduce exact slot assignments.
+    leaving intermediate slots dead if needed — used by the undo of a
+    slot delete, which must restore the record under its old slot
+    number.
     @raise Invalid_argument on negative slots. *)
 
 val num_slots : t -> int
 (** Directory size, dead slots included. *)
 
 val record_count : t -> int
-val live_slots : t -> int list
 val free_space : t -> int
-val contiguous_free : t -> int
-val compact : t -> unit
-val iter : t -> (int -> string -> unit) -> unit
-val fold : t -> ('a -> int -> string -> 'a) -> 'a -> 'a
-val pp : Format.formatter -> t -> unit

@@ -254,6 +254,90 @@ let test_mid_undo_double_crash () =
      committed-prefix effects in full *)
   ignore (recover_and_check ~label:"double-crash" ~seed params records)
 
+(* -- a stably-aborted attempt ---------------------------------------------------
+
+   T1 increments a counter, a composite subtransaction that commits and
+   releases the register's locks, and then aborts, so the compensation
+   the increment registered (decr) runs.  T2 increments and commits.
+   Once the log is forced T1's ABORT is stable: recovery must replay
+   T1's call and re-abort it at its original decision point, running
+   the compensation exactly once.  Twice would leave the register below
+   the winners' serial state; never would leave it above. *)
+
+let counter_db () =
+  let db = Database.create () in
+  let cell = ref 0 and decrs = ref 0 in
+  let read _ _ = Value.int !cell in
+  let write ctx = function
+    | [ Value.Int v ] ->
+        let old = !cell in
+        Runtime.on_undo ctx (fun () -> cell := old);
+        cell := v;
+        Value.unit
+    | _ -> invalid_arg "write"
+  in
+  Database.register db (Obj_id.v "R")
+    ~spec:(Commutativity.rw ~reads:[ "read" ] ~writes:[ "write" ])
+    [ ("read", Database.primitive read); ("write", Database.primitive write) ];
+  let add d ctx _ =
+    let v = Value.to_int_exn (Runtime.call ctx (Obj_id.v "R") "read" []) in
+    ignore (Runtime.call ctx (Obj_id.v "R") "write" [ Value.int (v + d) ]);
+    Value.unit
+  in
+  let decr ctx args =
+    incr decrs;
+    add (-1) ctx args
+  in
+  let compensate _ _ =
+    Database.Inverse
+      { Runtime.target = Obj_id.v "C"; meth_name = "decr"; args = [] }
+  in
+  Database.register db (Obj_id.v "C")
+    ~spec:(Commutativity.of_commute_matrix ~name:"counter" [ ("incr", "incr") ])
+    [
+      ("incr", Database.composite ~compensate (add 1));
+      ("decr", Database.composite decr);
+    ];
+  (db, cell, decrs)
+
+let counter_txns =
+  let incr_c ctx = ignore (Runtime.call ctx (Obj_id.v "C") "incr" []) in
+  [
+    (1, "aborts", fun ctx -> incr_c ctx; Runtime.abort "after subcommit");
+    (2, "commits", fun ctx -> incr_c ctx; Value.unit);
+  ]
+
+let test_stable_abort () =
+  let db, cell, decrs = counter_db () in
+  let journal = Oplog.create () in
+  let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
+  let out = Engine.run ~journal db ~protocol counter_txns in
+  check_bool "T2 committed" true (out.Engine.committed = [ 2 ]);
+  check_bool "T1 aborted" true (List.map fst out.Engine.aborted = [ 1 ]);
+  check_bool "live abort compensated once" true (!cell = 1 && !decrs = 1);
+  Oplog.force journal;
+  let records = Oplog.stable (Oplog.crash journal) in
+  let db, cell, decrs = counter_db () in
+  let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
+  let _, report = Engine.recover db ~protocol (Oplog.of_records records) in
+  check_bool "plan.aborted holds T1" true
+    (List.mem (1, 0) report.Engine.plan.Recovery.aborted);
+  check_bool "T1 is no loser" true (report.Engine.undone = []);
+  check_bool "no replay failures" true (report.Engine.replay_failures = 0);
+  check_bool "lock table quiescent" true (Protocol.quiescent protocol);
+  check_bool "recovered history re-certifies" true report.Engine.recertified;
+  check_bool "compensation ran once in recovery" true (!decrs = 1);
+  (* the serial oracle: each winner alone, in commit order *)
+  let odb, ocell, _ = counter_db () in
+  List.iter
+    (fun top ->
+      let txn = List.find (fun (t, _, _) -> t = top) counter_txns in
+      let protocol = Protocol.open_nested ~reg:(Database.spec_registry odb) () in
+      let oout = Engine.run odb ~protocol [ txn ] in
+      check_bool "oracle txn committed" true (oout.Engine.committed = [ top ]))
+    (winners_of records);
+  check_bool "state = winners' serial state" true (!cell = !ocell)
+
 (* -- qcheck: crash after every log prefix, 100 seeds --------------------------
 
    For a random encyclopedia run, cut the operation log after EVERY
@@ -378,6 +462,7 @@ let suites =
           test_injection_matrix;
         Alcotest.test_case "mid-undo double crash" `Quick
           test_mid_undo_double_crash;
+        Alcotest.test_case "stably-aborted attempt" `Quick test_stable_abort;
         Alcotest.test_case "oplog torn tail" `Quick test_oplog_torn_tail;
         Alcotest.test_case "decision log torn tail" `Quick
           test_decision_log_torn_tail;
