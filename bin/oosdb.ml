@@ -21,6 +21,7 @@ open Ooser_text
 open Ooser_oodb
 open Ooser_workload
 module Protocol = Ooser_cc.Protocol
+module Stack = Ooser_shard.Engine_stack
 module Rng = Ooser_sim.Rng
 module Json = Ooser_sim.Json
 module Occ = Ooser_occ
@@ -205,14 +206,10 @@ let run_cmd =
       }
     in
     let db, enc, bodies = Enc_workload.setup ~fanout ~rng:(Rng.create ~seed) p in
-    let reg = Database.spec_registry db in
     let proto, certify =
       match protocol with
-      | `Open -> (Protocol.open_nested ~reg (), false)
-      | `Flat -> (Protocol.flat_2pl ~reg (), false)
-      | `Closed -> (Protocol.closed_nested ~reg (), false)
       | `None -> (Protocol.unlocked (), false)
-      | `Certify -> (Protocol.unlocked (), true)
+      | #Stack.lock_kind as k -> (Stack.protocol k db, k = `Certify)
     in
     let config =
       {
@@ -308,12 +305,7 @@ let shard_datapoint ~shards ~txns =
     D.create
       {
         D.shards;
-        db_kind = `Encyclopedia;
-        protocol_kind = `Open;
-        preload = n_keys;
-        fanout = 4;
-        accounts = 10;
-        products = 4;
+        stack = { Stack.default with preload = n_keys };
         durable_dir = None;
       }
   in
@@ -809,21 +801,12 @@ let serve_cmd =
     | Ok t ->
     Fmt.pr "oosdb serve: %a db=%s protocol=%s max-inflight=%d%s%s@."
       Srv.pp_addr config.Srv.addr
-      (Srv.db_kind_name db)
+      (Stack.db_kind_name db)
       (Srv.protocol_kind_name protocol)
       max_inflight
       (if shards > 0 then Printf.sprintf " shards=%d" shards else "")
       (match durable with Some d -> " durable=" ^ d | None -> "");
-    (match Srv.last_recovery t with
-    | Some r ->
-        Fmt.pr
-          "recovered: %d winners (%d snapshot-deduped), %d undone, \
-           re-certified=%b@."
-          (List.length r.Engine.rec_winners)
-          r.Engine.skipped_attempts
-          (List.length r.Engine.undone)
-          r.Engine.recertified
-    | None -> ());
+    Option.iter (Fmt.pr "recovered: %a@." Stack.pp_report) (Srv.last_recovery t);
     (* drain on SIGINT/SIGTERM: the handler only raises a flag; the
        loop initiates the shutdown at a quiet point *)
     let stop = ref false in
@@ -850,7 +833,6 @@ let serve_cmd =
 
 (* -- recover ------------------------------------------------------------------- *)
 
-module Oplog = Ooser_recovery.Oplog
 module RSnapshot = Ooser_recovery.Snapshot
 module Recovery = Ooser_recovery.Recovery
 
@@ -889,59 +871,6 @@ let recover_cmd =
                 transactions resolved against DIR/decisions.bin \
                 (presumed abort without a logged commit decision).")
   in
-  (* one shard of a sharded durable directory: the shard's database
-     holds only the keys the router places there, and its log is
-     resolved against the coordinator's decision log before replay *)
-  let recover_shard ~dir ~db ~proto_kind ~preload ~checkpoint ~router ~shards
-      ~decisions i =
-    let module Router = Ooser_shard.Router in
-    let module DL = Ooser_recovery.Decision_log in
-    let sdir = Filename.concat dir (Printf.sprintf "shard-%d" i) in
-    let database = Database.create () in
-    (match db with
-    | `Encyclopedia ->
-        let enc = Encyclopedia.create ~fanout:4 database in
-        Enc_workload.preload database enc ~keys:preload ~keep:(fun k ->
-            Router.shard_of_call router ~obj:"Enc" ~args:[ Value.str k ] = i)
-    | `Banking ->
-        for a = 0 to 9 do
-          ignore
-            (Banking.register_account database ~semantics:`Escrow a
-               ~balance:100 ~low:0 ~high:1_000_000)
-        done
-    | `Inventory -> ignore (Inventory.create ~products:4 database));
-    let reg = Database.spec_registry database in
-    let proto =
-      match proto_kind with
-      | `Open -> Protocol.open_nested ~reg ()
-      | `Flat -> Protocol.flat_2pl ~reg ()
-      | `Closed -> Protocol.closed_nested ~reg ()
-      | `Certify -> Protocol.unlocked ()
-    in
-    let snapshot = RSnapshot.load ~dir:sdir in
-    let records = DL.resolve ~decisions (Oplog.load ~dir:sdir) in
-    let _, report =
-      Engine.recover ?snapshot database ~protocol:proto
-        (Oplog.of_records records)
-    in
-    let plan = report.Engine.plan in
-    Fmt.pr
-      "shard %d: %d winners (%d snapshot-deduped), %d undone, \
-       re-certified=%b@."
-      i
-      (List.length report.Engine.rec_winners)
-      report.Engine.skipped_attempts
-      (List.length report.Engine.undone)
-      report.Engine.recertified;
-    let ok = report.Engine.recertified && report.Engine.replay_failures = 0 in
-    if ok && checkpoint then begin
-      let base = Option.value snapshot ~default:RSnapshot.empty in
-      let snap = Recovery.snapshot_of ~base plan in
-      RSnapshot.checkpoint ~dir:sdir snap
-    end;
-    ignore shards;
-    ok
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -953,95 +882,65 @@ let recover_cmd =
                 one global execution order offline.")
   in
   let run dir db protocol preload checkpoint shards trace =
-    let lock_kind : [ `Open | `Flat | `Closed | `Certify ] option =
-      match protocol with
-      | `Occ | `Occ_rw -> None
-      | `Open -> Some `Open
-      | `Flat -> Some `Flat
-      | `Closed -> Some `Closed
-      | `Certify -> Some `Certify
-    in
-    match lock_kind with
-    | None ->
+    match protocol with
+    | `Occ | `Occ_rw ->
         Fmt.epr
           "oosdb recover: occ servers are in-memory (nothing durable to \
            recover)@.";
         2
-    | Some protocol ->
+    | #Stack.lock_kind as protocol_kind ->
+    let config = { Stack.default with db_kind = db; protocol_kind; preload } in
     if shards > 0 && trace <> None then begin
       Fmt.epr "oosdb recover: --trace requires a single-engine directory@.";
       2
     end
     else if shards > 0 then begin
-      let module Router = Ooser_shard.Router in
       let module DL = Ooser_recovery.Decision_log in
-      let router = Router.create ~shards in
-      let decisions = DL.load ~dir in
+      let decisions, replays = Stack.replay_shards ~dir ~shards config in
       Fmt.pr "decisions:  %d logged (%d commit)@." (List.length decisions)
         (List.length (List.filter (fun d -> d.DL.commit) decisions));
-      let ok = ref true in
-      for i = 0 to shards - 1 do
-        if
-          not
-            (recover_shard ~dir ~db ~proto_kind:protocol ~preload ~checkpoint
-               ~router ~shards ~decisions i)
-        then ok := false
-      done;
-      if !ok && checkpoint then begin
+      let ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun i (r : Stack.replayed) ->
+               Fmt.pr "shard %d: %a@." i Stack.pp_report r.report;
+               let ok = Stack.ok r.report in
+               if ok && checkpoint then
+                 ignore (Stack.fold r);
+               ok)
+             replays)
+      in
+      if ok && checkpoint then begin
         DL.reset ~dir;
         Fmt.pr "checkpointed: %d shards, decision log reset@." shards
       end;
-      if !ok then 0 else 1
+      if ok then 0 else 1
     end
     else begin
-    let config =
-      {
-        (Srv.default_config (Srv.Tcp 0)) with
-        Srv.db_kind = db;
-        protocol_kind =
-          ((protocol : [ `Open | `Flat | `Closed | `Certify ])
-            :> Srv.protocol_kind);
-        preload;
-      }
-    in
-    let database = Srv.build_db config in
-    let proto = Srv.build_protocol config database in
-    let snapshot = RSnapshot.load ~dir in
-    let records = Oplog.load ~dir in
-    Fmt.pr "log:        %d stable records@." (List.length records);
-    Fmt.pr "snapshot:   %d entries@."
-      (match snapshot with
-      | Some s -> List.length s.RSnapshot.entries
-      | None -> 0);
-    let eng, report =
-      Engine.recover ?snapshot database ~protocol:proto
-        (Oplog.of_records records)
-    in
-    let plan = report.Engine.plan in
+    let r = Stack.replay ~dir (Stack.build config) in
+    let report = r.report in
+    Fmt.pr "log:        %d stable records@." r.records;
+    Fmt.pr "snapshot:   %d entries@." (List.length r.base.RSnapshot.entries);
     Fmt.pr "winners:    %d replayed, %d snapshot-deduped@."
       (List.length report.Engine.rec_winners)
       report.Engine.skipped_attempts;
     Fmt.pr "aborted:    %d compensated at their logged decision@."
-      (List.length plan.Recovery.aborted);
+      (List.length report.Engine.plan.Recovery.aborted);
     Fmt.pr "losers:     %d undone (in flight at the crash)@."
       (List.length report.Engine.undone);
     Fmt.pr "replayed:   %d root calls (%d failures)@."
       report.Engine.replayed_calls report.Engine.replay_failures;
     Fmt.pr "re-certified oo-serializable: %b@." report.Engine.recertified;
-    let ok = report.Engine.recertified && report.Engine.replay_failures = 0 in
+    let ok = Stack.ok report in
     (match trace with
     | Some path ->
         Ooser_certify.Trace.write_history
-          ~registry:(Srv.db_kind_name db)
-          path (Engine.final_history eng);
+          ~registry:(Stack.db_kind_name db)
+          path (Engine.final_history r.engine);
         Fmt.pr "trace:      wrote %s@." path
     | None -> ());
     if ok && checkpoint then begin
-      let base =
-        Option.value snapshot ~default:RSnapshot.empty
-      in
-      let snap = Recovery.snapshot_of ~base plan in
-      RSnapshot.checkpoint ~dir snap;
+      let snap = Stack.fold r in
       Fmt.pr "checkpointed: %d snapshot entries, log truncated@."
         (List.length snap.RSnapshot.entries)
     end;
@@ -1125,16 +1024,7 @@ let db_kind_of_name = function
    database kind regardless of the header. *)
 let resolve_trace_registry ~db_override ~preload ~accounts ~products name =
   let build kind =
-    let config =
-      {
-        (Srv.default_config (Srv.Tcp 0)) with
-        Srv.db_kind = kind;
-        preload;
-        accounts;
-        products;
-      }
-    in
-    Srv.build_db config
+    Stack.build_db { Stack.default with db_kind = kind; preload; accounts; products }
   in
   match db_override with
   | Some kind ->

@@ -12,6 +12,7 @@ module Oplog = Ooser_recovery.Oplog
 module Crash = Ooser_recovery.Crash
 module Shard = Ooser_shard.Shard
 module Dispatcher = Ooser_shard.Dispatcher
+module Engine_stack = Ooser_shard.Engine_stack
 module Counter = Ooser_sim.Stats.Counter
 module Json = Ooser_sim.Json
 
@@ -35,12 +36,6 @@ let find_index p l =
   in
   go 0 l
 
-let protocol_of db = function
-  | `Open -> Protocol.open_nested ~reg:(Database.spec_registry db) ()
-  | `Flat -> Protocol.flat_2pl ~reg:(Database.spec_registry db) ()
-  | `Closed -> Protocol.closed_nested ~reg:(Database.spec_registry db) ()
-  | `Certify -> Protocol.unlocked ()
-
 (* One backend instantiation: the fresh database, its protocol, and how
    to read the certifiable committed history back out.  Lock scenarios
    certify the engine's execution order; occ scenarios certify the
@@ -60,7 +55,7 @@ let fresh_inst (sc : Scenario.t) () =
       let db = setup () in
       {
         i_db = db;
-        i_protocol = protocol_of db protocol;
+        i_protocol = Engine_stack.protocol protocol db;
         i_history = Engine.final_history;
         i_certify = protocol = `Certify;
       }
@@ -292,9 +287,10 @@ let run_single (sc : Scenario.t) ~fresh ~crash memo chooser =
       let inst2 = fresh () in
       let protocol2 = inst2.i_protocol in
       let eng2, report =
-        Engine.recover
-          ~config:(Engine.default_config protocol2)
-          inst2.i_db ~protocol:protocol2 stable
+        Engine_stack.recover
+          { db = inst2.i_db; protocol = protocol2;
+            engine_config = Engine.default_config protocol2 }
+          (Oplog.stable stable)
       in
       let violations = ref [] in
       let check name ok = if not ok then violations := name :: !violations in
@@ -460,12 +456,8 @@ let with_dispatcher config f =
 let sharded_config ~shards ~db_kind ~protocol =
   {
     Dispatcher.shards;
-    db_kind;
-    protocol_kind = protocol;
-    preload = 40;
-    fanout = 4;
-    accounts = 10;
-    products = 4;
+    stack =
+      { Engine_stack.default with db_kind; protocol_kind = protocol; preload = 40 };
     durable_dir = None;
   }
 

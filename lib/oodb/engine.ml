@@ -225,11 +225,6 @@ type config = {
       (* clock for transaction deadlines; the default never advances, so
          deadlines are inert unless a real clock (e.g. Unix.gettimeofday)
          is injected — keeps this library clock-free for batch runs *)
-  ext_memo_max : int;
-      (* longest committed-prefix order (in primitive actions) the
-         [ext_memo] below may retain; longer prefixes are certified
-         without memoisation so a long-lived engine cannot pin an
-         arbitrarily large extension in memory *)
   next_stamp : (unit -> int) option;
       (* source of execution stamps for recorded primitives; [None] uses
          the engine's own monotone counter.  Shard engines share one
@@ -248,7 +243,6 @@ let default_config protocol =
     certify = false;
     certify_oracle = false;
     now = (fun () -> 0.0);
-    ext_memo_max = 4096;
     next_stamp = None;
   }
 
@@ -311,8 +305,6 @@ type outcome = {
       (* per committed transaction: steps from the final attempt's start
          to its commit (response time in scheduler steps) *)
 }
-
-let trace = ref false
 
 (* -- operation journaling -----------------------------------------------------
 
@@ -484,7 +476,6 @@ let abort_txn (eng : t) txn ~retry ?items reason =
       ignore retry0
   | None ->
       Stats.Counter.incr eng.counters "aborts";
-      if !trace then Fmt.epr "[%d] abort T%d (%s)@." eng.steps txn.top reason;
       let collected = unwind_tasks txn in
       let items = match items with Some i -> i | None -> collected in
       if items = [] then finish_abort eng txn ~retry reason
@@ -527,6 +518,11 @@ let commit_txn (eng : t) txn ~tree v =
 let by_top trees = List.sort (fun (a, _) (b, _) -> Int.compare a b) trees
 let by_stamp order = List.sort (fun (_, a) (_, b) -> Int.compare a b) order
 
+(* Longest committed-prefix order (in primitive actions) [ext_memo] may
+   retain; longer prefixes are certified without memoisation, so a
+   long-lived engine cannot pin an arbitrarily large extension. *)
+let ext_memo_cap = 4096
+
 let certification_oracle (eng : t) txn ~tree =
   let trees = List.map snd (by_top ((txn.top, tree) :: eng.trees)) in
   let order = List.map fst (by_stamp (txn.prims @ eng.order)) in
@@ -544,7 +540,7 @@ let certification_oracle (eng : t) txn ~tree =
         (* bounded retention: beyond the cap the memo is dropped rather
            than grown — a long-running server would otherwise pin an
            extension proportional to its whole committed history *)
-        if List.length order <= eng.config.ext_memo_max then
+        if List.length order <= ext_memo_cap then
           eng.ext_memo <- Some (order, e)
         else eng.ext_memo <- None;
         e
@@ -1134,11 +1130,6 @@ let txn_of_task (eng : t) tid =
 
 let resolve_deadlock (eng : t) =
   let w = waits_for eng in
-  if !trace then
-    Fmt.epr "[%d] waits_for: %a@." eng.steps
-      (Fmt.list ~sep:Fmt.sp (fun ppf (a, bs) ->
-           Fmt.pf ppf "%d->[%a]" a (Fmt.list ~sep:(Fmt.any ",") Fmt.int) bs))
-      w;
   match Deadlock.find_cycle w with
   | Some cycle -> (
       Stats.Counter.incr eng.counters "deadlocks";
@@ -1787,49 +1778,12 @@ let committed_trees (eng : t) = by_top eng.trees
    database, and an uncommitted primitive simply never made it into the
    log.
 
-   Replay runs each attempt as a live transaction fed from a Session-
-   style command queue; the body re-reads its queue from the start on
-   every engine attempt, so certification retries replay identically.
-   Because replay is driven to quiescence between calls it is serial,
-   and the lock set held at any point is a subset of the original run's
-   — anything granted then is granted now. *)
-
-type replay_item = Replay_call of Oplog.invocation | Replay_finish
-
-type feed = { mutable items : replay_item array; mutable n : int }
-
-let feed_push fd it =
-  if fd.n = Array.length fd.items then begin
-    let bigger = Array.make (max 8 (2 * Array.length fd.items)) Replay_finish in
-    Array.blit fd.items 0 bigger 0 fd.n;
-    fd.items <- bigger
-  end;
-  fd.items.(fd.n) <- it;
-  fd.n <- fd.n + 1
-
-let replay_body failures fd ctx =
-  let i = ref 0 in
-  let rec loop last =
-    if !i < fd.n then begin
-      let item = fd.items.(!i) in
-      incr i;
-      match item with
-      | Replay_finish -> last
-      | Replay_call inv -> (
-          match
-            Runtime.try_call ctx inv.Oplog.obj inv.Oplog.meth inv.Oplog.args
-          with
-          | Ok v -> loop v
-          | Error _ ->
-              incr failures;
-              loop last)
-    end
-    else begin
-      Runtime.await ctx;
-      loop last
-    end
-  in
-  loop Value.unit
+   Replay runs each attempt as a live transaction fed from a
+   [Call_log]; the body re-reads its log from the start on every engine
+   attempt, so certification retries replay identically.  Because
+   replay is driven to quiescence between calls it is serial, and the
+   lock set held at any point is a subset of the original run's —
+   anything granted then is granted now. *)
 
 type recovery_report = {
   plan : Recovery.plan;
@@ -1850,68 +1804,72 @@ let recover ?config ?snapshot ?crash ?(recertify = true) db ~protocol oplog =
   let applied = match snapshot with Some s -> Snapshot.keys s | None -> [] in
   let plan = Recovery.analyze ~applied records in
   let replayed = ref 0 in
-  let failures = ref 0 in
+  let logs = ref [] in
+  let new_log () =
+    let log = Call_log.create () in
+    logs := log :: !logs;
+    log
+  in
+  let push log (inv : Oplog.invocation) =
+    Call_log.push log inv.Oplog.obj inv.Oplog.meth inv.Oplog.args
+  in
+  (* a winner: its finished log must replay to a commit *)
+  let settle top log counter =
+    Call_log.finish log;
+    ignore (poke eng top);
+    ignore (pump eng);
+    Stats.Counter.incr eng.counters
+      (match txn_state eng top with
+      | `Committed _ -> counter
+      | _ -> "recovery-replay-failures");
+    ignore (retire eng ~top)
+  in
   (* snapshot restore: serial replay of the compacted winners, commit
      order *)
-  (match snapshot with
-  | Some s ->
+  Option.iter
+    (fun s ->
       List.iter
         (fun (e : Snapshot.entry) ->
-          let fd = { items = Array.make 8 Replay_finish; n = 0 } in
-          List.iter (fun inv -> feed_push fd (Replay_call inv)) e.Snapshot.calls;
-          feed_push fd Replay_finish;
+          let log = new_log () in
+          List.iter (push log) e.Snapshot.calls;
           submit eng ~top:e.Snapshot.top ~name:e.Snapshot.name
-            (replay_body failures fd);
-          ignore (pump eng);
-          (match txn_state eng e.Snapshot.top with
-          | `Committed _ -> Stats.Counter.incr eng.counters "recovered-snapshot"
-          | _ -> Stats.Counter.incr eng.counters "recovery-replay-failures");
-          ignore (retire eng ~top:e.Snapshot.top))
-        s.Snapshot.entries
-  | None -> ());
+            (Call_log.body log);
+          settle e.Snapshot.top log "recovered-snapshot")
+        s.Snapshot.entries)
+    snapshot;
   (* redo: repeat history in original log order *)
-  let feeds : (int * int, feed) Hashtbl.t = Hashtbl.create 16 in
-  let feed_of (a : Recovery.attempt) =
-    match Hashtbl.find_opt feeds (a.Recovery.top, a.Recovery.attempt) with
-    | Some fd -> fd
+  let attempt_logs : (int * int, Call_log.t) Hashtbl.t = Hashtbl.create 16 in
+  let log_of a =
+    match Hashtbl.find_opt attempt_logs (Recovery.key a) with
+    | Some log -> log
     | None ->
-        let fd = { items = Array.make 8 Replay_finish; n = 0 } in
-        Hashtbl.add feeds (a.Recovery.top, a.Recovery.attempt) fd;
-        fd
+        let log = new_log () in
+        Hashtbl.add attempt_logs (Recovery.key a) log;
+        log
   in
   List.iter
     (fun step ->
       match step with
       | Recovery.Start a when not a.Recovery.skip ->
           submit eng ~top:a.Recovery.top ~name:a.Recovery.name
-            (replay_body failures (feed_of a));
+            (Call_log.body (log_of a));
           ignore (pump eng)
-      | Recovery.Start _ -> ()
       | Recovery.Replay (a, inv, _) when not a.Recovery.skip ->
-          feed_push (feed_of a) (Replay_call inv);
+          push (log_of a) inv;
           incr replayed;
           ignore (poke eng a.Recovery.top);
           ignore (pump eng)
-      | Recovery.Replay _ -> ()
       | Recovery.Decide a when not a.Recovery.skip -> (
           match a.Recovery.disposition with
           | Recovery.Committed ->
-              feed_push (feed_of a) Replay_finish;
-              ignore (poke eng a.Recovery.top);
-              ignore (pump eng);
-              (match txn_state eng a.Recovery.top with
-              | `Committed _ ->
-                  Stats.Counter.incr eng.counters "recovered-winners"
-              | _ ->
-                  Stats.Counter.incr eng.counters "recovery-replay-failures");
-              ignore (retire eng ~top:a.Recovery.top)
+              settle a.Recovery.top (log_of a) "recovered-winners"
           | Recovery.Aborted reason ->
               ignore (abort_top eng ~top:a.Recovery.top ("recovery: " ^ reason));
               ignore (pump eng);
               Stats.Counter.incr eng.counters "recovered-aborts";
               ignore (retire eng ~top:a.Recovery.top)
           | Recovery.Incomplete -> ())
-      | Recovery.Decide _ -> ())
+      | Recovery.Start _ | Recovery.Replay _ | Recovery.Decide _ -> ())
     plan.Recovery.schedule;
   (* multi-level undo: the losers (in flight at the crash), reverse
      begin order; aborting each drives the engine's compensation phase
@@ -1945,7 +1903,8 @@ let recover ?config ?snapshot ?crash ?(recertify = true) db ~protocol oplog =
       plan;
       replayed_calls = !replayed;
       skipped_attempts = List.length plan.Recovery.skipped;
-      replay_failures = !failures;
+      replay_failures =
+        List.fold_left (fun n log -> n + Call_log.errors log) 0 !logs;
       rec_winners = plan.Recovery.winners;
       undone = List.rev !undone;
       recertified;

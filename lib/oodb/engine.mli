@@ -92,11 +92,6 @@ type config = {
           so deadlines are inert unless a real clock (e.g.
           [Unix.gettimeofday]) is injected — the library itself stays
           clock-free for deterministic batch runs *)
-  ext_memo_max : int;
-      (** longest committed-prefix order (in primitive actions) the
-          oracle-certification extension memo may retain; longer
-          prefixes are certified without memoisation, so a long-lived
-          engine cannot pin an arbitrarily large extension in memory *)
   next_stamp : (unit -> int) option;
       (** source of execution stamps for recorded primitives; [None]
           (the default) uses the engine's own monotone counter.  Shard
@@ -107,10 +102,6 @@ type config = {
 val default_config : Protocol.t -> config
 (** Round-robin, 1M steps, 20 restarts, system object ["S"], no
     certification. *)
-
-val trace : bool ref
-(** Debug switch: print waits-for graphs and deadlock victims to
-    stderr. *)
 
 type outcome = {
   history : History.t;
@@ -210,10 +201,6 @@ val retire : t -> top:int -> bool
     part of the history and of certification.  False while the
     transaction is still running (or unknown). *)
 
-val outcome_of : t -> outcome
-(** Snapshot of the committed/aborted sets, counters and history so
-    far — includes only transactions not yet {!retire}d. *)
-
 val preload_atlas : t -> Commutativity.table -> unit
 (** Install a statically precomputed conflict table (the atlas of
     {!Ooser_analysis.Atlas}) into the engine's commutativity caches —
@@ -223,10 +210,6 @@ val preload_atlas : t -> Commutativity.table -> unit
     uncovered pairs fall back to the memoised probe path unchanged, so
     preloading never alters an engine's decisions, only how they are
     computed.  The ["atlas-cells"] counter records the table size. *)
-
-val atlas_hits : t -> int
-(** Number of conflict decisions answered from the preloaded atlas
-    (certifier + lock table), for parity/benchmark reporting. *)
 
 val final_history : t -> History.t
 (** The history of every committed transaction, including retired
@@ -326,8 +309,9 @@ type recovery_report = {
   replayed_calls : int;
   skipped_attempts : int;  (** deduped against the snapshot *)
   replay_failures : int;
-      (** replayed calls that failed where the original succeeded —
-          0 on any log the engine itself wrote *)
+      (** [Error] results among the replayed calls of each attempt
+          that decided (every logged call succeeded originally) — 0 on
+          any log the engine itself wrote *)
   rec_winners : (int * int) list;  (** (top, attempt), commit order *)
   undone : (int * int) list;  (** losers compensated away *)
   recertified : bool;

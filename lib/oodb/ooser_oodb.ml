@@ -2,6 +2,7 @@
 
 module Runtime = Runtime
 module Database = Database
+module Call_log = Call_log
 module Engine = Engine
 module Encyclopedia = Encyclopedia
 module Adt_objects = Adt_objects

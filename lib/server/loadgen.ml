@@ -25,7 +25,7 @@ type cfg = {
   sessions : int;
   txns_per_session : int;
   calls_per_txn : int;
-  db_kind : Server.db_kind;  (* shapes the op mix *)
+  db_kind : Ooser_shard.Engine_stack.db_kind;  (* shapes the op mix *)
   seed : int;
   timeout_ms : int;  (* BEGIN timeout; 0 = server default *)
   key_universe : int;  (* encyclopedia: the server's preload count *)
@@ -432,7 +432,7 @@ let run ?(tick = fun () -> ()) cfg =
               {
                 tw =
                   Ooser_certify.Trace.create_writer
-                    ~registry:("client:" ^ Server.db_kind_name cfg.db_kind)
+                    ~registry:("client:" ^ Ooser_shard.Engine_stack.db_kind_name cfg.db_kind)
                     path;
                 t_stamp = 0;
                 t_top = 0;

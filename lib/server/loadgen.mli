@@ -10,7 +10,7 @@ type cfg = {
   sessions : int;
   txns_per_session : int;
   calls_per_txn : int;
-  db_kind : Server.db_kind;
+  db_kind : Ooser_shard.Engine_stack.db_kind;
   seed : int;
   timeout_ms : int;
   key_universe : int;

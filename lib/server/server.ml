@@ -22,10 +22,8 @@ open Ooser_core
 open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
 module Stats = Ooser_sim.Stats
-module Oplog = Ooser_recovery.Oplog
-module Snapshot = Ooser_recovery.Snapshot
-module Recovery = Ooser_recovery.Recovery
 module Dispatcher = Ooser_shard.Dispatcher
+module Engine_stack = Ooser_shard.Engine_stack
 module Trace = Ooser_certify.Trace
 module Occ = Ooser_occ
 
@@ -39,15 +37,7 @@ let pp_addr ppf = function
   | Unix_sock path -> Fmt.pf ppf "unix:%s" path
   | Tcp port -> Fmt.pf ppf "tcp:127.0.0.1:%d" port
 
-type db_kind = [ `Encyclopedia | `Banking | `Inventory ]
-
-type protocol_kind =
-  [ `Open | `Flat | `Closed | `Certify | `Occ | `Occ_rw ]
-
-let db_kind_name = function
-  | `Encyclopedia -> "encyclopedia"
-  | `Banking -> "banking"
-  | `Inventory -> "inventory"
+type protocol_kind = [ Engine_stack.lock_kind | `Occ | `Occ_rw ]
 
 let protocol_kind_name = function
   | `Open -> "open"
@@ -57,17 +47,9 @@ let protocol_kind_name = function
   | `Occ -> "occ"
   | `Occ_rw -> "occ-rw"
 
-let is_occ = function `Occ | `Occ_rw -> true | _ -> false
-
-(* Sharded backends speak the lock-protocol subset only; occ configs are
-   rejected before a dispatcher is ever built. *)
-let shard_protocol_kind = function
-  | (`Open | `Flat | `Closed | `Certify) as pk -> pk
-  | `Occ | `Occ_rw -> invalid_arg "occ protocols are single-engine only"
-
 type config = {
   addr : addr;
-  db_kind : db_kind;
+  db_kind : Engine_stack.db_kind;
   protocol_kind : protocol_kind;
   shards : int;
       (* 0 = classic single-engine path; N >= 1 partitions objects
@@ -92,18 +74,19 @@ type config = {
 }
 
 let default_config addr =
+  let d = Engine_stack.default in
   {
     addr;
-    db_kind = `Encyclopedia;
-    protocol_kind = `Open;
+    db_kind = d.db_kind;
+    protocol_kind = (d.protocol_kind :> protocol_kind);
     shards = 0;
     max_inflight = 32;
     default_timeout_ms = 0;
     drain_grace = 5.0;
-    preload = 200;
-    fanout = 4;
-    accounts = 10;
-    products = 4;
+    preload = d.preload;
+    fanout = d.fanout;
+    accounts = d.accounts;
+    products = d.products;
     name = "oosdb";
     durable_dir = None;
     trace_path = None;
@@ -120,13 +103,12 @@ type conn = {
 
 type t = {
   config : config;
-  db : Database.t;
   engine : Engine.t;
   protocol : Protocol.t;
   dispatcher : Dispatcher.t option;
-      (* sharded backend; when [Some], [db]/[engine]/[protocol] are an
-         inert placeholder stack and every transaction path goes through
-         the dispatcher instead *)
+      (* sharded backend; when [Some], [engine]/[protocol] are an inert
+         placeholder stack and every transaction path goes through the
+         dispatcher instead *)
   occ_store : Occ.Store.t option;
       (* the multiversion store behind [protocol] when [protocol_kind]
          is an occ mode; its restamped history — not the engine's
@@ -145,36 +127,27 @@ type t = {
          still joinable — [certified] after [stopped] returns this *)
   mutable final_shard_stats : Dispatcher.shard_stats list option;
       (* last per-shard counter round, captured for the same reason *)
-  journal : Oplog.t option;
-  mutable base_snap : Snapshot.t;  (* covers everything not in the journal *)
-  recovery : Engine.recovery_report option;  (* boot-time recovery, if any *)
+  durable : Engine_stack.durable option;  (* journal + snapshot, if durable *)
   mutable trace_writer : Trace.writer option;
       (* single-shard streaming trace recorder (config.trace_path);
          sharded servers export at drain instead *)
 }
 
-(* -- database setup ----------------------------------------------------------- *)
+(* -- stack setup --------------------------------------------------------------- *)
 
-let build_db config =
-  let db = Database.create () in
-  (match config.db_kind with
-  | `Encyclopedia ->
-      let enc = Encyclopedia.create ~fanout:config.fanout db in
-      Ooser_workload.Enc_workload.preload db enc ~keys:config.preload
-  | `Banking ->
-      for i = 0 to config.accounts - 1 do
-        ignore
-          (Ooser_workload.Banking.register_account db ~semantics:`Escrow i
-             ~balance:100 ~low:0 ~high:1_000_000)
-      done
-  | `Inventory ->
-      ignore
-        (Ooser_workload.Inventory.create ~products:config.products db));
-  db
+let stack_config config protocol_kind =
+  {
+    Engine_stack.db_kind = config.db_kind;
+    protocol_kind;
+    preload = config.preload;
+    fanout = config.fanout;
+    accounts = config.accounts;
+    products = config.products;
+  }
 
 (* The occ backend: the store registers the database's objects itself
    (store-backed methods, model-derived specs), so the whole (db,
-   protocol) pair comes from here rather than build_db/build_protocol.
+   protocol) pair comes from here rather than from {!Engine_stack}.
    Only the banking kind has occ models so far — it is the escrow
    workload the commute-vs-rw abort gap shows up on. *)
 let build_occ config =
@@ -183,7 +156,7 @@ let build_occ config =
   | k ->
       invalid_arg
         (Printf.sprintf "-p occ supports the banking database only (got %s)"
-           (db_kind_name k)));
+           (Engine_stack.db_kind_name k)));
   if config.shards > 0 then invalid_arg "-p occ does not support --shards";
   if config.durable_dir <> None then
     invalid_arg "-p occ is in-memory only (no --durable)";
@@ -199,94 +172,40 @@ let build_occ config =
   Occ.Workloads.setup_banking ~mode ~accounts:config.accounts ~balance:100
     ~low:0 ~high:1_000_000 ()
 
-let build_protocol config db =
-  let reg = Database.spec_registry db in
-  match config.protocol_kind with
-  | `Open -> Protocol.open_nested ~reg ()
-  | `Flat -> Protocol.flat_2pl ~reg ()
-  | `Closed -> Protocol.closed_nested ~reg ()
-  | `Certify -> Protocol.unlocked ()
-  | `Occ | `Occ_rw ->
-      invalid_arg
-        "Server.build_protocol: occ protocols are built with their store \
-         by Server.create"
-
 (* a peer closing mid-write must surface as EPIPE, not kill the process *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
-(* Durable boot: replay DIR's snapshot + stable log through a fresh
-   engine, fold the result into a new snapshot (checkpoint), start a
-   fresh journal, and attach it.  Recovery itself writes nothing — a
-   crash before the snapshot rename leaves the old pair intact, and a
-   crash between the rename and the log reset is benign because replay
-   dedups against the snapshot's (top, attempt) keys. *)
-let durable_boot ~dir ~engine_config db protocol =
-  let snapshot = Snapshot.load ~dir in
-  let records = Oplog.load ~dir in
-  let eng, report =
-    Engine.recover ~config:engine_config ?snapshot db ~protocol
-      (Oplog.of_records records)
-  in
-  let base = Option.value snapshot ~default:Snapshot.empty in
-  let snap = Recovery.snapshot_of ~base report.Engine.plan in
-  Snapshot.checkpoint ~dir snap;
-  let journal = Oplog.open_dir ~dir in
-  Engine.set_journal eng (Some journal);
-  (eng, journal, snap, report)
-
 let create config =
   ignore_sigpipe ();
   let sharded = config.shards > 0 in
-  let occ = is_occ config.protocol_kind in
-  let db, occ_store =
-    if occ then
-      let db, store = build_occ config in
-      (db, Some store)
-    else if sharded then
-      (Database.create () (* placeholder; shards own the data *), None)
-    else (build_db config, None)
+  let (parts : Engine_stack.parts), occ_store, dispatcher =
+    match config.protocol_kind with
+    | `Occ | `Occ_rw ->
+        let db, store = build_occ config in
+        let protocol = Occ.Store.protocol store in
+        let engine_config = Engine_stack.engine_config `Occ protocol in
+        ({ db; protocol; engine_config }, Some store, None)
+    | #Engine_stack.lock_kind as k when sharded ->
+        (* an inert placeholder stack; the shards own the data *)
+        let db = Database.create () in
+        let protocol = Engine_stack.protocol k db in
+        let engine_config = Engine_stack.engine_config k protocol in
+        ( { db; protocol; engine_config },
+          None,
+          Some
+            (Dispatcher.create
+               {
+                 Dispatcher.shards = config.shards;
+                 stack = stack_config config k;
+                 durable_dir = config.durable_dir;
+               }) )
+    | #Engine_stack.lock_kind as k ->
+        (Engine_stack.build (stack_config config k), None, None)
   in
-  let protocol =
-    match occ_store with
-    | Some store -> Occ.Store.protocol store
-    | None -> build_protocol config db
-  in
-  let engine_config =
-    {
-      (Engine.default_config protocol) with
-      Engine.deadlock = Engine.Wound_wait;
-      certify = config.protocol_kind = `Certify;
-      now = Unix.gettimeofday;
-    }
-  in
-  let engine, journal, base_snap, recovery =
-    match (sharded, config.durable_dir) with
-    | true, _ | false, None ->
-        ( Engine.create ~config:engine_config db ~protocol [],
-          None, Snapshot.empty, None )
-    | false, Some dir ->
-        let eng, journal, snap, report =
-          durable_boot ~dir ~engine_config db protocol
-        in
-        (eng, Some journal, snap, Some report)
-  in
-  let dispatcher =
-    if not sharded then None
-    else
-      Some
-        (Dispatcher.create
-           {
-             Dispatcher.shards = config.shards;
-             db_kind = config.db_kind;
-             protocol_kind = shard_protocol_kind config.protocol_kind;
-             preload = config.preload;
-             fanout = config.fanout;
-             accounts = config.accounts;
-             products = config.products;
-             durable_dir = config.durable_dir;
-           })
+  let engine, durable =
+    Engine_stack.start ?dir:(if sharded then None else config.durable_dir) parts
   in
   let listen_fd =
     match config.addr with
@@ -307,7 +226,8 @@ let create config =
     match (config.trace_path, sharded) with
     | Some path, false ->
         let w =
-          Trace.create_writer ~registry:(db_kind_name config.db_kind) path
+          Trace.create_writer
+            ~registry:(Engine_stack.db_kind_name config.db_kind) path
         in
         Engine.set_trace_sink engine
           (Some
@@ -316,7 +236,7 @@ let create config =
     | _ -> None
   in
   let metrics = Metrics.create ~now:(Unix.gettimeofday ()) () in
-  (match recovery with
+  (match Option.map Engine_stack.boot_report durable with
   | Some r ->
       Metrics.incr metrics "recoveries";
       if not r.Engine.recertified then
@@ -329,9 +249,8 @@ let create config =
   | _ -> ());
   {
     config;
-    db;
     engine;
-    protocol;
+    protocol = parts.protocol;
     dispatcher;
     occ_store;
     metrics;
@@ -341,16 +260,15 @@ let create config =
     next_top =
       (match dispatcher with
       | Some d -> max 1 (Dispatcher.next_top_floor d)
-      | None -> max 1 base_snap.Snapshot.next_top);
+      | None ->
+          max 1 (match durable with Some d -> Engine_stack.next_top d | None -> 1));
     admit_queue = Queue.create ();
     inflight = 0;
     draining = false;
     stopped = false;
     final_verdict = None;
     final_shard_stats = None;
-    journal;
-    base_snap;
-    recovery;
+    durable;
     trace_writer;
   }
 
@@ -497,7 +415,7 @@ let handle_request t conn (req : Wire.request) =
         (Wire.Welcome
            {
              server = t.config.name;
-             db = db_kind_name t.config.db_kind;
+             db = Engine_stack.db_kind_name t.config.db_kind;
              protocol = protocol_kind_name t.config.protocol_kind;
            })
   | Wire.Hello _, _ -> proto_error conn "HELLO already received"
@@ -521,9 +439,9 @@ let handle_request t conn (req : Wire.request) =
       | Some d -> Dispatcher.call d ~top:tr.Session.top ~obj ~meth ~args
       | None -> ignore (Engine.poke t.engine tr.Session.top))
   | Wire.Commit, Session.In_txn tr ->
-      if tr.Session.commit_requested then proto_error conn "COMMIT already sent"
+      if Call_log.finished tr.Session.log then proto_error conn "COMMIT already sent"
       else begin
-        Session.push_commit tr;
+        Call_log.finish tr.Session.log;
         match t.dispatcher with
         | Some d -> Dispatcher.commit d ~top:tr.Session.top
         | None -> ignore (Engine.poke t.engine tr.Session.top)
@@ -588,7 +506,7 @@ let flush_session t conn =
       let result_of seq =
         match t.dispatcher with
         | Some d -> Dispatcher.result d ~top:tr.top ~seq
-        | None -> Hashtbl.find_opt tr.results seq
+        | None -> Call_log.result tr.log seq
       in
       let state_of top =
         match t.dispatcher with
@@ -632,7 +550,7 @@ let flush_session t conn =
              park the reason — pushing it unsolicited would cross a
              request already in flight and desynchronise the pairing *)
           let outstanding =
-            tr.calls_flushed < tr.calls_sent || tr.commit_requested
+            tr.calls_flushed < tr.calls_sent || Call_log.finished tr.log
             || tr.abort_requested
           in
           if outstanding then begin
@@ -751,24 +669,6 @@ let reap t =
       end)
     t.conns
 
-(* Quiescent checkpoint: every submitted transaction has decided, so the
-   journal's winners fold into the snapshot (commit order = serialization
-   order under the locking protocols) and the journal restarts empty.
-   Same crash discipline as the boot checkpoint: snapshot rename first,
-   log reset second, replay-dedup covering the window between them. *)
-let checkpoint_durable t =
-  match (t.journal, t.config.durable_dir) with
-  | Some j, Some dir ->
-      Oplog.force j;
-      let plan = Recovery.analyze (Oplog.all j) in
-      let snap = Recovery.snapshot_of ~base:t.base_snap plan in
-      Snapshot.checkpoint ~dir snap;
-      Engine.set_journal t.engine None;
-      Oplog.close j;
-      t.base_snap <- snap;
-      Metrics.incr t.metrics "checkpoints"
-  | _ -> ()
-
 let finish_drain t =
   (* everything decided: tell the remaining clients, flush what the
      kernel will take in one pass, and stop *)
@@ -798,7 +698,7 @@ let finish_drain t =
              [oosdb certify] resolves the "sharded:" header by wrapping
              the rebuilt database registry with the same renaming *)
           Trace.write_history
-            ~registry:("sharded:" ^ db_kind_name t.config.db_kind)
+            ~registry:("sharded:" ^ Engine_stack.db_kind_name t.config.db_kind)
             path
             (Dispatcher.merged_history d ())
       | None -> ());
@@ -810,7 +710,11 @@ let finish_drain t =
           Trace.close w;
           t.trace_writer <- None
       | None -> ());
-      checkpoint_durable t);
+      Option.iter
+        (fun d ->
+          Engine_stack.checkpoint t.engine d;
+          Metrics.incr t.metrics "checkpoints")
+        t.durable);
   t.stopped <- true
 
 let step t ~timeout =
@@ -877,4 +781,4 @@ let dispatcher t = t.dispatcher
 let occ_store t = t.occ_store
 let metrics t = t.metrics
 let inflight t = t.inflight
-let last_recovery t = t.recovery
+let last_recovery t = Option.map Engine_stack.boot_report t.durable

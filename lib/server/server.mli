@@ -11,10 +11,7 @@ type addr = Unix_sock of string | Tcp of int
 val sockaddr_of : addr -> Unix.sockaddr
 val pp_addr : Format.formatter -> addr -> unit
 
-type db_kind = [ `Encyclopedia | `Banking | `Inventory ]
-
-type protocol_kind =
-  [ `Open | `Flat | `Closed | `Certify | `Occ | `Occ_rw ]
+type protocol_kind = [ Ooser_shard.Engine_stack.lock_kind | `Occ | `Occ_rw ]
 (** [`Occ] is the multiversion optimistic protocol with
     commutativity-aware commit validation, [`Occ_rw] the same protocol
     validating on the read/write projection (plain-SSI baseline).  Both
@@ -23,12 +20,11 @@ type protocol_kind =
     multiversion history, and STATS counters appear under the ["occ."]
     prefix ([occ.validations], [occ.aborts], [occ.commute-saves]). *)
 
-val db_kind_name : db_kind -> string
 val protocol_kind_name : protocol_kind -> string
 
 type config = {
   addr : addr;
-  db_kind : db_kind;
+  db_kind : Ooser_shard.Engine_stack.db_kind;
   protocol_kind : protocol_kind;
   shards : int;
       (** 0 = classic single-engine path.  [N >= 1] partitions objects
@@ -66,15 +62,6 @@ type config = {
 val default_config : addr -> config
 (** Encyclopedia over open nested locking, 32 in-flight, no default
     timeout, 5s drain grace, 200 preloaded keys, not durable. *)
-
-val build_db : config -> Ooser_oodb.Database.t
-(** The configured database, freshly built and preloaded — exactly the
-    state recovery replays a log against ([oosdb recover] shares it). *)
-
-val build_protocol : config -> Ooser_oodb.Database.t -> Ooser_cc.Protocol.t
-(** Lock kinds only.
-    @raise Invalid_argument for occ kinds — their protocol is built
-    together with the multiversion store inside {!create}. *)
 
 type t
 

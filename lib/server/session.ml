@@ -1,40 +1,21 @@
-(* A session's transaction, bridged onto the effects engine.
-
-   The wire protocol is interactive — the client decides the next method
-   call after seeing earlier results — but the engine retries
-   transactions internally (wound-wait restarts, certification
-   failures).  The bridge is a command log: every CALL the client sends
-   is appended to the log, and the transaction body is a replay loop
-   over it.  A fresh attempt re-executes the logged prefix from the
-   start and parks on [Runtime.await] when it runs past the end; the
-   server pokes the task whenever a new command lands.  Engine-internal
-   retries are thereby invisible to the client, except that results
-   delivered before COMMITTED are provisional (the replay may observe a
-   different database state).
-
-   One response is owed per request; call results are released strictly
-   in call order.  [results] keeps the latest attempt's result per call
-   number — a replay overwrites earlier attempts' entries, and the
-   server only flushes result [n] once every result below [n] has been
-   flushed. *)
+(* A session's transaction, bridged onto the effects engine through its
+   {!Call_log}: every CALL the client sends is appended, and the body
+   replays the log on every engine-internal retry, so retries are
+   invisible to the client — except that results delivered before
+   COMMITTED are provisional (a replay may observe a different database
+   state).  One response is owed per request; call results are released
+   strictly in call order. *)
 
 open Ooser_core
 open Ooser_oodb
 
-type cmd =
-  | C_call of Obj_id.t * string * Value.t list
-  | C_commit
-
 type txn = {
   top : int;
   began : float;  (* admission time; BEGIN-to-decision latency base *)
-  mutable cmds : cmd array;
-  mutable n_cmds : int;
-  mutable calls_sent : int;  (* C_call commands appended so far *)
+  log : Call_log.t;  (* CALLs so far; finished by COMMIT *)
+  mutable calls_sent : int;  (* CALL frames received so far *)
   mutable calls_flushed : int;  (* results already sent to the client *)
-  results : (int, (Value.t, string) result) Hashtbl.t;
   call_at : (int, float) Hashtbl.t;  (* call number -> arrival time *)
-  mutable commit_requested : bool;
   mutable abort_requested : bool;  (* an ABORT frame awaits its reply *)
 }
 
@@ -62,57 +43,16 @@ let new_txn ~top ~began =
   {
     top;
     began;
-    cmds = Array.make 8 C_commit;
-    n_cmds = 0;
+    log = Call_log.create ();
     calls_sent = 0;
     calls_flushed = 0;
-    results = Hashtbl.create 16;
     call_at = Hashtbl.create 16;
-    commit_requested = false;
     abort_requested = false;
   }
-
-let push tr cmd =
-  if tr.n_cmds = Array.length tr.cmds then begin
-    let bigger = Array.make (2 * Array.length tr.cmds) C_commit in
-    Array.blit tr.cmds 0 bigger 0 tr.n_cmds;
-    tr.cmds <- bigger
-  end;
-  tr.cmds.(tr.n_cmds) <- cmd;
-  tr.n_cmds <- tr.n_cmds + 1
 
 let push_call tr ~now obj meth args =
   Hashtbl.replace tr.call_at tr.calls_sent now;
   tr.calls_sent <- tr.calls_sent + 1;
-  push tr (C_call (obj, meth, args))
+  Call_log.push tr.log obj meth args
 
-let push_commit tr =
-  tr.commit_requested <- true;
-  push tr C_commit
-
-(* The transaction body: replay the command log, awaiting past its end.
-   Each attempt starts from command 0 with a fresh cursor — the closure
-   is re-entered by the engine on retry, so all attempt-local state
-   lives inside. *)
-let body (tr : txn) (ctx : Runtime.ctx) : Value.t =
-  let cursor = ref 0 in
-  let rec next () =
-    if !cursor < tr.n_cmds then begin
-      let c = tr.cmds.(!cursor) in
-      incr cursor;
-      c
-    end
-    else begin
-      Runtime.await ctx;
-      next ()
-    end
-  in
-  let rec loop callno last =
-    match next () with
-    | C_call (obj, meth, args) ->
-        let r = Runtime.try_call ctx obj meth args in
-        Hashtbl.replace tr.results callno r;
-        loop (callno + 1) (match r with Ok v -> v | Error _ -> last)
-    | C_commit -> last
-  in
-  loop 0 Value.unit
+let body tr = Call_log.body tr.log

@@ -2,28 +2,21 @@
     machine and the command-log bridge between the interactive wire
     protocol and the engine's retryable transaction bodies.
 
-    The body ({!body}) replays the command log from the start on every
-    engine-internal retry (wound-wait restart, certification failure)
-    and parks on {!Ooser_oodb.Runtime.await} past its end, so retries
-    are invisible to the client. *)
+    The transaction's {!Ooser_oodb.Call_log} replays from the start on
+    every engine-internal retry (wound-wait restart, certification
+    failure) and parks on {!Ooser_oodb.Runtime.await} past its end, so
+    retries are invisible to the client. *)
 
 open Ooser_core
 open Ooser_oodb
 
-type cmd =
-  | C_call of Obj_id.t * string * Value.t list
-  | C_commit
-
 type txn = {
   top : int;
   began : float;
-  mutable cmds : cmd array;
-  mutable n_cmds : int;
+  log : Call_log.t;  (** CALLs so far; COMMIT finishes it *)
   mutable calls_sent : int;
   mutable calls_flushed : int;
-  results : (int, (Value.t, string) result) Hashtbl.t;
   call_at : (int, float) Hashtbl.t;
-  mutable commit_requested : bool;
   mutable abort_requested : bool;
 }
 
@@ -49,9 +42,6 @@ val push_call : txn -> now:float -> Obj_id.t -> string -> Value.t list -> unit
 (** Append a CALL to the log, stamping its arrival time for latency
     accounting; the engine must be poked afterwards. *)
 
-val push_commit : txn -> unit
-
 val body : txn -> Runtime.ctx -> Value.t
-(** The transaction body to {!Ooser_oodb.Engine.submit}: replays the
-    command log, awaits past its end, returns the last successful call's
-    value on COMMIT. *)
+(** The transaction body to {!Ooser_oodb.Engine.submit}: the log's
+    {!Ooser_oodb.Call_log.body}. *)

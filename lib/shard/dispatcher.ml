@@ -4,12 +4,7 @@ open Ooser_recovery
 
 type config = {
   shards : int;
-  db_kind : Shard.db_kind;
-  protocol_kind : Shard.protocol_kind;
-  preload : int;
-  fanout : int;
-  accounts : int;
-  products : int;
+  stack : Engine_stack.config;
   durable_dir : string option;
 }
 
@@ -97,47 +92,28 @@ let create ?(in_process = false) (config : config) =
     | Some dir -> Decision_log.load ~dir
     | None -> []
   in
-  let shard_dir i =
-    Option.map
-      (fun dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        Filename.concat dir (Printf.sprintf "shard-%d" i))
-      config.durable_dir
-  in
+  Option.iter
+    (fun dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755)
+    config.durable_dir;
   let shards =
     Array.init config.shards (fun i ->
-        let keep key =
-          Router.shard_of_call router ~obj:"Enc" ~args:[ Value.Str key ] = i
-        in
         (if in_process then Shard.create_core else Shard.create)
           ~idx:i
           {
-            Shard.db_kind = config.db_kind;
-            protocol_kind = config.protocol_kind;
-            preload = config.preload;
-            fanout = config.fanout;
-            accounts = config.accounts;
-            products = config.products;
-            keep;
+            Shard.stack = config.stack;
+            keep = Engine_stack.shard_keep router i;
             next_stamp;
-            durable_dir = shard_dir i;
+            durable_dir =
+              Option.map (fun dir -> Engine_stack.shard_dir dir i)
+                config.durable_dir;
             decisions;
           }
           ~emit)
   in
+  (* each shard's boot snapshot covers every top its log or an earlier
+     checkpoint holds *)
   let next_top_floor =
-    Array.fold_left
-      (fun acc sh ->
-        (* snapshot floor first: a clean-drain checkpoint folds winners
-           into the snapshot, where [rec_winners] never sees them *)
-        let acc = max acc (Shard.next_top_floor sh) in
-        match Shard.recovery sh with
-        | Some r ->
-            List.fold_left
-              (fun acc (top, _) -> max acc (top + 1))
-              acc r.Engine.rec_winners
-        | None -> acc)
-      1 shards
+    Array.fold_left (fun acc sh -> max acc (Shard.next_top_floor sh)) 1 shards
   in
   (* the recovered stamp counter must stay above every replayed stamp;
      recovery replays reassign stamps via next_stamp already, so the

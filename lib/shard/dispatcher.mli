@@ -18,12 +18,7 @@ open Ooser_oodb
 
 type config = {
   shards : int;
-  db_kind : Shard.db_kind;
-  protocol_kind : Shard.protocol_kind;
-  preload : int;
-  fanout : int;
-  accounts : int;
-  products : int;
+  stack : Engine_stack.config;
   durable_dir : string option;
       (** per-shard state lives in [DIR/shard-<i>]; the coordinator's
           decision log in [DIR] itself *)

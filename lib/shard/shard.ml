@@ -3,16 +3,8 @@ open Ooser_oodb
 open Ooser_cc
 open Ooser_recovery
 
-type db_kind = [ `Encyclopedia | `Banking | `Inventory ]
-type protocol_kind = [ `Open | `Flat | `Closed | `Certify ]
-
 type profile = {
-  db_kind : db_kind;
-  protocol_kind : protocol_kind;
-  preload : int;
-  fanout : int;
-  accounts : int;
-  products : int;
+  stack : Engine_stack.config;
   keep : string -> bool;
   next_stamp : unit -> int;
   durable_dir : string option;
@@ -72,64 +64,22 @@ type event =
 
 (* -- branches: the shard-local half of a transaction -------------------------
 
-   The same command-log bridge as the server's [Session]: calls are
-   appended to a log, the engine body is a replay loop parking on
-   [Runtime.await] past the end, so engine-internal retries (wound-wait
-   restarts, certification failures) re-execute the logged prefix
-   invisibly. *)
-
-type bcmd = B_call of { obj : Obj_id.t; meth : string; args : Value.t list }
+   The same command-log bridge as the server's sessions: the branch's
+   calls go to a {!Call_log} whose body parks on [Runtime.await] past
+   the end, so engine-internal retries (wound-wait restarts,
+   certification failures) re-execute the logged prefix invisibly. *)
 
 type branch = {
   top : int;
-  mutable cmds : bcmd array;
-  mutable n_cmds : int;
-  mutable committing : bool;  (* C_commit appended (decide or fast path) *)
+  log : Call_log.t;  (* finished on decide-commit or the fast path *)
   mutable emitted : int;  (* call results already sent to the dispatcher *)
-  results : (int, (Value.t, string) result) Hashtbl.t;
   mutable prepare_requested : bool;
   mutable voted : bool;
 }
 
 let new_branch ~top =
-  {
-    top;
-    cmds = Array.make 8 (B_call { obj = Obj_id.v "?"; meth = ""; args = [] });
-    n_cmds = 0;
-    committing = false;
-    emitted = 0;
-    results = Hashtbl.create 8;
-    prepare_requested = false;
-    voted = false;
-  }
-
-let push_call br c =
-  if br.n_cmds = Array.length br.cmds then begin
-    let bigger = Array.make (2 * Array.length br.cmds) c in
-    Array.blit br.cmds 0 bigger 0 br.n_cmds;
-    br.cmds <- bigger
-  end;
-  br.cmds.(br.n_cmds) <- c;
-  br.n_cmds <- br.n_cmds + 1
-
-let body (br : branch) (ctx : Runtime.ctx) : Value.t =
-  let cursor = ref 0 in
-  let rec loop last =
-    if !cursor < br.n_cmds then begin
-      let (B_call { obj; meth; args }) = br.cmds.(!cursor) in
-      let callno = !cursor in
-      incr cursor;
-      let r = Runtime.try_call ctx obj meth args in
-      Hashtbl.replace br.results callno r;
-      loop (match r with Ok v -> v | Error _ -> last)
-    end
-    else if br.committing then last
-    else begin
-      Runtime.await ctx;
-      loop last
-    end
-  in
-  loop Value.unit
+  { top; log = Call_log.create (); emitted = 0; prepare_requested = false;
+    voted = false }
 
 (* -- the shard ------------------------------------------------------------- *)
 
@@ -139,9 +89,7 @@ type t = {
   db : Database.t;
   engine : Engine.t;
   protocol : Protocol.t;
-  journal : Oplog.t option;
-  mutable base_snap : Snapshot.t;
-  recovery : Engine.recovery_report option;
+  durable : Engine_stack.durable option;
   inbox : cmd Queue.t;
   inbox_mu : Mutex.t;
   wake_r : Unix.file_descr;
@@ -171,64 +119,19 @@ type t = {
 }
 
 let idx t = t.idx
-let recovery t = t.recovery
-
 let next_top_floor t =
-  (* the boot snapshot's floor covers winners folded by a previous
-     clean-drain checkpoint, which leave no trace in [rec_winners] *)
-  t.base_snap.Snapshot.next_top
+  match t.durable with Some d -> Engine_stack.next_top d | None -> 1
 let spec t o = Database.spec t.db o
 
-let build_db (p : profile) =
-  let db = Database.create () in
-  (match p.db_kind with
-  | `Encyclopedia ->
-      let enc = Encyclopedia.create ~fanout:p.fanout db in
-      Ooser_workload.Enc_workload.preload ~keep:p.keep db enc ~keys:p.preload
-  | `Banking ->
-      for i = 0 to p.accounts - 1 do
-        ignore
-          (Ooser_workload.Banking.register_account db ~semantics:`Escrow i
-             ~balance:100 ~low:0 ~high:1_000_000)
-      done
-  | `Inventory ->
-      ignore (Ooser_workload.Inventory.create ~products:p.products db));
-  db
-
-let build_protocol (p : profile) db =
-  let reg = Database.spec_registry db in
-  match p.protocol_kind with
-  | `Open -> Protocol.open_nested ~reg ()
-  | `Flat -> Protocol.flat_2pl ~reg ()
-  | `Closed -> Protocol.closed_nested ~reg ()
-  | `Certify -> Protocol.unlocked ()
-
-(* Per-shard durable boot, mirroring the server's: snapshot + stable log
-   replayed through a fresh engine — with the coordinator's decision
-   log resolving in-doubt prepared transactions first — then a
-   checkpoint and a fresh journal. *)
-let durable_boot ~dir ~decisions ~engine_config db protocol =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let snapshot = Snapshot.load ~dir in
-  let records = Decision_log.resolve ~decisions (Oplog.load ~dir) in
-  let eng, report =
-    Engine.recover ~config:engine_config ?snapshot db ~protocol
-      (Oplog.of_records records)
-  in
-  let base = Option.value snapshot ~default:Snapshot.empty in
-  let snap = Recovery.snapshot_of ~base report.Engine.plan in
-  Snapshot.checkpoint ~dir snap;
-  let journal = Oplog.open_dir ~dir in
-  Engine.set_journal eng (Some journal);
-  (eng, journal, snap, report)
+let force_journal sh = Option.iter Oplog.force (Engine.journal sh.engine)
 
 (* -- event emission after a pump ------------------------------------------- *)
 
 let emit_results sh br =
-  let n = br.n_cmds in
+  let n = Call_log.length br.log in
   let continue = ref true in
   while !continue && br.emitted < n do
-    match Hashtbl.find_opt br.results br.emitted with
+    match Call_log.result br.log br.emitted with
     | Some r ->
         sh.emit (Ev_result { shard = sh.idx; top = br.top; seq = br.emitted; r });
         br.emitted <- br.emitted + 1
@@ -319,7 +222,7 @@ let vote_window sh h =
     let keep = Hashtbl.create 64 in
     Hashtbl.iter (fun top _ -> Hashtbl.replace keep top ()) sh.pending;
     Hashtbl.iter (fun top _ -> Hashtbl.replace keep top ()) sh.branches;
-    (match sh.profile.protocol_kind with
+    (match sh.profile.stack.protocol_kind with
     | `Certify ->
         List.iter
           (fun (id, stamp) ->
@@ -374,13 +277,14 @@ let dependency_edges sh =
 
 let try_vote sh br =
   if
-    br.prepare_requested && (not br.voted) && (not br.committing)
-    && Hashtbl.length br.results >= br.n_cmds
+    br.prepare_requested && (not br.voted)
+    && (not (Call_log.finished br.log))
+    && Call_log.n_results br.log >= Call_log.length br.log
     && Engine.txn_quiescent sh.engine ~top:br.top
   then begin
     (* the vote promise: everything this branch did is stable before the
        coordinator may log a commit decision *)
-    (match sh.journal with Some j -> Oplog.force j | None -> ());
+    force_journal sh;
     Engine.pin sh.engine ~top:br.top;
     br.voted <- true;
     let stable, tentative = dependency_edges sh in
@@ -453,18 +357,18 @@ let apply sh = function
       if not (Hashtbl.mem sh.branches top) then begin
         let br = new_branch ~top in
         Hashtbl.replace sh.branches top br;
-        Engine.submit sh.engine ~top ~name ?deadline (body br)
+        Engine.submit sh.engine ~top ~name ?deadline (Call_log.body br.log)
       end
   | Branch_call { top; seq = _; obj; meth; args } -> (
       match Hashtbl.find_opt sh.branches top with
       | Some br ->
-          push_call br (B_call { obj = Obj_id.v obj; meth; args });
+          Call_log.push br.log (Obj_id.v obj) meth args;
           ignore (Engine.poke sh.engine top)
       | None -> ())
   | Branch_commit { top } -> (
       match Hashtbl.find_opt sh.branches top with
       | Some br ->
-          br.committing <- true;
+          Call_log.finish br.log;
           ignore (Engine.poke sh.engine top)
       | None -> ())
   | Prepare { top } -> (
@@ -484,7 +388,7 @@ let apply sh = function
       match Hashtbl.find_opt sh.branches top with
       | Some br ->
           if commit then begin
-            br.committing <- true;
+            Call_log.finish br.log;
             ignore (Engine.poke sh.engine top)
           end
           else begin
@@ -512,16 +416,7 @@ let apply sh = function
              order = Engine.stamped_order sh.engine;
            })
   | Checkpoint_req { token } ->
-      (match (sh.journal, sh.profile.durable_dir) with
-      | Some j, Some dir ->
-          Oplog.force j;
-          let plan = Recovery.analyze (Oplog.all j) in
-          let snap = Recovery.snapshot_of ~base:sh.base_snap plan in
-          Snapshot.checkpoint ~dir snap;
-          Engine.set_journal sh.engine None;
-          Oplog.close j;
-          sh.base_snap <- snap
-      | _ -> ());
+      Option.iter (Engine_stack.checkpoint sh.engine) sh.durable;
       sh.emit (Ev_checkpointed { shard = sh.idx; token })
   | Stop -> sh.stopping <- true
 
@@ -569,7 +464,7 @@ let step sh =
   emit_progress sh;
   if sh.stopping && (not sh.stop_emitted) && Hashtbl.length sh.branches = 0
   then begin
-    (match sh.journal with Some j -> Oplog.force j | None -> ());
+    force_journal sh;
     sh.stop_emitted <- true;
     sh.emit (Ev_stopped { shard = sh.idx })
   end
@@ -600,28 +495,13 @@ let loop sh =
   go ()
 
 let create_core ~idx (profile : profile) ~emit =
-  let db = build_db profile in
-  let protocol = build_protocol profile db in
-  let engine_config =
-    {
-      (Engine.default_config protocol) with
-      Engine.deadlock = Engine.Wound_wait;
-      certify = profile.protocol_kind = `Certify;
-      now = Unix.gettimeofday;
-      next_stamp = Some profile.next_stamp;
-    }
+  let parts =
+    Engine_stack.build ~keep:profile.keep ~next_stamp:profile.next_stamp
+      profile.stack
   in
-  let engine, journal, base_snap, recovery =
-    match profile.durable_dir with
-    | None ->
-        (Engine.create ~config:engine_config db ~protocol [], None,
-         Snapshot.empty, None)
-    | Some dir ->
-        let eng, journal, snap, report =
-          durable_boot ~dir ~decisions:profile.decisions ~engine_config db
-            protocol
-        in
-        (eng, Some journal, snap, Some report)
+  let engine, durable =
+    Engine_stack.start ~decisions:profile.decisions
+      ?dir:profile.durable_dir parts
   in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
@@ -630,12 +510,10 @@ let create_core ~idx (profile : profile) ~emit =
     {
       idx;
       profile;
-      db;
+      db = parts.db;
       engine;
-      protocol;
-      journal;
-      base_snap;
-      recovery;
+      protocol = parts.protocol;
+      durable;
       inbox = Queue.create ();
       inbox_mu = Mutex.create ();
       wake_r;

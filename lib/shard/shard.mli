@@ -16,16 +16,8 @@
 open Ooser_core
 open Ooser_oodb
 
-type db_kind = [ `Encyclopedia | `Banking | `Inventory ]
-type protocol_kind = [ `Open | `Flat | `Closed | `Certify ]
-
 type profile = {
-  db_kind : db_kind;
-  protocol_kind : protocol_kind;
-  preload : int;
-  fanout : int;
-  accounts : int;
-  products : int;
+  stack : Engine_stack.config;
   keep : string -> bool;
       (** placement filter: which preload keys this shard owns *)
   next_stamp : unit -> int;
@@ -137,12 +129,11 @@ val set_vote_full : t -> bool -> unit
     vote ran in. *)
 
 val idx : t -> int
-val recovery : t -> Engine.recovery_report option
-
-(** Smallest safe top for new transactions: the boot snapshot's
-    [next_top], covering winners a previous clean-drain checkpoint
-    folded away (they never appear in the recovery report). *)
 val next_top_floor : t -> int
+(** Smallest safe top for new transactions: the boot snapshot's
+    [next_top], covering every top of the replayed log and of earlier
+    checkpoints. *)
+
 val spec : t -> Obj_id.t -> Commutativity.spec option
 (** The shard database's registered spec — only sound to call while the
     shard is quiescent (merged-history construction at drain). *)

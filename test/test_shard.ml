@@ -8,6 +8,7 @@ open Ooser_oodb
 open Ooser_server
 module Router = Ooser_shard.Router
 module Dispatcher = Ooser_shard.Dispatcher
+module Engine_stack = Ooser_shard.Engine_stack
 module Decision_log = Ooser_recovery.Decision_log
 module Oplog = Ooser_recovery.Oplog
 
@@ -122,12 +123,7 @@ let test_decision_log_resolve () =
 let disp_config ?(shards = 2) ?(protocol_kind = `Open) ?durable_dir () =
   {
     Dispatcher.shards;
-    db_kind = `Encyclopedia;
-    protocol_kind;
-    preload = 40;
-    fanout = 4;
-    accounts = 10;
-    products = 4;
+    stack = { Engine_stack.default with protocol_kind; preload = 40 };
     durable_dir;
   }
 
