@@ -9,6 +9,7 @@ type t = {
   framer : Wire.Framer.t;
   on_wait : unit -> unit;
   recv_timeout : float;  (* seconds before [recv] gives up *)
+  buf : Bytes.t;  (* receive buffer, reused by every [recv] *)
 }
 
 let connect ?(on_wait = fun () -> Unix.sleepf 0.001) ?(recv_timeout = 30.0)
@@ -26,7 +27,13 @@ let connect ?(on_wait = fun () -> Unix.sleepf 0.001) ?(recv_timeout = 30.0)
   (match sockaddr with
   | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
   | _ -> ());
-  { fd; framer = Wire.Framer.create (); on_wait; recv_timeout }
+  {
+    fd;
+    framer = Wire.Framer.create ();
+    on_wait;
+    recv_timeout;
+    buf = Bytes.create 65536;
+  }
 
 let send t req =
   let bytes = Wire.frame (Wire.encode_request req) in
@@ -42,7 +49,7 @@ let send t req =
 
 let recv t =
   let deadline = Unix.gettimeofday () +. t.recv_timeout in
-  let buf = Bytes.create 65536 in
+  let buf = t.buf in
   let rec loop () =
     match Wire.Framer.pop t.framer with
     | Ok (Some payload) -> Wire.decode_response payload

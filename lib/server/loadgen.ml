@@ -469,8 +469,8 @@ let run ?(tick = fun () -> ()) cfg =
       | Error msg -> failwith ("loadgen: " ^ msg)
     done
   in
+  let buf = Bytes.create 65536 in
   let read_sock s =
-    let buf = Bytes.create 65536 in
     match Unix.read s.fd buf 0 (Bytes.length buf) with
     | 0 -> s.state <- Done  (* server went away *)
     | n ->

@@ -35,7 +35,21 @@ let observe_call t seconds = Stats.Histogram.add t.call_latency seconds
    history, or [None] when none was run.  [Server.stats_json] always
    passes one: STATS and the drain both certify.  [shards], when
    non-empty, adds a per-shard counter breakdown next to the merged
-   [engine] view so load imbalance between shards is visible in STATS. *)
+   [engine] view so load imbalance between shards is visible in STATS.
+   [gc] is the allocator's cumulative view: [major_words] includes
+   [promoted_words], so their difference is what the server allocated
+   straight into the major heap (large blocks).  The counts are as of
+   the last minor collection. *)
+let gc_json () =
+  let g = Gc.quick_stat () in
+  let words w = Json.Int (int_of_float w) in
+  Json.Obj
+    [ "minor_words", words g.Gc.minor_words;
+      "promoted_words", words g.Gc.promoted_words;
+      "major_words", words g.Gc.major_words;
+      "major_collections", Json.Int g.Gc.major_collections;
+      "heap_words", Json.Int g.Gc.heap_words ]
+
 let to_json ?(shards = []) t ~now ~engine ~certified =
   let counters = Stats.Counter.json_of_list
   and hist = Stats.Histogram.to_json in
@@ -48,4 +62,5 @@ let to_json ?(shards = []) t ~now ~engine ~certified =
        else [ "shards", Json.Obj (List.map shard shards) ])
     @ [ "commit_latency_seconds", hist t.commit_latency;
         "call_latency_seconds", hist t.call_latency;
+        "gc", gc_json ();
         "certified", Json.opt (fun b -> Json.Bool b) certified ])

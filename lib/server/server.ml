@@ -131,6 +131,9 @@ type t = {
   mutable trace_writer : Trace.writer option;
       (* single-shard streaming trace recorder (config.trace_path);
          sharded servers export at drain instead *)
+  rbuf : Bytes.t;
+      (* every socket read lands here: one receive buffer for the
+         server's lifetime, not a fresh major-heap block per read *)
 }
 
 (* -- stack setup --------------------------------------------------------------- *)
@@ -270,6 +273,7 @@ let create config =
     final_shard_stats = None;
     durable;
     trace_writer;
+    rbuf = Bytes.create 65536;
   }
 
 let port t =
@@ -593,7 +597,7 @@ let accept_loop t =
   done
 
 let handle_read t conn =
-  let buf = Bytes.create 65536 in
+  let buf = t.rbuf in
   let closed = ref false in
   let again = ref true in
   while !again && not !closed do

@@ -170,37 +170,76 @@ let frame payload =
   Record_log.frame payload
 
 (* Incremental frame extraction from a byte stream: [feed] appends
-   whatever the socket produced, [pop] yields the next complete payload.
-   The buffer is compacted on pop, so a slow trickle of large frames does
-   not retain the whole stream. *)
+   whatever the socket produced to a growable buffer, [pop] yields the
+   next complete payload and advances a read offset.  Every byte is
+   copied a bounded number of times: the consumed prefix is compacted
+   away only once it is at least half the buffer, growth at least
+   doubles (or jumps straight to the size the next frame's header
+   declares, once that size has passed the [max_frame] check), and a
+   fully consumed buffer is reset — and dropped when a large frame grew
+   it — so a slow trickle of large frames does not retain the stream. *)
 module Framer = struct
-  type t = { mutable buf : string; mutable err : string option }
+  type t = {
+    mutable buf : Bytes.t;
+    mutable off : int;  (* first unconsumed byte *)
+    mutable len : int;  (* end of the buffered bytes *)
+    mutable err : string option;
+  }
 
-  let create () = { buf = ""; err = None }
+  (* capacity a drained buffer may keep *)
+  let keep = 65536
 
-  let feed t s = if s <> "" then t.buf <- t.buf ^ s
+  let create () = { buf = Bytes.empty; off = 0; len = 0; err = None }
+
+  (* declared payload length of the frame at [off], once its header is
+     buffered *)
+  let header t =
+    if t.len - t.off < 4 then None
+    else Some (Int32.to_int (Bytes.get_int32_le t.buf t.off) land 0xFFFF_FFFF)
+
+  (* make room for [n] more bytes after [len] *)
+  let reserve t n =
+    let cap = Bytes.length t.buf and live = t.len - t.off in
+    if live + n <= cap && 2 * t.off >= cap then
+      Bytes.blit t.buf t.off t.buf 0 live
+    else begin
+      let frame =
+        match header t with Some m when m <= max_frame -> 4 + m | _ -> 0
+      in
+      let bigger = Bytes.create (max (live + n) (max (2 * cap) frame)) in
+      Bytes.blit t.buf t.off bigger 0 live;
+      t.buf <- bigger
+    end;
+    t.off <- 0;
+    t.len <- live
+
+  let feed t s =
+    let n = String.length s in
+    if n > 0 then begin
+      if t.len + n > Bytes.length t.buf then reserve t n;
+      Bytes.blit_string s 0 t.buf t.len n;
+      t.len <- t.len + n
+    end
 
   (* [Stdlib.Error]: the bare constructor would resolve to the wire
      [Error] response above *)
   let pop t : (string option, string) Stdlib.result =
-    match t.err with
-    | Some e -> Stdlib.Error e
-    | None ->
-        if String.length t.buf < 4 then Ok None
-        else
-          let r = Codec.Reader.create t.buf in
-          let n = Codec.Reader.u32 r in
-          if n > max_frame then begin
-            t.err <- Some (Printf.sprintf "frame of %d bytes exceeds limit" n);
-            Stdlib.Error (Option.get t.err)
-          end
-          else if String.length t.buf < 4 + n then Ok None
-          else begin
-            let payload = String.sub t.buf 4 n in
-            t.buf <-
-              String.sub t.buf (4 + n) (String.length t.buf - 4 - n);
-            Ok (Some payload)
-          end
+    match (t.err, header t) with
+    | Some e, _ -> Stdlib.Error e
+    | None, None -> Ok None
+    | None, Some n when n > max_frame ->
+        t.err <- Some (Printf.sprintf "frame of %d bytes exceeds limit" n);
+        Stdlib.Error (Option.get t.err)
+    | None, Some n when t.len - t.off < 4 + n -> Ok None
+    | None, Some n ->
+        let payload = Bytes.sub_string t.buf (t.off + 4) n in
+        t.off <- t.off + 4 + n;
+        if t.off = t.len then begin
+          t.off <- 0;
+          t.len <- 0;
+          if Bytes.length t.buf > keep then t.buf <- Bytes.empty
+        end;
+        Ok (Some payload)
 end
 
 let pp_request ppf (q : request) =

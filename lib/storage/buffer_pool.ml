@@ -2,7 +2,9 @@
 
    Access methods pin a page, work on the in-frame image and unpin it,
    marking it dirty when modified.  Eviction picks the least recently used
-   unpinned frame and writes it back if dirty. *)
+   unpinned frame and writes it back if dirty; the page that caused the
+   eviction is then read into the victim's bytes, so a full pool serves
+   misses without allocating page images. *)
 
 type frame = {
   page_id : Disk.page_id;
@@ -61,7 +63,8 @@ let evict_one t =
   | Some f ->
       flush_frame t f;
       Hashtbl.remove t.frames f.page_id;
-      t.evictions <- t.evictions + 1
+      t.evictions <- t.evictions + 1;
+      f.page
 
 let pin t page_id =
   match Hashtbl.find_opt t.frames page_id with
@@ -70,8 +73,14 @@ let pin t page_id =
       f.last_use <- tick t;
       f.page
   | None ->
-      if Hashtbl.length t.frames >= t.capacity then evict_one t;
-      let page = Page.of_bytes (Disk.read t.disk page_id) in
+      let page =
+        if Hashtbl.length t.frames >= t.capacity then begin
+          let page = evict_one t in
+          ignore (Disk.read ~into:(Page.to_bytes page) t.disk page_id);
+          page
+        end
+        else Page.of_bytes (Disk.read t.disk page_id)
+      in
       let f = { page_id; page; pins = 1; dirty = false; last_use = tick t } in
       Hashtbl.replace t.frames page_id f;
       page

@@ -16,7 +16,9 @@ val disk : t -> Disk.t
 
 val pin : t -> Disk.page_id -> Page.t
 (** Fetch (or find) the page and pin it.  The returned page aliases the
-    frame: mutations are visible to later pinners.
+    frame: mutations are visible to later pinners.  It is valid only
+    until its unpin: an unpinned frame may be evicted and its bytes
+    reused for another page.
     @raise Pool_full when no frame can be evicted. *)
 
 val unpin : ?dirty:bool -> t -> Disk.page_id -> unit
@@ -25,7 +27,7 @@ val unpin : ?dirty:bool -> t -> Disk.page_id -> unit
 
 val with_page : t -> Disk.page_id -> f:(Page.t -> 'a * bool) -> 'a
 (** Pin, run [f] (returning a result and a dirty flag), unpin.  Unpins
-    (clean) when [f] raises. *)
+    (clean) when [f] raises.  [f] must not let the page escape. *)
 
 val alloc : t -> Disk.page_id
 (** Allocate a fresh page on the underlying volume. *)

@@ -98,6 +98,42 @@ let test_buffer_pool_pin_eviction () =
     (Page.get pg 0);
   Buffer_pool.unpin pool p0
 
+(* A miss on a full pool reads the new page into the evicted frame's
+   bytes.  Each page must still show its own contents afterwards — the
+   dirty victim's write-back must land before its bytes are overwritten
+   — and every miss must still be a counted disk read. *)
+let test_buffer_pool_frame_reuse () =
+  let d = Disk.create ~page_size:128 () in
+  let page_with record =
+    let id = Disk.alloc d in
+    let pg = Page.create ~size:128 () in
+    Option.iter (fun r -> ignore (Page.insert pg r)) record;
+    Disk.write d id (Page.to_bytes pg);
+    id
+  in
+  let a = page_with None in
+  let b = page_with (Some "bee") and c = page_with (Some "sea") in
+  let pool = Buffer_pool.create ~capacity:2 d in
+  let reads0 = Disk.reads d in
+  let shows what id record =
+    let pg = Buffer_pool.pin pool id in
+    Alcotest.(check (option string)) what record (Page.get pg 0);
+    Buffer_pool.unpin pool id;
+    pg
+  in
+  let pa = Buffer_pool.pin pool a in
+  ignore (Page.insert pa "ay");
+  Buffer_pool.unpin ~dirty:true pool a;
+  ignore (shows "B on first pin" b (Some "bee"));
+  let pc = shows "C in A's old frame" c (Some "sea") in
+  check_bool "C reuses the bytes of evicted A" true
+    (Page.to_bytes pc == Page.to_bytes pa);
+  ignore (shows "A after write-back and re-read" a (Some "ay"));
+  ignore (shows "B after its eviction" b (Some "bee"));
+  ignore (shows "C after its eviction" c (Some "sea"));
+  check_int "every miss read the disk" 6 (Disk.reads d - reads0);
+  check_int "evictions" 4 (Buffer_pool.evictions pool)
+
 let test_buffer_pool_pool_full () =
   let d = Disk.create ~page_size:128 () in
   let pool = Buffer_pool.create ~capacity:1 d in
@@ -172,6 +208,8 @@ let suites =
         Alcotest.test_case "buffer pool pin/evict" `Quick
           test_buffer_pool_pin_eviction;
         Alcotest.test_case "buffer pool full" `Quick test_buffer_pool_pool_full;
+        Alcotest.test_case "buffer pool frame reuse" `Quick
+          test_buffer_pool_frame_reuse;
         Alcotest.test_case "with_page exception safety" `Quick
           test_with_page_exception_safety;
         QCheck_alcotest.to_alcotest prop_page_model;
