@@ -1405,91 +1405,6 @@ let pick_unit (eng : t) units =
       if i >= 0 && i < List.length units then List.nth units i
       else List.nth units (eng.steps mod List.length units)
 
-let run ?config ?atlas ?journal db ~protocol bodies =
-  let (eng : t) = create ?config db ~protocol bodies in
-  eng.journal <- journal;
-  (match atlas with Some tbl -> preload_atlas eng tbl | None -> ());
-  let runnable_units () = runnable_units eng in
-  let parked () = parked eng in
-  let blocked_exists () = blocked_exists eng in
-  let rec loop () =
-    if eng.steps >= eng.config.max_steps then begin
-      (* out of budget: fail the stragglers, but keep stepping so their
-         compensation phases can run to completion *)
-      List.iter
-        (fun txn ->
-          match (txn.status, txn.aborting) with
-          | Running, None -> abort_txn eng txn ~retry:false "step budget"
-          | _ -> ())
-        eng.txns;
-      if
-        List.exists (fun txn -> txn.status = Running) eng.txns
-        && eng.steps < 4 * eng.config.max_steps
-      then begin
-        retry_blocked eng;
-        (match runnable_units () with
-        | [] ->
-            if blocked_exists () then resolve_deadlock eng
-            else eng.steps <- eng.steps + 1
-        | units -> (
-            (* compensation phase: the script no longer applies, but a
-               controlled scheduler must still see every pick *)
-            let txn, task_opt =
-              match eng.config.strategy with
-              | Round_robin | Scripted _ ->
-                  List.nth units (eng.steps mod List.length units)
-              | Random_pick _ | Controlled _ -> pick_unit eng units
-            in
-            match task_opt with
-            | None -> eng.steps <- eng.steps + 1
-            | Some task -> step eng txn task));
-        loop ()
-      end
-      else
-        (* even the compensations ran out of road *)
-        List.iter
-          (fun txn ->
-            if txn.status = Running then begin
-              ignore (unwind_tasks txn);
-              finish_abort eng txn ~retry:false "step budget"
-            end)
-          eng.txns
-    end
-    else begin
-      retry_blocked eng;
-      match runnable_units () with
-      | [] ->
-          if blocked_exists () && Deadlock.find_cycle (waits_for eng) <> None
-          then begin
-            resolve_deadlock eng;
-            loop ()
-          end
-          else if parked () then begin
-            eng.steps <- eng.steps + 1;
-            loop ()
-          end
-          else if blocked_exists () then begin
-            resolve_deadlock eng;
-            loop ()
-          end
-      | units ->
-          let txn, task_opt = pick_unit eng units in
-          (match task_opt with
-          | None ->
-              eng.steps <- eng.steps + 1;
-              Stats.Counter.incr eng.counters "starts";
-              start_txn eng txn
-          | Some task -> step eng txn task);
-          loop ()
-    end
-  in
-  loop ();
-  (match atlas with
-  | Some _ ->
-      Stats.Counter.incr ~by:(atlas_hits eng) eng.counters "atlas-hits"
-  | None -> ());
-  outcome_of eng
-
 (* -- dynamic driving ----------------------------------------------------------------------
 
    The network server grows the transaction set while the engine runs:
@@ -1581,12 +1496,12 @@ let check_deadlines (eng : t) =
 
 (* Step until quiescent: nothing runnable, no deadlock cycle to break,
    no backoff park to sit out — every live task either [Awaiting] client
-   input or blocked on a lock whose release needs such input.  The batch
-   loop's "stalled" fallback (abort the longest-blocked transaction when
-   blocked tasks form no cycle) only fires when NO task awaits external
-   input: a session thinking between commands legitimately keeps others
-   waiting, and shooting those waiters would turn every think-time pause
-   into aborts.  Bounded by [config.max_steps] per call as a safety
+   input or blocked on a lock whose release needs such input.  The
+   "stalled" fallback (abort the longest-blocked transaction when blocked
+   tasks form no cycle) only fires when NO task awaits external input: a
+   session thinking between commands legitimately keeps others waiting,
+   and shooting those waiters would turn every think-time pause into
+   aborts.  Bounded by [config.max_steps] per call as a safety
    valve; returns the number of steps taken. *)
 let pump (eng : t) =
   let start = eng.steps in
@@ -1624,10 +1539,67 @@ let pump (eng : t) =
   loop ();
   eng.steps - start
 
-let deadline_of (eng : t) ~top =
-  match find_txn eng top with
-  | Some txn when txn.status = Running -> txn.deadline
-  | _ -> None
+let nearest_deadline (eng : t) =
+  List.fold_left
+    (fun acc txn ->
+      match (txn.status, txn.deadline) with
+      | Running, Some d -> Some (match acc with Some a -> Float.min a d | None -> d)
+      | _ -> acc)
+    None eng.txns
+
+(* A batch run is a pump over a fixed transaction set: its bodies never
+   await input and carry no deadline, so the pump's quiescence is
+   completion.  Out of budget, fail the stragglers but keep stepping so
+   their compensation phases can run to completion. *)
+let run ?config ?atlas ?journal db ~protocol bodies =
+  let (eng : t) = create ?config db ~protocol bodies in
+  eng.journal <- journal;
+  Option.iter (preload_atlas eng) atlas;
+  ignore (pump eng);
+  let rec compensate () =
+    List.iter
+      (fun txn ->
+        match (txn.status, txn.aborting) with
+        | Running, None -> abort_txn eng txn ~retry:false "step budget"
+        | _ -> ())
+      eng.txns;
+    if
+      List.exists (fun txn -> txn.status = Running) eng.txns
+      && eng.steps < 4 * eng.config.max_steps
+    then begin
+      retry_blocked eng;
+      (match runnable_units eng with
+      | [] ->
+          if blocked_exists eng then resolve_deadlock eng
+          else eng.steps <- eng.steps + 1
+      | units -> (
+          (* compensation phase: the script no longer applies, but a
+             controlled scheduler must still see every pick *)
+          let txn, task_opt =
+            match eng.config.strategy with
+            | Round_robin | Scripted _ ->
+                List.nth units (eng.steps mod List.length units)
+            | Random_pick _ | Controlled _ -> pick_unit eng units
+          in
+          match task_opt with
+          | None -> eng.steps <- eng.steps + 1
+          | Some task -> step eng txn task));
+      compensate ()
+    end
+    else
+      (* even the compensations ran out of road *)
+      List.iter
+        (fun txn ->
+          if txn.status = Running then begin
+            ignore (unwind_tasks txn);
+            finish_abort eng txn ~retry:false "step budget"
+          end)
+        eng.txns
+  in
+  if eng.steps >= eng.config.max_steps then compensate ();
+  if atlas <> None then
+    Stats.Counter.incr ~by:(atlas_hits eng) eng.counters "atlas-hits";
+  outcome_of eng
 
 (* Drop committed and aborted transactions the caller no longer needs —
    a long-running server retires each finished one so [eng.txns] (and the

@@ -128,9 +128,11 @@ val run :
 (** [run db ~protocol txns] executes the given top-level transactions
     [(id, name, body)] to completion (commit, permanent abort, or step
     budget), resolving deadlocks by aborting the youngest transaction in
-    the waits-for cycle.  [atlas] preloads a precomputed conflict table
-    (see {!preload_atlas}) before the first step; [journal] attaches a
-    durable operation log (see {!set_journal}). *)
+    the waits-for cycle: a {!create} and one {!pump}, then, out of
+    budget, a compensation phase for the stragglers.  [atlas] preloads
+    a precomputed conflict table (see {!preload_atlas}) before the first
+    step; [journal] attaches a durable operation log (see
+    {!set_journal}). *)
 
 (** {1 Dynamic driving}
 
@@ -162,9 +164,10 @@ val submit :
 val pump : t -> int
 (** Step until quiescent: nothing runnable, no deadlock cycle to break —
     every live task either parked on {!Runtime.await} or blocked on a
-    lock whose release needs external input.  Unlike the batch loop,
-    blocked-without-cycle tasks are NOT treated as stalled while some
-    task awaits a client.  Bounded by [config.max_steps] steps per call
+    lock whose release needs external input.  Blocked-without-cycle
+    tasks are treated as stalled only while no task awaits a client.
+    Each iteration first aborts every running transaction whose
+    deadline has passed.  Bounded by [config.max_steps] steps per call
     as a safety valve.  Returns the number of steps taken. *)
 
 val poke : t -> int -> bool
@@ -180,17 +183,12 @@ val abort_top : t -> top:int -> string -> bool
 
 val set_deadline : t -> top:int -> float option -> unit
 (** Set or clear the transaction's deadline, an absolute time on the
-    [config.now] clock; {!check_deadlines} (called on every {!pump}
-    iteration) aborts expired transactions. *)
+    [config.now] clock; {!pump} aborts expired transactions. *)
 
-val deadline_of : t -> top:int -> float option
-(** The transaction's current deadline while it is running — lets a
-    driver size its poll timeout so expiry fires on time. *)
-
-val check_deadlines : t -> unit
-(** Abort every running transaction whose deadline lies in the past.
-    {!pump} calls this on each iteration; exposed for drivers that want
-    deadline enforcement while the engine is otherwise idle. *)
+val nearest_deadline : t -> float option
+(** The earliest deadline of any running transaction — lets a driver
+    size its poll timeout so that the next {!pump} fires expiry on
+    time. *)
 
 val txn_state :
   t -> int -> [ `Running | `Committed of Value.t | `Aborted of string | `Unknown ]

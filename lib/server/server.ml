@@ -1,12 +1,12 @@
 (* The network transaction server: a single-threaded [Unix.select] event
-   loop multiplexing many client sessions onto one effects engine.
+   loop multiplexing many client sessions onto one transaction backend —
+   the effects engine, or the sharded dispatcher in front of several.
 
-   Each connection owns a {!Session.t}; its transaction body is the
-   command-log replay of {!Session.body}, submitted to the engine on
-   admission and poked whenever a frame arrives.  After every batch of
-   socket events the loop {!Engine.pump}s the engine to quiescence and
-   then flushes responses: call results strictly in call order, then the
-   transaction's commit/abort decision once [Engine.txn_state] resolves.
+   Each connection owns a {!Session.t}; its transaction is submitted to
+   the backend on admission and every frame is passed on as it arrives.
+   After every batch of socket events the loop pumps the backend to
+   quiescence and then flushes responses: call results strictly in call
+   order, then the transaction's commit/abort decision once it resolves.
 
    Admission control: at most [max_inflight] transactions run at once;
    further BEGINs queue FIFO and their [Begun] reply is delayed — the
@@ -101,18 +101,39 @@ type conn = {
   mutable dead : bool;
 }
 
+(* What the event loop needs from whatever runs its transactions: the
+   single engine (the lock protocols and occ) or the sharded dispatcher.
+   The loop never asks which one it holds. *)
+type backend = {
+  submit : Session.txn -> name:string -> deadline:float option -> unit;
+  call : top:int -> obj:string -> meth:string -> args:Value.t list -> unit;
+      (* after the call joined the session's log *)
+  commit : top:int -> unit;  (* after the log was finished *)
+  abort : top:int -> string -> unit;
+  result : Session.txn -> int -> (Value.t, string) result option;
+  state : int -> [ `Running | `Committed of Value.t | `Aborted of string | `Unknown ];
+  retire : int -> unit;
+  set_deadline : top:int -> float option -> unit;
+  nearest_deadline : unit -> float option;
+  wake_fds : Unix.file_descr list;  (* select on these besides the sockets *)
+  pump : unit -> unit;  (* run to quiescence, firing expired deadlines *)
+  counters : unit -> (string * int) list * (int * (string * int) list) list;
+      (* the engine view, and the per-shard breakdown behind it *)
+  certified : unit -> bool;
+  finish : unit -> unit;  (* at drain: flush, checkpoint, stop *)
+}
+
 type t = {
   config : config;
   engine : Engine.t;
   protocol : Protocol.t;
   dispatcher : Dispatcher.t option;
       (* sharded backend; when [Some], [engine]/[protocol] are an inert
-         placeholder stack and every transaction path goes through the
-         dispatcher instead *)
+         placeholder stack *)
   occ_store : Occ.Store.t option;
       (* the multiversion store behind [protocol] when [protocol_kind]
-         is an occ mode; its restamped history — not the engine's
-         execution order — is what [certified] checks *)
+         is an occ mode *)
+  backend : backend;
   metrics : Metrics.t;
   listen_fd : Unix.file_descr;
   mutable conns : conn list;
@@ -122,21 +143,13 @@ type t = {
   mutable inflight : int;
   mutable draining : bool;
   mutable stopped : bool;
-  mutable final_verdict : bool option;
-      (* certification computed at drain, while the shard domains are
-         still joinable — [certified] after [stopped] returns this *)
-  mutable final_shard_stats : Dispatcher.shard_stats list option;
-      (* last per-shard counter round, captured for the same reason *)
-  durable : Engine_stack.durable option;  (* journal + snapshot, if durable *)
-  mutable trace_writer : Trace.writer option;
-      (* single-shard streaming trace recorder (config.trace_path);
-         sharded servers export at drain instead *)
+  recovery : Engine.recovery_report option;  (* boot report, if durable *)
   rbuf : Bytes.t;
       (* every socket read lands here: one receive buffer for the
          server's lifetime, not a fresh major-heap block per read *)
 }
 
-(* -- stack setup --------------------------------------------------------------- *)
+(* -- backends ----------------------------------------------------------------- *)
 
 let stack_config config protocol_kind =
   {
@@ -175,6 +188,147 @@ let build_occ config =
   Occ.Workloads.setup_banking ~mode ~accounts:config.accounts ~balance:100
     ~low:0 ~high:1_000_000 ()
 
+(* The single engine.  It owns the streaming trace writer and the
+   durable journal, and checkpoints at drain.  Protocol counters carry
+   the ["occ."] prefix under a validating protocol, ["lock."] otherwise,
+   as in [Engine.outcome_of]. *)
+let engine_backend config metrics ~occ_store ~durable engine protocol =
+  let trace =
+    Option.map
+      (fun path ->
+        let w =
+          Trace.create_writer
+            ~registry:(Engine_stack.db_kind_name config.db_kind) path
+        in
+        Engine.set_trace_sink engine
+          (Some
+             (fun ~top ~tree ~prims -> Trace.append w { Trace.top; tree; prims }));
+        w)
+      config.trace_path
+  in
+  let poke ~top = ignore (Engine.poke engine top) in
+  let prefix = if Protocol.has_validate protocol then "occ." else "lock." in
+  {
+    submit =
+      (fun tr ~name ~deadline ->
+        Engine.submit engine ~top:tr.Session.top ~name ?deadline (Session.body tr));
+    call = (fun ~top ~obj:_ ~meth:_ ~args:_ -> poke ~top);
+    commit = poke;
+    abort = (fun ~top reason -> ignore (Engine.abort_top engine ~top reason));
+    result = (fun tr seq -> Call_log.result tr.Session.log seq);
+    state = Engine.txn_state engine;
+    retire = (fun top -> ignore (Engine.retire engine ~top));
+    set_deadline = Engine.set_deadline engine;
+    nearest_deadline = (fun () -> Engine.nearest_deadline engine);
+    wake_fds = [];
+    pump = (fun () -> ignore (Engine.pump engine));
+    counters =
+      (fun () ->
+        ( Stats.Counter.to_list (Engine.counters engine)
+          @ List.map
+              (fun (k, v) -> (prefix ^ k, v))
+              (Stats.Counter.to_list (Protocol.counters protocol)),
+          [] ));
+    certified =
+      (fun () ->
+        match (occ_store, Engine.live_certified engine) with
+        | Some store, _ ->
+            (* the store's multiversion order, not the engine's raw
+               execution order: a snapshot read executes after
+               concurrent commits it legitimately did not observe *)
+            Serializability.oo_serializable (Occ.Store.history store)
+        | None, Some v -> v
+        | None, None ->
+            Serializability.oo_serializable (Engine.final_history engine));
+    finish =
+      (fun () ->
+        Option.iter
+          (fun w ->
+            Engine.set_trace_sink engine None;
+            Trace.close w)
+          trace;
+        Option.iter
+          (fun d ->
+            Engine_stack.checkpoint engine d;
+            Metrics.incr metrics "checkpoints")
+          durable);
+  }
+
+(* Sum per-shard counters key-wise into one merged engine view; the
+   per-shard breakdown rides along so imbalance stays visible. *)
+let merge_counters per_shard =
+  let tbl = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (List.iter (fun (k, v) ->
+         match Hashtbl.find_opt tbl k with
+         | Some r -> r := !r + v
+         | None ->
+             Hashtbl.add tbl k (ref v);
+             order := k :: !order))
+    per_shard;
+  List.rev_map (fun k -> (k, !(Hashtbl.find tbl k))) !order
+
+(* The sharded dispatcher.  Its shard domains are joined at drain, after
+   which no counter or snapshot round can reach them, so [finish] first
+   takes the last per-shard counter round and the verdict, and those
+   answer every later STATS and [certified]. *)
+let dispatcher_backend config d =
+  let final = ref None in
+  let per_shard () =
+    match !final with Some (s, _) -> s | None -> Dispatcher.stats d ()
+  in
+  {
+    submit =
+      (fun tr ~name ~deadline ->
+        Dispatcher.begin_txn d ~top:tr.Session.top ~name ~deadline);
+    call = Dispatcher.call d;
+    commit = Dispatcher.commit d;
+    abort = (fun ~top reason -> Dispatcher.abort d ~top ~reason);
+    result = (fun tr seq -> Dispatcher.result d ~top:tr.Session.top ~seq);
+    state = Dispatcher.txn_state d;
+    retire = (fun top -> Dispatcher.retire d ~top);
+    set_deadline = Dispatcher.set_deadline d;
+    nearest_deadline = (fun () -> Dispatcher.nearest_deadline d);
+    wake_fds = [ Dispatcher.wake_fd d ];
+    pump =
+      (fun () ->
+        Dispatcher.poll d;
+        Dispatcher.check_deadlines d;
+        Dispatcher.poll d);
+    counters =
+      (fun () ->
+        let per_shard = per_shard () in
+        let flat =
+          List.map
+            (fun s ->
+              s.Dispatcher.engine
+              @ List.map (fun (k, v) -> ("lock." ^ k, v)) s.Dispatcher.lock
+              @ [ ("cert-depth", s.Dispatcher.cert_depth) ])
+            per_shard
+        in
+        ( merge_counters flat
+          @ List.map (fun (k, v) -> ("dispatch." ^ k, v)) (Dispatcher.counters d),
+          List.map2 (fun s flat -> (s.Dispatcher.shard, flat)) per_shard flat ));
+    certified =
+      (fun () ->
+        match !final with Some (_, v) -> v | None -> Dispatcher.certified d ());
+    finish =
+      (fun () ->
+        final := Some (Dispatcher.stats d (), Dispatcher.certified d ());
+        Option.iter
+          (fun path ->
+            (* the merged history's objects carry "s%d:" shard prefixes;
+               [oosdb certify] resolves the "sharded:" header by wrapping
+               the rebuilt database registry with the same renaming *)
+            Trace.write_history
+              ~registry:("sharded:" ^ Engine_stack.db_kind_name config.db_kind)
+              path
+              (Dispatcher.merged_history d ()))
+          config.trace_path;
+        Dispatcher.shutdown d (* checkpoints each shard when durable *));
+  }
+
 (* a peer closing mid-write must surface as EPIPE, not kill the process *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -182,7 +336,6 @@ let ignore_sigpipe () =
 
 let create config =
   ignore_sigpipe ();
-  let sharded = config.shards > 0 in
   let (parts : Engine_stack.parts), occ_store, dispatcher =
     match config.protocol_kind with
     | `Occ | `Occ_rw ->
@@ -190,7 +343,7 @@ let create config =
         let protocol = Occ.Store.protocol store in
         let engine_config = Engine_stack.engine_config `Occ protocol in
         ({ db; protocol; engine_config }, Some store, None)
-    | #Engine_stack.lock_kind as k when sharded ->
+    | #Engine_stack.lock_kind as k when config.shards > 0 ->
         (* an inert placeholder stack; the shards own the data *)
         let db = Database.create () in
         let protocol = Engine_stack.protocol k db in
@@ -208,7 +361,9 @@ let create config =
         (Engine_stack.build (stack_config config k), None, None)
   in
   let engine, durable =
-    Engine_stack.start ?dir:(if sharded then None else config.durable_dir) parts
+    Engine_stack.start
+      ?dir:(if Option.is_none dispatcher then config.durable_dir else None)
+      parts
   in
   let listen_fd =
     match config.addr with
@@ -225,30 +380,19 @@ let create config =
   in
   Unix.listen listen_fd 64;
   Unix.set_nonblock listen_fd;
-  let trace_writer =
-    match (config.trace_path, sharded) with
-    | Some path, false ->
-        let w =
-          Trace.create_writer
-            ~registry:(Engine_stack.db_kind_name config.db_kind) path
-        in
-        Engine.set_trace_sink engine
-          (Some
-             (fun ~top ~tree ~prims -> Trace.append w { Trace.top; tree; prims }));
-        Some w
-    | _ -> None
-  in
   let metrics = Metrics.create ~now:(Unix.gettimeofday ()) () in
-  (match Option.map Engine_stack.boot_report durable with
-  | Some r ->
-      Metrics.incr metrics "recoveries";
-      if not r.Engine.recertified then
-        Fmt.epr
-          "oosdb: WARNING: recovered history failed re-certification@."
-  | None -> ());
-  (match dispatcher with
-  | Some d when Dispatcher.next_top_floor d > 1 ->
-      Metrics.incr metrics "recoveries"
+  let backend, next_top =
+    match dispatcher with
+    | Some d -> (dispatcher_backend config d, Dispatcher.next_top_floor d)
+    | None ->
+        ( engine_backend config metrics ~occ_store ~durable engine parts.protocol,
+          Option.fold ~none:1 ~some:Engine_stack.next_top durable )
+  in
+  let recovery = Option.map Engine_stack.boot_report durable in
+  if recovery <> None || next_top > 1 then Metrics.incr metrics "recoveries";
+  (match recovery with
+  | Some r when not r.Engine.recertified ->
+      Fmt.epr "oosdb: WARNING: recovered history failed re-certification@."
   | _ -> ());
   {
     config;
@@ -256,23 +400,17 @@ let create config =
     protocol = parts.protocol;
     dispatcher;
     occ_store;
+    backend;
     metrics;
     listen_fd;
     conns = [];
     next_sid = 0;
-    next_top =
-      (match dispatcher with
-      | Some d -> max 1 (Dispatcher.next_top_floor d)
-      | None ->
-          max 1 (match durable with Some d -> Engine_stack.next_top d | None -> 1));
+    next_top = max 1 next_top;
     admit_queue = Queue.create ();
     inflight = 0;
     draining = false;
     stopped = false;
-    final_verdict = None;
-    final_shard_stats = None;
-    durable;
-    trace_writer;
+    recovery;
     rbuf = Bytes.create 65536;
   }
 
@@ -290,52 +428,17 @@ let send conn resp =
 (* The phase is left alone: a dead connection's In_txn session still
    owns an admission slot, released by [flush_session] once the abort
    started here resolves. *)
-let abort_txn t ~top reason =
-  match t.dispatcher with
-  | Some d -> Dispatcher.abort d ~top ~reason
-  | None -> ignore (Engine.abort_top t.engine ~top reason)
-
 let kill t conn =
   if not conn.dead then begin
     conn.dead <- true;
     match conn.session.Session.phase with
-    | Session.In_txn tr -> abort_txn t ~top:tr.Session.top "client gone"
+    | Session.In_txn tr -> t.backend.abort ~top:tr.Session.top "client gone"
     | _ -> ()
   end
 
 (* -- observability ------------------------------------------------------------ *)
 
-let certified t =
-  match t.final_verdict with
-  | Some v -> v
-  | None -> (
-      match (t.occ_store, t.dispatcher) with
-      | Some store, _ ->
-          (* the store's multiversion order, not the engine's raw
-             execution order: a snapshot read executes after concurrent
-             commits it legitimately did not observe *)
-          Serializability.oo_serializable (Occ.Store.history store)
-      | None, Some d -> Dispatcher.certified d ()
-      | None, None -> (
-          match Engine.live_certified t.engine with
-          | Some v -> v
-          | None ->
-              Serializability.oo_serializable (Engine.final_history t.engine)))
-
-(* Sum per-shard counters key-wise into one merged engine view; the
-   per-shard breakdown rides along so imbalance stays visible. *)
-let merge_counters per_shard =
-  let tbl = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (List.iter (fun (k, v) ->
-         match Hashtbl.find_opt tbl k with
-         | Some r -> r := !r + v
-         | None ->
-             Hashtbl.add tbl k (ref v);
-             order := k :: !order))
-    per_shard;
-  List.rev_map (fun k -> (k, !(Hashtbl.find tbl k))) !order
+let certified t = t.backend.certified ()
 
 (* [certified] lets a caller that already ran the (expensive,
    from-scratch) history check pass its verdict in instead of paying for
@@ -344,41 +447,11 @@ let stats_json ?certified:(verdict = None) t =
   let admission =
     [ ("inflight", t.inflight); ("queued", Queue.length t.admit_queue) ]
   in
-  let engine_counters, shards =
-    match t.dispatcher with
-    | None ->
-        let prefix = if t.occ_store <> None then "occ." else "lock." in
-        ( Stats.Counter.to_list (Engine.counters t.engine)
-          @ List.map
-              (fun (k, v) -> (prefix ^ k, v))
-              (Stats.Counter.to_list (Protocol.counters t.protocol))
-          @ admission,
-          [] )
-    | Some d ->
-        let per_shard =
-          match t.final_shard_stats with
-          | Some s -> s
-          | None -> Dispatcher.stats d ()
-        in
-        let flat =
-          List.map
-            (fun s ->
-              s.Dispatcher.engine
-              @ List.map (fun (k, v) -> ("lock." ^ k, v)) s.Dispatcher.lock
-              @ [ ("cert-depth", s.Dispatcher.cert_depth) ])
-            per_shard
-        in
-        ( merge_counters flat
-          @ List.map (fun (k, v) -> ("dispatch." ^ k, v)) (Dispatcher.counters d)
-          @ admission,
-          List.map2
-            (fun s flat -> (s.Dispatcher.shard, flat))
-            per_shard flat )
-  in
+  let engine, shards = t.backend.counters () in
   let verdict = match verdict with Some _ -> verdict | None -> Some (certified t) in
   Ooser_sim.Json.indented
     (Metrics.to_json ~shards t.metrics ~now:(Unix.gettimeofday ())
-       ~engine:engine_counters ~certified:verdict)
+       ~engine:(engine @ admission) ~certified:verdict)
 
 (* -- shutdown ----------------------------------------------------------------- *)
 
@@ -391,10 +464,7 @@ let initiate_shutdown t =
     List.iter
       (fun conn ->
         match conn.session.Session.phase with
-        | Session.In_txn tr -> (
-            match t.dispatcher with
-            | Some d -> Dispatcher.set_deadline d ~top:tr.Session.top (Some grace)
-            | None -> Engine.set_deadline t.engine ~top:tr.Session.top (Some grace))
+        | Session.In_txn tr -> t.backend.set_deadline ~top:tr.Session.top (Some grace)
         | Session.Begun_wait _ ->
             (* cancelled: the admission queue is not drained *)
             conn.session.Session.phase <- Session.Idle;
@@ -439,20 +509,16 @@ let handle_request t conn (req : Wire.request) =
   | Wire.Call { obj; meth; args }, Session.In_txn tr ->
       Metrics.incr t.metrics "calls";
       Session.push_call tr ~now:(Unix.gettimeofday ()) (Obj_id.v obj) meth args;
-      (match t.dispatcher with
-      | Some d -> Dispatcher.call d ~top:tr.Session.top ~obj ~meth ~args
-      | None -> ignore (Engine.poke t.engine tr.Session.top))
+      t.backend.call ~top:tr.Session.top ~obj ~meth ~args
   | Wire.Commit, Session.In_txn tr ->
       if Call_log.finished tr.Session.log then proto_error conn "COMMIT already sent"
       else begin
         Call_log.finish tr.Session.log;
-        match t.dispatcher with
-        | Some d -> Dispatcher.commit d ~top:tr.Session.top
-        | None -> ignore (Engine.poke t.engine tr.Session.top)
+        t.backend.commit ~top:tr.Session.top
       end
   | Wire.Abort reason, Session.In_txn tr ->
       tr.Session.abort_requested <- true;
-      abort_txn t ~top:tr.Session.top reason
+      t.backend.abort ~top:tr.Session.top reason
   | (Wire.Call _ | Wire.Commit | Wire.Abort _), _ ->
       proto_error conn "no transaction in progress"
   | Wire.Stats, _ -> send conn (Wire.Stats_json (stats_json t))
@@ -461,7 +527,7 @@ let handle_request t conn (req : Wire.request) =
       send conn Wire.Closing
   | Wire.Bye, _ ->
       (match session.Session.phase with
-      | Session.In_txn tr -> abort_txn t ~top:tr.Session.top "client left"
+      | Session.In_txn tr -> t.backend.abort ~top:tr.Session.top "client left"
       | _ -> ());
       send conn Wire.Closing;
       conn.closing <- true
@@ -486,9 +552,7 @@ let admit t =
           if ms > 0 then Some (now +. (float_of_int ms /. 1000.)) else None
         in
         let tr = Session.new_txn ~top ~began:now in
-        (match t.dispatcher with
-        | Some d -> Dispatcher.begin_txn d ~top ~name ~deadline
-        | None -> Engine.submit t.engine ~top ~name ?deadline (Session.body tr));
+        t.backend.submit tr ~name ~deadline;
         conn.session.Session.phase <- Session.In_txn tr;
         t.inflight <- t.inflight + 1;
         incr admitted;
@@ -507,24 +571,9 @@ let flush_session t conn =
   match conn.session.Session.phase with
   | Session.In_txn tr ->
       let open Session in
-      let result_of seq =
-        match t.dispatcher with
-        | Some d -> Dispatcher.result d ~top:tr.top ~seq
-        | None -> Call_log.result tr.log seq
-      in
-      let state_of top =
-        match t.dispatcher with
-        | Some d -> Dispatcher.txn_state d top
-        | None -> Engine.txn_state t.engine top
-      in
-      let retire_top top =
-        match t.dispatcher with
-        | Some d -> Dispatcher.retire d ~top
-        | None -> ignore (Engine.retire t.engine ~top)
-      in
       let continue = ref true in
       while !continue && tr.calls_flushed < tr.calls_sent do
-        match result_of tr.calls_flushed with
+        match t.backend.result tr tr.calls_flushed with
         | Some r ->
             (match Hashtbl.find_opt tr.call_at tr.calls_flushed with
             | Some t0 ->
@@ -537,18 +586,18 @@ let flush_session t conn =
             tr.calls_flushed <- tr.calls_flushed + 1
         | None -> continue := false
       done;
-      (match state_of tr.top with
+      (match t.backend.state tr.top with
       | `Committed v ->
           Metrics.incr t.metrics "commits";
           Metrics.observe_commit t.metrics (Unix.gettimeofday () -. tr.began);
           send conn (Wire.Committed v);
-          retire_top tr.top;
+          t.backend.retire tr.top;
           t.inflight <- t.inflight - 1;
           conn.session.Session.phase <- Session.Idle
       | `Aborted reason ->
           Metrics.incr t.metrics "aborts";
           Metrics.observe_commit t.metrics (Unix.gettimeofday () -. tr.began);
-          retire_top tr.top;
+          t.backend.retire tr.top;
           t.inflight <- t.inflight - 1;
           (* answer the outstanding request if there is one; otherwise
              park the reason — pushing it unsolicited would cross a
@@ -644,20 +693,6 @@ let handle_write t conn =
 
 (* -- the loop ----------------------------------------------------------------- *)
 
-let nearest_deadline t =
-  match t.dispatcher with
-  | Some d -> Dispatcher.nearest_deadline d
-  | None ->
-      List.fold_left
-        (fun acc conn ->
-          match conn.session.Session.phase with
-          | Session.In_txn tr -> (
-              match Engine.deadline_of t.engine ~top:tr.Session.top with
-              | Some d -> Some (match acc with None -> d | Some a -> Float.min a d)
-              | None -> acc)
-          | _ -> acc)
-        None t.conns
-
 let reap t =
   List.iter
     (fun conn ->
@@ -689,36 +724,7 @@ let finish_drain t =
   (match t.config.addr with
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
-  (match t.dispatcher with
-  | Some d ->
-      (* certify and collect counters before shutdown:
-         [Dispatcher.shutdown] joins the shard domains and closes their
-         wake pipes, after which no stats/snapshot round can reach them *)
-      t.final_shard_stats <- Some (Dispatcher.stats d ());
-      t.final_verdict <- Some (Dispatcher.certified d ());
-      (match t.config.trace_path with
-      | Some path ->
-          (* the merged history's objects carry "s%d:" shard prefixes;
-             [oosdb certify] resolves the "sharded:" header by wrapping
-             the rebuilt database registry with the same renaming *)
-          Trace.write_history
-            ~registry:("sharded:" ^ Engine_stack.db_kind_name t.config.db_kind)
-            path
-            (Dispatcher.merged_history d ())
-      | None -> ());
-      Dispatcher.shutdown d (* checkpoints each shard when durable *)
-  | None ->
-      (match t.trace_writer with
-      | Some w ->
-          Engine.set_trace_sink t.engine None;
-          Trace.close w;
-          t.trace_writer <- None
-      | None -> ());
-      Option.iter
-        (fun d ->
-          Engine_stack.checkpoint t.engine d;
-          Metrics.incr t.metrics "checkpoints")
-        t.durable);
+  t.backend.finish ();
   t.stopped <- true
 
 let step t ~timeout =
@@ -726,17 +732,12 @@ let step t ~timeout =
   else begin
     let now = Unix.gettimeofday () in
     let timeout =
-      match nearest_deadline t with
+      match t.backend.nearest_deadline () with
       | Some d -> Float.max 0.0 (Float.min timeout (d -. now +. 0.001))
       | None -> timeout
     in
     let live = List.filter (fun c -> not c.dead) t.conns in
-    let rfds = t.listen_fd :: List.map (fun c -> c.fd) live in
-    let rfds =
-      match t.dispatcher with
-      | Some d -> Dispatcher.wake_fd d :: rfds
-      | None -> rfds
-    in
+    let rfds = t.backend.wake_fds @ (t.listen_fd :: List.map (fun c -> c.fd) live) in
     let wfds =
       List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) live
     in
@@ -747,22 +748,12 @@ let step t ~timeout =
         ignore w
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* deadlines fire even when no socket event woke us *)
-    let pump_backend () =
-      match t.dispatcher with
-      | Some d ->
-          Dispatcher.poll d;
-          Dispatcher.check_deadlines d;
-          Dispatcher.poll d
-      | None ->
-          Engine.check_deadlines t.engine;
-          ignore (Engine.pump t.engine)
-    in
-    pump_backend ();
+    t.backend.pump ();
     List.iter (fun c -> flush_session t c) t.conns;
     (* freed slots admit queued BEGINs; their first attempt runs to its
        first await immediately *)
     while admit t > 0 do
-      pump_backend ();
+      t.backend.pump ();
       List.iter (fun c -> flush_session t c) t.conns
     done;
     List.iter (fun c -> if not c.dead then handle_write t c) t.conns;
@@ -785,4 +776,4 @@ let dispatcher t = t.dispatcher
 let occ_store t = t.occ_store
 let metrics t = t.metrics
 let inflight t = t.inflight
-let last_recovery t = Option.map Engine_stack.boot_report t.durable
+let last_recovery t = t.recovery

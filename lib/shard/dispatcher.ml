@@ -56,12 +56,8 @@ type t = {
   wake_w : Unix.file_descr;
   counters : Ooser_sim.Stats.Counter.t;
   next_top_floor : int;
-  (* gather slots for the synchronous collectors *)
-  mutable token : int;
-  mutable got_stats : (int * Shard.event) list;
-  mutable got_snaps : (int * Shard.event) list;
-  mutable got_ckpt : int list;
-  mutable stopped : int list;
+  mutable token : int;  (* the current gather round *)
+  mutable replies : Shard.event list;  (* its replies, newest first *)
 }
 
 let router t = t.router
@@ -134,10 +130,7 @@ let create ?(in_process = false) (config : config) =
     counters = Ooser_sim.Stats.Counter.create ();
     next_top_floor;
     token = 0;
-    got_stats = [];
-    got_snaps = [];
-    got_ckpt = [];
-    stopped = [];
+    replies = [];
   }
 
 (* -- the engine-like API ----------------------------------------------------- *)
@@ -400,23 +393,15 @@ let handle_event t (ev : Shard.event) =
           | Preparing _ ->
               decide_abort t g ~reason:"wounded during 2PC prepare"
           | _ -> () (* decision made or not yet preparing: let it ride *)))
-  | Shard.Ev_stats _ as ev -> t.got_stats <- (t.token, ev) :: t.got_stats
-  | Shard.Ev_snapshot _ as ev -> t.got_snaps <- (t.token, ev) :: t.got_snaps
-  | Shard.Ev_checkpointed { shard; _ } -> t.got_ckpt <- shard :: t.got_ckpt
-  | Shard.Ev_stopped { shard } -> t.stopped <- shard :: t.stopped
-
-let drain_pipe fd =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  go ()
+  | ( Shard.Ev_stats { token; _ }
+    | Shard.Ev_snapshot { token; _ }
+    | Shard.Ev_checkpointed { token; _ } ) as ev ->
+      (* a reply to an earlier, timed-out round is dropped *)
+      if token = t.token then t.replies <- ev :: t.replies
+  | Shard.Ev_stopped _ as ev -> t.replies <- ev :: t.replies
 
 let poll t =
-  drain_pipe t.wake_r;
+  Shard.drain_pipe t.wake_r;
   let evs = ref [] in
   Mutex.lock t.ev_mu;
   while not (Queue.is_empty t.events) do
@@ -445,7 +430,7 @@ let pending_events t =
    order: the model checker's per-event delivery choice, which subsumes
    every vote-arrival permutation. *)
 let deliver t n =
-  drain_pipe t.wake_r;
+  Shard.drain_pipe t.wake_r;
   Mutex.lock t.ev_mu;
   let l = List.of_seq (Queue.to_seq t.events) in
   Queue.clear t.events;
@@ -503,6 +488,19 @@ let await t ~timeout ~done_ =
   in
   go ()
 
+(* One synchronous round: send every shard the request built from a
+   fresh token, then wait up to [timeout] for one reply per shard; a
+   shard that misses the deadline is simply absent from the result. *)
+let gather t ~timeout req =
+  t.token <- t.token + 1;
+  t.replies <- [];
+  let token = t.token in
+  Array.iter (fun sh -> Shard.send sh (req token)) t.shards;
+  ignore
+    (await t ~timeout ~done_:(fun () ->
+         List.length t.replies >= Array.length t.shards));
+  t.replies
+
 type shard_stats = {
   shard : int;
   engine : (string * int) list;
@@ -511,44 +509,19 @@ type shard_stats = {
 }
 
 let stats t ?(timeout = 5.0) () =
-  t.token <- t.token + 1;
-  let token = t.token in
-  t.got_stats <- [];
-  Array.iter (fun sh -> Shard.send sh (Shard.Stats_req { token })) t.shards;
-  let mine () =
-    List.filter_map
-      (fun (tk, ev) ->
-        match ev with
-        | Shard.Ev_stats s when tk = token && s.token = token ->
-            Some { shard = s.shard; engine = s.engine; lock = s.lock;
-                   cert_depth = s.cert_depth }
-        | _ -> None)
-      t.got_stats
-  in
-  ignore
-    (await t ~timeout ~done_:(fun () ->
-         List.length (mine ()) = Array.length t.shards));
-  List.sort (fun a b -> Int.compare a.shard b.shard) (mine ())
+  gather t ~timeout (fun token -> Shard.Stats_req { token })
+  |> List.filter_map (function
+       | Shard.Ev_stats { shard; engine; lock; cert_depth; _ } ->
+           Some { shard; engine; lock; cert_depth }
+       | _ -> None)
+  |> List.sort (fun a b -> Int.compare a.shard b.shard)
 
 let snapshots t ~timeout =
-  t.token <- t.token + 1;
-  let token = t.token in
-  t.got_snaps <- [];
-  Array.iter (fun sh -> Shard.send sh (Shard.Snapshot_req { token })) t.shards;
-  let mine () =
-    List.filter_map
-      (fun (tk, ev) ->
-        match ev with
-        | Shard.Ev_snapshot { shard; token = tok; serializable; trees; order }
-          when tk = token && tok = token ->
-            Some (shard, serializable, trees, order)
-        | _ -> None)
-      t.got_snaps
-  in
-  ignore
-    (await t ~timeout ~done_:(fun () ->
-         List.length (mine ()) = Array.length t.shards));
-  mine ()
+  gather t ~timeout (fun token -> Shard.Snapshot_req { token })
+  |> List.filter_map (function
+       | Shard.Ev_snapshot { shard; serializable; trees; order; _ } ->
+           Some (shard, serializable, trees, order)
+       | _ -> None)
 
 let certified t ?(timeout = 60.0) () =
   let snaps = snapshots t ~timeout in
@@ -739,20 +712,9 @@ let merged_history t ?(timeout = 60.0) () =
 (* -- shutdown ----------------------------------------------------------------- *)
 
 let shutdown t =
-  (if t.config.durable_dir <> None then begin
-     t.token <- t.token + 1;
-     let token = t.token in
-     t.got_ckpt <- [];
-     Array.iter (fun sh -> Shard.send sh (Shard.Checkpoint_req { token })) t.shards;
-     ignore
-       (await t ~timeout:30.0 ~done_:(fun () ->
-            List.length t.got_ckpt >= Array.length t.shards))
-   end);
-  t.stopped <- [];
-  Array.iter (fun sh -> Shard.send sh Shard.Stop) t.shards;
-  ignore
-    (await t ~timeout:30.0 ~done_:(fun () ->
-         List.length t.stopped >= Array.length t.shards));
+  if t.config.durable_dir <> None then
+    ignore (gather t ~timeout:30.0 (fun token -> Shard.Checkpoint_req { token }));
+  ignore (gather t ~timeout:30.0 (fun _ -> Shard.Stop));
   Array.iter Shard.join t.shards;
   Coordinator.close t.coord;
   (match t.config.durable_dir with

@@ -422,14 +422,6 @@ let apply sh = function
 
 (* -- the domain loop -------------------------------------------------------- *)
 
-let nearest_deadline sh =
-  Hashtbl.fold
-    (fun top _ acc ->
-      match Engine.deadline_of sh.engine ~top with
-      | Some d -> Some (match acc with Some a -> Float.min a d | None -> d)
-      | None -> acc)
-    sh.branches None
-
 let drain_inbox sh =
   Mutex.lock sh.inbox_mu;
   let cmds = ref [] in
@@ -459,7 +451,6 @@ let step sh =
   drain_pipe sh.wake_r;
   let cmds = drain_inbox sh in
   List.iter (apply sh) cmds;
-  Engine.check_deadlines sh.engine;
   ignore (Engine.pump sh.engine);
   emit_progress sh;
   if sh.stopping && (not sh.stop_emitted) && Hashtbl.length sh.branches = 0
@@ -481,7 +472,7 @@ let loop sh =
   let rec go () =
     let timeout =
       let cap = 0.25 in
-      match nearest_deadline sh with
+      match Engine.nearest_deadline sh.engine with
       | Some d -> Float.max 0.0 (Float.min cap (d -. Unix.gettimeofday ()))
       | None -> cap
     in

@@ -138,5 +138,8 @@ val spec : t -> Obj_id.t -> Commutativity.spec option
 (** The shard database's registered spec — only sound to call while the
     shard is quiescent (merged-history construction at drain). *)
 
+val drain_pipe : Unix.file_descr -> unit
+(** Empty a non-blocking wake pipe (a shard's or the dispatcher's). *)
+
 val join : t -> unit
 (** Wait for the domain to exit (after {!cmd.Stop}). *)

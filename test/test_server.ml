@@ -2,7 +2,9 @@
    truncated-frame rejection, the incremental framer, session deadline
    expiry through the engine (fake clock), and full client/server
    exchanges over a loopback unix socket — driven single-threaded by
-   stepping the server from the client's wait callback. *)
+   stepping the server from the client's wait callback.  Admission,
+   wire deadlines and the drain run once on the single engine and once
+   through the sharded dispatcher. *)
 
 open Ooser_core
 open Ooser_oodb
@@ -12,6 +14,7 @@ module Lock_table = Ooser_cc.Lock_table
 module Banking = Ooser_workload.Banking
 module Escrow = Ooser_adts.Escrow_counter
 module Stats = Ooser_sim.Stats
+module Dispatcher = Ooser_shard.Dispatcher
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -392,12 +395,13 @@ let test_e2e_durable_restart () =
       | r -> Alcotest.failf "BYE2: %a" Wire.pp_response r);
       Client.close c2)
 
-let test_e2e_admission_backpressure () =
+let test_e2e_admission_backpressure ~shards () =
   let config =
     {
       (Server.default_config (Server.Unix_sock (temp_sock ()))) with
       Server.preload = 10;
       max_inflight = 1;
+      shards;
     }
   in
   with_server config (fun srv ->
@@ -427,11 +431,12 @@ let test_e2e_admission_backpressure () =
       Client.close c1;
       Client.close c2)
 
-let test_e2e_deadline_over_wire () =
+let test_e2e_deadline_over_wire ~shards () =
   let config =
     {
       (Server.default_config (Server.Unix_sock (temp_sock ()))) with
       Server.preload = 10;
+      shards;
     }
   in
   with_server config (fun srv ->
@@ -446,6 +451,7 @@ let test_e2e_deadline_over_wire () =
       while Unix.gettimeofday () < until do
         Server.step srv ~timeout:0.01
       done;
+      check_int "expired while the client was idle" 0 (Server.inflight srv);
       (match
          Client.request c
            (Wire.Call
@@ -453,9 +459,15 @@ let test_e2e_deadline_over_wire () =
        with
       | Wire.Aborted _ -> ()
       | r -> Alcotest.failf "expected parked abort, got %a" Wire.pp_response r);
-      check_int "deadline abort counted" 1
-        (Stats.Counter.get (Engine.counters (Server.engine srv))
-           "deadline-aborts");
+      (* a zero-call sharded transaction expires in the dispatcher *)
+      (match Server.dispatcher srv with
+      | None ->
+          check_int "deadline abort counted" 1
+            (Stats.Counter.get (Engine.counters (Server.engine srv))
+               "deadline-aborts")
+      | Some d ->
+          check_int "dispatcher abort counted" 1
+            (List.assoc "aborts" (Dispatcher.counters d)));
       check_int "no transactions left in flight" 0 (Server.inflight srv);
       (* the session is usable again *)
       (match Client.request c (Wire.Begin { name = "t2"; timeout_ms = 0 }) with
@@ -466,26 +478,33 @@ let test_e2e_deadline_over_wire () =
       | r -> Alcotest.failf "COMMIT: %a" Wire.pp_response r);
       Client.close c)
 
-let test_e2e_graceful_shutdown () =
+let test_e2e_graceful_shutdown ~shards () =
   let config =
     {
       (Server.default_config (Server.Unix_sock (temp_sock ()))) with
       Server.preload = 10;
+      drain_grace = 1.0;
+      shards;
     }
   in
   let srv = Server.create config in
   let c1 = connect srv config in
   let c2 = connect srv config in
+  let c3 = connect srv config in
   ignore (Client.request c1 (Wire.Hello "worker"));
   ignore (Client.request c2 (Wire.Hello "admin"));
-  (match Client.request c1 (Wire.Begin { name = "w"; timeout_ms = 0 }) with
-  | Wire.Begun _ -> ()
-  | r -> Alcotest.failf "BEGIN: %a" Wire.pp_response r);
-  ignore
-    (Client.request c1
-       (Wire.Call
-          { obj = "Enc"; meth = "search"; args = [ Value.str "k00002" ] }));
-  (* SHUTDOWN drains: the in-flight transaction may still finish *)
+  ignore (Client.request c3 (Wire.Hello "idler"));
+  let begin_search c key =
+    (match Client.request c (Wire.Begin { name = "w"; timeout_ms = 0 }) with
+    | Wire.Begun _ -> ()
+    | r -> Alcotest.failf "BEGIN: %a" Wire.pp_response r);
+    ignore
+      (Client.request c
+         (Wire.Call { obj = "Enc"; meth = "search"; args = [ Value.str key ] }))
+  in
+  begin_search c1 "k00002";
+  begin_search c3 "k00003";
+  (* SHUTDOWN drains: the in-flight transactions may still finish *)
   (match Client.request c2 Wire.Shutdown with
   | Wire.Closing -> ()
   | r -> Alcotest.failf "SHUTDOWN: %a" Wire.pp_response r);
@@ -493,13 +512,65 @@ let test_e2e_graceful_shutdown () =
   (match Client.request c1 Wire.Commit with
   | Wire.Committed _ -> ()
   | r -> Alcotest.failf "COMMIT during drain: %a" Wire.pp_response r);
-  (* with the last transaction decided the server stops *)
-  for _ = 1 to 20 do
-    if Server.running srv then Server.step srv ~timeout:0.002
+  (* the idler never commits: the drain grace aborts it, and with the
+     last transaction decided the server stops *)
+  check_bool "waiting for the idler" true (Server.running srv);
+  let until = Unix.gettimeofday () +. 5.0 in
+  while Server.running srv && Unix.gettimeofday () < until do
+    Server.step srv ~timeout:0.05
   done;
   check_bool "server stopped" false (Server.running srv);
+  check_int "idler aborted" 1
+    (Stats.Counter.get (Server.metrics srv).Metrics.counters "aborts");
+  check_bool "drained history certified" true (Server.certified srv);
   Client.close c1;
-  Client.close c2
+  Client.close c2;
+  Client.close c3
+
+(* An occ server's STATS carries its protocol counters under "occ.", the
+   prefix a validating protocol gets, and none under "lock.". *)
+let test_e2e_occ_stats () =
+  let config =
+    {
+      (Server.default_config (Server.Unix_sock (temp_sock ()))) with
+      Server.db_kind = `Banking;
+      protocol_kind = `Occ;
+      accounts = 2;
+    }
+  in
+  with_server config (fun srv ->
+      let c = connect srv config in
+      ignore (Client.request c (Wire.Hello "occ"));
+      ignore (Client.request c (Wire.Begin { name = "t"; timeout_ms = 0 }));
+      ignore
+        (Client.request c
+           (Wire.Call
+              { obj = "Account0"; meth = "deposit"; args = [ Value.int 5 ] }));
+      (match Client.request c Wire.Commit with
+      | Wire.Committed _ -> ()
+      | r -> Alcotest.failf "COMMIT: %a" Wire.pp_response r);
+      (match Client.request c Wire.Stats with
+      | Wire.Stats_json json ->
+          let has needle =
+            let n = String.length needle in
+            let rec go i =
+              i + n <= String.length json
+              && (String.sub json i n = needle || go (i + 1))
+            in
+            go 0
+          in
+          check_bool "occ.validations counted" true
+            (has (Ooser_sim.Json.member "occ.validations" (Ooser_sim.Json.Int 1)));
+          check_bool "no lock. counters" false (has "\"lock.")
+      | r -> Alcotest.failf "STATS: %a" Wire.pp_response r);
+      Client.close c)
+
+(* the single engine, then two shards behind the dispatcher *)
+let both_backends name f =
+  [
+    Alcotest.test_case name `Quick (f ~shards:0);
+    Alcotest.test_case ("2 shards: " ^ name) `Quick (f ~shards:2);
+  ]
 
 let suites =
   [
@@ -520,11 +591,12 @@ let suites =
           test_e2e_certify_live_verdict;
         Alcotest.test_case "durable restart recovers committed state" `Quick
           test_e2e_durable_restart;
-        Alcotest.test_case "admission control delays BEGIN" `Quick
-          test_e2e_admission_backpressure;
-        Alcotest.test_case "deadline abort over the wire" `Quick
-          test_e2e_deadline_over_wire;
-        Alcotest.test_case "graceful shutdown drains in-flight" `Quick
-          test_e2e_graceful_shutdown;
-      ] );
+        Alcotest.test_case "occ STATS counters under occ." `Quick
+          test_e2e_occ_stats;
+      ]
+      @ both_backends "admission control delays BEGIN"
+          test_e2e_admission_backpressure
+      @ both_backends "deadline abort over the wire" test_e2e_deadline_over_wire
+      @ both_backends "graceful shutdown drains in-flight"
+          test_e2e_graceful_shutdown );
   ]
