@@ -50,12 +50,9 @@ let default_online_cap = 100_000
 type point = {
   p_workers : int;
   p_segments : int;
-  p_quiescent : int;
-  p_heuristic : int;
   p_act_edges : int;
   p_peak_live : int;
   p_seg_seconds : float;
-  p_stitch_seconds : float;
   p_elapsed : float;
   p_txn_per_s : float;
   p_ok : bool;
@@ -65,12 +62,9 @@ let point_of_report (r : Certify.report) =
   {
     p_workers = r.Certify.workers;
     p_segments = r.Certify.segments;
-    p_quiescent = r.Certify.quiescent_cuts;
-    p_heuristic = r.Certify.heuristic_cuts;
     p_act_edges = r.Certify.act_edges;
     p_peak_live = r.Certify.peak_live;
     p_seg_seconds = r.Certify.seg_seconds;
-    p_stitch_seconds = r.Certify.stitch_seconds;
     p_elapsed = r.Certify.elapsed_seconds;
     p_txn_per_s = r.Certify.segment_txn_per_s;
     p_ok = r.Certify.ok;
@@ -103,12 +97,11 @@ let run_curve trace =
       let r = Certify.run ~workers:w ~registry:(BT.registry ()) trace in
       let p = point_of_report r in
       Fmt.pr
-        "  workers=%d  %s  %3d segments (%d quiescent, %d heuristic)  \
-         %8d edges  seg %7.2fs  stitch %5.2fs  total %7.2fs  %6.0f txn/s@."
+        "  workers=%d  %s  %3d segments  %8d edges  seg %7.2fs  total %7.2fs  \
+         %6.0f txn/s@."
         w
         (if p.p_ok then "ok " else "REJ")
-        p.p_segments p.p_quiescent p.p_heuristic p.p_act_edges p.p_seg_seconds
-        p.p_stitch_seconds p.p_elapsed p.p_txn_per_s;
+        p.p_segments p.p_act_edges p.p_seg_seconds p.p_elapsed p.p_txn_per_s;
       p)
     worker_points
 
@@ -118,10 +111,8 @@ let to_json ~params ~trace_bytes points ~online:(on_txns, on_s, on_edges, on_ok)
     Json.(
       Obj
         [ "workers", Int p.p_workers; "ok", Bool p.p_ok;
-          "segments", Int p.p_segments; "quiescent_cuts", Int p.p_quiescent;
-          "heuristic_cuts", Int p.p_heuristic; "act_edges", Int p.p_act_edges;
+          "segments", Int p.p_segments; "act_edges", Int p.p_act_edges;
           "peak_live", Int p.p_peak_live; "seg_seconds", Float p.p_seg_seconds;
-          "stitch_seconds", Float p.p_stitch_seconds;
           "elapsed_s", Float p.p_elapsed; "txn_per_s", Float p.p_txn_per_s ])
   in
   Json.(

@@ -368,7 +368,7 @@ let shard_datapoint ~shards ~txns =
         "cert_depth", List (List.map (fun d -> Int d) depths) ])
 
 (* One offline-certification datapoint: a small synthetic trace through
-   the segmented parallel certifier — segment throughput, stitch cost,
+   the segmented parallel certifier — segment throughput, busy time,
    peak concurrent segments. *)
 let certify_datapoint () =
   let module BT = Ooser_certify.Bench_trace in
@@ -715,10 +715,13 @@ let port_arg =
 let addr_of socket port =
   match socket with Some p -> Srv.Unix_sock p | None -> Srv.Tcp port
 
-let db_conv =
-  Arg.enum
-    [ ("encyclopedia", `Encyclopedia); ("banking", `Banking);
-      ("inventory", `Inventory) ]
+(* every database kind under the name flags and trace headers use *)
+let db_kinds =
+  List.map
+    (fun k -> (Stack.db_kind_name k, k))
+    [ `Encyclopedia; `Banking; `Inventory ]
+
+let db_conv = Arg.enum db_kinds
 
 let server_protocol_conv =
   Arg.enum
@@ -963,17 +966,19 @@ module Ctrace = Ooser_certify.Trace
 module Certify = Ooser_certify.Certify
 module Bench_trace = Ooser_certify.Bench_trace
 
-(* A database's registry, extended with the system object "S" the engine
-   registers at create time (roots live there, all-commuting) and with
-   [dynamic], the database kind's name-family resolver for objects a
-   live run registered as it allocated them (encyclopedia pages, nodes,
-   items) — a rebuilt database never allocated those.  Objects neither
-   knows resolve to all-conflict — sound but conservative, so a trace
-   touching genuinely unknown objects may be refused where the live
-   server would have accepted it. *)
+(* A database's registry, extended with the system object (Def. 4) the
+   engine registers at create time (roots live there, all-commuting)
+   and with [dynamic], the database kind's name-family resolver for
+   objects a live run registered as it allocated them (encyclopedia
+   pages, nodes, items) — a rebuilt database never allocated those.
+   Objects neither knows resolve to all-conflict — sound but
+   conservative, so a trace touching genuinely unknown objects may be
+   refused where the live server would have accepted it. *)
 let offline_db_registry ?(dynamic = fun _ -> None) db =
   let reg = Database.spec_registry db in
-  let is_sys o = Ids.Obj_id.name (Ids.Obj_id.original o) = "S" in
+  let is_sys o =
+    Ids.Obj_id.equal (Ids.Obj_id.original o) Call_tree.Build.default_sys
+  in
   Commutativity.registry
     ~known:(fun o -> is_sys o || Commutativity.known reg o || dynamic o <> None)
     (fun o ->
@@ -997,7 +1002,7 @@ let offline_sharded_registry ?dynamic db =
   let inner = offline_db_registry ?dynamic db in
   let strip o =
     let n = Ids.Obj_id.name (Ids.Obj_id.original o) in
-    if n = "S" then Some n
+    if n = Ids.Obj_id.name Call_tree.Build.default_sys then Some n
     else
       match String.index_opt n ':' with
       | Some j when j > 1 && n.[0] = 's' ->
@@ -1013,12 +1018,6 @@ let offline_sharded_registry ?dynamic db =
       match strip o with
       | Some base -> Commutativity.spec_for inner (Ids.Obj_id.v base)
       | None -> Commutativity.all_conflict)
-
-let db_kind_of_name = function
-  | "encyclopedia" -> Some `Encyclopedia
-  | "banking" -> Some `Banking
-  | "inventory" -> Some `Inventory
-  | _ -> None
 
 (* Resolve the registry a trace header names.  [db_override] forces a
    database kind regardless of the header. *)
@@ -1040,12 +1039,12 @@ let resolve_trace_registry ~db_override ~preload ~accounts ~products name =
             Some (String.sub name np (String.length name - np))
           else None
         in
-        match db_kind_of_name name with
+        match List.assoc_opt name db_kinds with
         | Some kind -> Ok (offline_db_registry ~dynamic:(dynamic_of_kind kind) (build kind))
         | None -> (
             match strip "sharded:" with
             | Some base -> (
-                match db_kind_of_name base with
+                match List.assoc_opt base db_kinds with
                 | Some kind -> Ok (offline_sharded_registry ~dynamic:(dynamic_of_kind kind) (build kind))
                 | None ->
                     Error
@@ -1053,7 +1052,7 @@ let resolve_trace_registry ~db_override ~preload ~accounts ~products name =
             | None -> (
                 match strip "client:" with
                 | Some base -> (
-                    match db_kind_of_name base with
+                    match List.assoc_opt base db_kinds with
                     | Some kind -> Ok (offline_db_registry ~dynamic:(dynamic_of_kind kind) (build kind))
                     | None ->
                         Error
@@ -1133,11 +1132,10 @@ let certify_cmd =
   Cmd.v
     (Cmd.info "certify"
        ~doc:
-         "Certify a recorded history trace offline: segment at quiescent \
-          points, certify segments on parallel domains, stitch the \
-          cross-segment dependency frontiers through one global \
-          topological order.  Exits 1 on a violation, 2 on a bad trace \
-          or unresolvable registry.")
+         "Certify a recorded history trace offline: cut it at quiescent \
+          points only, certify each segment on parallel domains, and \
+          accept iff every segment does.  Exits 1 on a violation, 2 on a \
+          bad trace or unresolvable registry.")
     Term.(const run $ file $ workers $ segment_target $ json $ db_override
           $ preload $ accounts $ products)
 

@@ -8,7 +8,8 @@ let registry () =
   Commutativity.registry
     ~known:(fun _ -> true)
     (fun o ->
-      if Obj_id.name (Obj_id.original o) = "S" then Commutativity.all_commute
+      if Obj_id.equal (Obj_id.original o) Call_tree.Build.default_sys then
+        Commutativity.all_commute
       else key_spec)
 
 type params = {
@@ -39,7 +40,7 @@ let record ~top ~ops ~stamps =
   let root_act =
     Action.v
       ~id:(Action_id.root top)
-      ~obj:(Obj_id.v "S") ~meth:"txn"
+      ~obj:Call_tree.Build.default_sys ~meth:"txn"
       ~process:(Process_id.main top)
       ()
   in

@@ -10,10 +10,9 @@
     [PAD] object (reads commute, so it adds no edges) is stamped after
     all the burst's blocks, stretching every span so no quiescent point
     exists inside a burst.  A quiescent gap separates consecutive
-    bursts — the segmenter cuts exactly at burst boundaries when the
-    target allows, and falls back to heuristic cuts (exercising the
-    stitcher) when it does not.  Everything is deterministic in the
-    seed.
+    bursts — the segmenter cuts at the first burst boundary past its
+    target, so every segment holds whole bursts.  Everything is
+    deterministic in the seed.
 
     Conflicting pairs on a hot key each cost the certifier an edge, so
     total per-segment work grows quadratically with segment length on a

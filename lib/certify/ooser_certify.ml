@@ -1,9 +1,8 @@
 (** Offline certification of very large recorded histories, Vbox-style:
     a streaming binary trace format ({!Trace}), quiescent-point
     segmentation ({!Segment}), parallel per-segment incremental
-    certification stitched through a global topological order
-    ({!Certify}), and the synthetic workload generator behind
-    BENCH_certify.json ({!Bench_trace}). *)
+    certification whose verdicts conjoin ({!Certify}), and the
+    synthetic workload generator behind BENCH_certify.json ({!Bench_trace}). *)
 
 module Trace = Trace
 module Segment = Segment

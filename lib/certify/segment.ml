@@ -1,19 +1,8 @@
-type cut = Quiescent | Heuristic
-
-type seg = { lo : int; hi : int; cut_before : cut }
-
-type t = {
-  order : int array;
-  segs : seg array;
-  chains : (int * int) array;
-}
+type seg = { lo : int; hi : int }
+type t = { order : int array; segs : seg array }
 
 let default_target ~txns ~workers =
   max 1 ((txns + (4 * workers) - 1) / (4 * workers))
-
-(* overflow window: how far past [target] we keep looking for a
-   quiescent point before giving up and cutting heuristically *)
-let overflow = 4
 
 let plan trace ~target =
   let target = max 1 target in
@@ -30,49 +19,22 @@ let plan trace ~target =
           | c -> c)
       | c -> c)
     order;
-  (* prefix_max.(p) = the largest stamp any of positions 0..p reaches;
-     the cut after position p is quiescent iff every span so far ended
-     before the next span starts.  (Positions are sorted by span start,
-     so the suffix minimum start IS the next position's start.) *)
-  let prefix_max = Array.make (max n 1) min_int in
-  let running = ref min_int in
-  Array.iteri
-    (fun p i ->
-      running := max !running entries.(i).Trace.max_stamp;
-      prefix_max.(p) <- !running)
-    order;
-  let quiescent_after p =
-    p + 1 >= n || prefix_max.(p) < entries.(order.(p + 1)).Trace.min_stamp
-  in
+  (* [reach] = the largest stamp positions 0..p reach; the cut after
+     position p is quiescent iff every span so far ended before the
+     next span starts (positions are sorted by span start, so the
+     suffix minimum start IS the next position's start). *)
   let segs = ref [] in
   let lo = ref 0 in
-  let cut_before = ref Quiescent in
-  let p = ref 0 in
-  while !p < n do
-    let size = !p - !lo + 1 in
-    if quiescent_after !p && size >= target then begin
-      segs := { lo = !lo; hi = !p + 1; cut_before = !cut_before } :: !segs;
-      cut_before := Quiescent;
-      lo := !p + 1
+  let reach = ref min_int in
+  for p = 0 to n - 1 do
+    reach := max !reach entries.(order.(p)).Trace.max_stamp;
+    if
+      p + 1 = n
+      || (p + 1 - !lo >= target
+         && !reach < entries.(order.(p + 1)).Trace.min_stamp)
+    then begin
+      segs := { lo = !lo; hi = p + 1 } :: !segs;
+      lo := p + 1
     end
-    else if size >= overflow * target && not (quiescent_after !p) then begin
-      segs := { lo = !lo; hi = !p + 1; cut_before = !cut_before } :: !segs;
-      cut_before := Heuristic;
-      lo := !p + 1
-    end;
-    incr p
   done;
-  if !lo < n then
-    segs := { lo = !lo; hi = n; cut_before = !cut_before } :: !segs;
-  let segs = Array.of_list (List.rev !segs) in
-  let chains = ref [] in
-  let start = ref 0 in
-  Array.iteri
-    (fun s seg ->
-      if s > 0 && seg.cut_before = Quiescent then begin
-        chains := (!start, s - 1) :: !chains;
-        start := s
-      end)
-    segs;
-  if Array.length segs > 0 then chains := (!start, Array.length segs - 1) :: !chains;
-  { order; segs; chains = Array.of_list (List.rev !chains) }
+  { order; segs = Array.of_list (List.rev !segs) }

@@ -7,38 +7,26 @@
     forward across a quiescent cut (an edge into the past would need a
     span overlapping the cut), so no dependency cycle crosses one: the
     segments on either side can be certified independently and the
-    global verdict is exact.
-
-    When no quiescent point appears within the overflow window the
-    segmenter cuts heuristically — overlapping spans then straddle the
-    cut and the cross-cut dependency frontier must be stitched
-    ({!Certify}).  Consecutive segments joined by heuristic cuts form a
-    {e chain}; cycles never cross chain boundaries, so stitching work is
-    confined within chains. *)
-
-type cut = Quiescent | Heuristic
+    global verdict is exact.  Every boundary {!plan} makes is
+    quiescent; a burst with no quiescent point inside stays whole. *)
 
 type seg = {
   lo : int;  (** start position (inclusive) in {!plan}'s [order] *)
   hi : int;  (** end position (exclusive) *)
-  cut_before : cut;  (** how the boundary before [lo] was cut *)
 }
 
 type t = {
   order : int array;
       (** record indices sorted by (min_stamp, max_stamp, index): the
           span-start order all positions refer to *)
-  segs : seg array;
-  chains : (int * int) array;
-      (** maximal runs [i, j] (inclusive segment indices) joined by
-          heuristic cuts; singleton chains are quiescent-isolated *)
+  segs : seg array;  (** consecutive, tiling [0, n) *)
 }
 
 val plan : Trace.t -> target:int -> t
-(** Greedy segmentation: grow each segment to [target] transactions,
-    cut at the first quiescent point after that, and fall back to a
-    heuristic cut once the segment reaches [4 * target] without one.
-    [target] is clamped to at least 1. *)
+(** Greedy segmentation: grow each segment to [target] transactions and
+    cut at the first quiescent point after that.  A trace with no
+    quiescent point is one segment.  [target] is clamped to at least
+    1. *)
 
 val default_target : txns:int -> workers:int -> int
 (** [ceil txns / (4 * workers)] — about four segments per worker, so

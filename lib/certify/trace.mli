@@ -33,7 +33,7 @@ type record = {
   tree : Call_tree.t;
   prims : (Action_id.t * int) list;
       (** executed primitives with global stamps, in log order; never
-          empty (a zero-call transaction has no footprint to certify) *)
+          empty (a zero-call transaction has nothing to certify) *)
 }
 
 (** {1 Writing} *)

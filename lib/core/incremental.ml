@@ -162,27 +162,6 @@ let history t =
 
 let objects t = Hashtbl.fold (fun o _ acc -> o :: acc) t.objs []
 
-(* The Def. 15 union projected to root endpoints — the same edge
-   currency the shard coordinator exchanges: only dependencies that
-   escalate all the way to root endpoints constrain the top-level
-   serialization order (a lower-level dependency stopped by commuting
-   callers does not).  Offline stitching feeds these, per segment, into
-   one global topological order. *)
-let root_txn_edges t =
-  let seen = Hashtbl.create 256 in
-  Hashtbl.fold
-    (fun (u, v) () acc ->
-      if Action_id.is_root u && Action_id.is_root v then begin
-        let e = (Action_id.top u, Action_id.top v) in
-        if Hashtbl.mem seen e then acc
-        else begin
-          Hashtbl.add seen e ();
-          e :: acc
-        end
-      end
-      else acc)
-    t.all_txn []
-
 let graph_of t o pick =
   match Hashtbl.find_opt t.objs o with
   | None -> Action.Rel.empty

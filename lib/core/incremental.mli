@@ -75,12 +75,6 @@ val history : t -> History.t
 val objects : t -> Obj_id.t list
 (** Objects (real and virtual) with certifier state. *)
 
-val root_txn_edges : t -> (int * int) list
-(** The Def. 15 transaction-dependency union projected to root
-    endpoints, as [(top, top)] pairs without duplicates — the edge
-    currency the shard coordinator exchanges and the offline stitcher
-    ({!Ooser_certify}) feeds into its global topological order. *)
-
 val act_dep : t -> Obj_id.t -> Action.Rel.t
 val txn_dep : t -> Obj_id.t -> Action.Rel.t
 val combined_dep : t -> Obj_id.t -> Action.Rel.t

@@ -210,7 +210,6 @@ type config = {
   strategy : strategy;
   max_steps : int;
   max_restarts : int;
-  sys : Obj_id.t;
   deadlock : deadlock_policy;
   certify : bool;
       (* optimistic validation: at commit, check that the history of the
@@ -238,7 +237,6 @@ let default_config protocol =
     strategy = Round_robin;
     max_steps = 1_000_000;
     max_restarts = 20;
-    sys = Obj_id.v "S";
     deadlock = Detect;
     certify = false;
     certify_oracle = false;
@@ -880,7 +878,8 @@ let start_txn (eng : t) txn =
   txn.first_step <- eng.steps;
   txn.branch_counter <- 0;
   let action =
-    Action.v ~id:root_id ~obj:eng.config.sys ~meth:txn.tname ~process ()
+    Action.v ~id:root_id ~obj:Call_tree.Build.default_sys ~meth:txn.tname
+      ~process ()
   in
   let task = fresh_task eng txn ~process ~parent:None in
   let frame =
@@ -922,8 +921,8 @@ let start_compensation (eng : t) txn items =
   let root_id = Ids.Action_id.root txn.top in
   let process = Ids.Process_id.main txn.top in
   let action =
-    Action.v ~id:root_id ~obj:eng.config.sys ~meth:(txn.tname ^ ":abort")
-      ~process ()
+    Action.v ~id:root_id ~obj:Call_tree.Build.default_sys
+      ~meth:(txn.tname ^ ":abort") ~process ()
   in
   let task = fresh_task eng txn ~process ~parent:None in
   let frame =
@@ -1184,8 +1183,9 @@ let create ?(config : config option) db ~protocol bodies =
   let config = match config with Some c -> c | None -> default_config protocol in
   (* top-level transactions are messages on the system object (Def. 4);
      they carry no semantics of their own *)
-  if not (Database.mem db config.sys) then
-    Database.register db config.sys ~spec:Commutativity.all_commute [];
+  let sys = Call_tree.Build.default_sys in
+  if not (Database.mem db sys) then
+    Database.register db sys ~spec:Commutativity.all_commute [];
   let txns =
     List.map
       (fun (top, tname, body) ->

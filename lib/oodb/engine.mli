@@ -61,7 +61,6 @@ type config = {
   strategy : strategy;
   max_steps : int;  (** engine-wide step budget *)
   max_restarts : int;  (** per-transaction restart budget after aborts *)
-  sys : Obj_id.t;  (** the system object (Def. 4) *)
   deadlock : deadlock_policy;
   certify : bool;
       (** optimistic commit-time validation: a transaction commits only
@@ -100,8 +99,7 @@ type config = {
 }
 
 val default_config : Protocol.t -> config
-(** Round-robin, 1M steps, 20 restarts, system object ["S"], no
-    certification. *)
+(** Round-robin, 1M steps, 20 restarts, no certification. *)
 
 type outcome = {
   history : History.t;

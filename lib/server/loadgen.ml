@@ -278,7 +278,7 @@ let trace_commit tr sess =
     let module Trace = Ooser_certify.Trace in
     let root = Ids.Action_id.root top in
     let root_act =
-      Action.v ~id:root ~obj:(Ids.Obj_id.v "S") ~meth:"txn"
+      Action.v ~id:root ~obj:Call_tree.Build.default_sys ~meth:"txn"
         ~process:(Ids.Process_id.main top) ()
     in
     let children =

@@ -534,15 +534,17 @@ let certified t ?(timeout = 60.0) () =
 (* Objects are renamed with a per-shard prefix: the shards' databases
    allocate page/node names independently, so shard 0's "Page3" and
    shard 1's "Page3" are different physical objects that must not alias
-   in the merged history.  The system object "S" is shared — its spec is
-   all-commute everywhere. *)
+   in the merged history.  The system object (Def. 4) is shared — its
+   spec is all-commute everywhere. *)
 let shard_obj_name i name = Printf.sprintf "s%d:%s" i name
+
+let sys_name = Obj_id.name Call_tree.Build.default_sys
 
 let merged_registry t =
   Ooser_core.Commutativity.registry
     ~known:(fun o ->
       let n = Obj_id.name o in
-      n = "S"
+      n = sys_name
       ||
       match String.index_opt n ':' with
       | Some j -> (
@@ -556,7 +558,7 @@ let merged_registry t =
       | None -> false)
     (fun o ->
       let n = Obj_id.name o in
-      if n = "S" then Ooser_core.Commutativity.all_commute
+      if n = sys_name then Ooser_core.Commutativity.all_commute
       else
         match String.index_opt n ':' with
         | Some j -> (
@@ -656,7 +658,7 @@ let merged_history t ?(timeout = 60.0) () =
       let root_act =
         Action.v
           ~id:(Ids.Action_id.root top)
-          ~obj:(Obj_id.v "S") ~meth:name
+          ~obj:Call_tree.Build.default_sys ~meth:name
           ~process:(Ids.Process_id.main top)
           ()
       in

@@ -32,7 +32,9 @@ let rw = Commutativity.rw ~reads:[ "read" ] ~writes:[ "write" ]
    accumulate probe work: all_commute, as the engine registers it. *)
 let registry =
   Commutativity.registry (fun oid ->
-      if Obj_id.name oid = "S" then Commutativity.all_commute else rw)
+      if Obj_id.equal (Obj_id.original oid) Call_tree.Build.default_sys then
+        Commutativity.all_commute
+      else rw)
 
 (* Transaction [i]: read HOT; write W{i}; write W{i-1} (i > 1). *)
 let tree i =
@@ -42,7 +44,9 @@ let tree i =
     let id = Ids.Action_id.child root_id j in
     Call_tree.v (Action.v ~id ~obj ~meth ~args:[ Value.int 0 ] ~process ()) []
   in
-  let root = Action.v ~id:root_id ~obj:(Obj_id.v "S") ~meth:"top" ~process () in
+  let root =
+    Action.v ~id:root_id ~obj:Call_tree.Build.default_sys ~meth:"top" ~process ()
+  in
   let children =
     child 1 hot "read" :: child 2 (w i) "write"
     :: (if i > 1 then [ child 3 (w (i - 1)) "write" ] else [])

@@ -1,8 +1,8 @@
 (* Offline certification: trace format round-trip and torn tails, the
-   segmenter's quiescent/heuristic cuts, and the headline soundness
-   property — [Certify.run] agrees with the from-scratch
-   [Serializability.check] oracle on random histories, including a
-   planted cross-segment cycle only the frontier stitching can see. *)
+   segmenter's quiescent cuts, and the headline soundness property —
+   [Certify.run] agrees with the from-scratch [Serializability.check]
+   oracle on random histories, including a planted ring that no
+   quiescent point splits. *)
 
 open Ooser_core
 open Ooser_certify
@@ -117,10 +117,37 @@ let test_trace_header_only () =
   Alcotest.(check string) "registry survives" "bench:rw" (Trace.registry_name t);
   Alcotest.(check int) "no records" 0 (Trace.length t);
   let plan = Segment.plan t ~target:1 in
-  Alcotest.(check int) "no segments" 0 (Array.length plan.Segment.segs);
-  Alcotest.(check int) "no chains" 0 (Array.length plan.Segment.chains)
+  Alcotest.(check int) "no segments" 0 (Array.length plan.Segment.segs)
 
 (* ---------- segmenter ---------- *)
+
+(* [plan]'s segments tile [0, n) in order, and no span crosses a
+   boundary: everything before it ended before everything after it
+   started *)
+let tiles_quiescently t (plan : Segment.t) =
+  let entries = Trace.entries t in
+  let n = Array.length entries in
+  let segs = Array.to_list plan.Segment.segs in
+  let rec tiles pos = function
+    | [] -> pos = n
+    | (s : Segment.seg) :: rest ->
+        s.Segment.lo = pos && s.Segment.hi > pos && tiles s.Segment.hi rest
+  in
+  let stamp p f = f entries.(plan.Segment.order.(p)) in
+  let quiescent (s : Segment.seg) =
+    s.Segment.hi = n
+    ||
+    let reach = ref min_int in
+    for p = 0 to s.Segment.hi - 1 do
+      reach := max !reach (stamp p (fun e -> e.Trace.max_stamp))
+    done;
+    let start = ref max_int in
+    for p = s.Segment.hi to n - 1 do
+      start := min !start (stamp p (fun e -> e.Trace.min_stamp))
+    done;
+    !reach < !start
+  in
+  tiles 0 segs && List.for_all quiescent segs
 
 let test_segment_quiescent () =
   let path = tmp_trace () in
@@ -134,17 +161,12 @@ let test_segment_quiescent () =
   let t = Trace.load path in
   let plan = Segment.plan t ~target:1 in
   Alcotest.(check int) "three segments" 3 (Array.length plan.Segment.segs);
-  Array.iter
-    (fun (s : Segment.seg) ->
-      Alcotest.(check bool) "quiescent" true
-        (s.Segment.cut_before = Segment.Quiescent))
-    plan.Segment.segs;
-  Alcotest.(check int) "three chains" 3 (Array.length plan.Segment.chains)
+  Alcotest.(check bool) "quiescent tiling" true (tiles_quiescently t plan)
 
-let test_segment_heuristic () =
+let test_segment_no_quiescent_point () =
   let path = tmp_trace () in
-  (* T1 spans everything: no quiescent point exists, so a target of 1
-     must fall back to heuristic cuts and one chain *)
+  (* T1 spans everything: no quiescent point exists, so however small
+     the target the whole trace is one segment *)
   write_records path
     [
       flat ~top:1 [ (9, true); (9, true) ] [ 1; 100 ];
@@ -159,18 +181,13 @@ let test_segment_heuristic () =
     ];
   let t = Trace.load path in
   let plan = Segment.plan t ~target:2 in
-  Alcotest.(check bool) "several segments" true
-    (Array.length plan.Segment.segs > 1);
-  Alcotest.(check int) "one chain" 1 (Array.length plan.Segment.chains);
-  let heuristic =
-    Array.to_list plan.Segment.segs
-    |> List.filter (fun s -> s.Segment.cut_before = Segment.Heuristic)
-  in
-  Alcotest.(check bool) "heuristic cuts used" true (heuristic <> [])
+  Alcotest.(check int) "one segment" 1 (Array.length plan.Segment.segs);
+  Alcotest.(check int) "covers lo" 0 plan.Segment.segs.(0).Segment.lo;
+  Alcotest.(check int) "covers hi" 9 plan.Segment.segs.(0).Segment.hi
 
 (* every boundary quiescent AND target 1: n degenerate one-transaction
-   segments, each trivially serializable on its own, one chain each —
-   the planner must not merge, skip or mis-chain them *)
+   segments, each trivially serializable on its own — the planner must
+   not merge or skip them *)
 let test_segment_degenerate_singletons () =
   let path = tmp_trace () in
   write_records path [ flat ~top:1 [ (0, true); (1, false) ] [ 1; 2 ] ];
@@ -181,12 +198,8 @@ let test_segment_degenerate_singletons () =
   let s = plan1.Segment.segs.(0) in
   Alcotest.(check int) "covers lo" 0 s.Segment.lo;
   Alcotest.(check int) "covers hi" 1 s.Segment.hi;
-  Alcotest.(check bool) "quiescent lead-in" true
-    (s.Segment.cut_before = Segment.Quiescent);
-  Alcotest.(check int) "single record: one chain" 1
-    (Array.length plan1.Segment.chains);
-  (* four serial writers, target 1: four 1-txn segments, four chains,
-     and certification over them still reaches the right verdict *)
+  (* four serial writers, target 1: four 1-txn segments, and
+     certification over them still reaches the right verdict *)
   write_records path
     (List.init 4 (fun k -> flat ~top:(k + 1) [ (0, true) ] [ k + 1 ]));
   let t4 = Trace.load path in
@@ -197,7 +210,6 @@ let test_segment_degenerate_singletons () =
     (fun (s : Segment.seg) ->
       Alcotest.(check int) "degenerate width" 1 (s.Segment.hi - s.Segment.lo))
     plan4.Segment.segs;
-  Alcotest.(check int) "four chains" 4 (Array.length plan4.Segment.chains);
   let r = Certify.run ~workers:2 ~segment_target:1 ~registry:(rw_registry ()) t4 in
   Alcotest.(check bool) "serial trace certifies" true r.Certify.ok;
   Alcotest.(check int) "all four counted" 4 r.Certify.txns;
@@ -212,11 +224,13 @@ let test_certify_clean () =
   let path = tmp_trace () in
   let p = { Bench_trace.default_params with txns = 400; burst = 16; keys = 32 } in
   Bench_trace.generate ~path p;
-  let r = run_path ~workers:2 ~segment_target:50 ~registry:(rw_registry ()) path in
+  let t = Trace.load path in
+  let r = Certify.run ~workers:2 ~segment_target:50 ~registry:(rw_registry ()) t in
   Alcotest.(check bool) "certified" true r.Certify.ok;
   Alcotest.(check int) "all txns" 400 r.Certify.txns;
   Alcotest.(check bool) "segmented" true (r.Certify.segments > 1);
-  Alcotest.(check bool) "quiescent cuts found" true (r.Certify.quiescent_cuts > 0)
+  Alcotest.(check bool) "quiescent cuts" true
+    (tiles_quiescently t (Segment.plan t ~target:50))
 
 let test_certify_planted () =
   let path = tmp_trace () in
@@ -236,14 +250,11 @@ let test_certify_planted () =
   | Some v -> Alcotest.(check bool) "witness tops" true (v.Certify.witness <> [])
   | None -> Alcotest.fail "no violation reported"
 
-(* The planted cross-segment cycle: an eight-transaction write ring
+(* The planted ring: an eight-transaction write cycle
    T1 -> T2 -> ... -> T8 -> T1.  T1's second write lands after
-   everything else, so no quiescent point exists and a heuristic cut
-   splits the ring into {T1..T4} and {T5..T8}.  Each segment alone is
-   acyclic (a forward path), and each pairwise cross-segment probe
-   alone sees a single edge — only the stitched global order can close
-   the cycle. *)
-let test_cross_segment_cycle () =
+   everything else, so no quiescent point exists and the ring is one
+   segment even at target 1: its own certifier sees the whole cycle. *)
+let test_ring_one_segment () =
   let path = tmp_trace () in
   write_records path
     [
@@ -259,14 +270,15 @@ let test_cross_segment_cycle () =
       flat ~top:8 [ (7, true); (0, true) ] [ 15; 16 ];
     ];
   let t = Trace.load path in
-  (* target 1, overflow 4: a heuristic cut between T4 and T5 *)
   let r = Certify.run ~workers:2 ~segment_target:1 ~registry:(rw_registry ()) t in
-  Alcotest.(check bool) "heuristic cut" true (r.Certify.heuristic_cuts > 0);
+  Alcotest.(check int) "one segment" 1 r.Certify.segments;
   Alcotest.(check bool) "cycle caught" false r.Certify.ok;
   (match r.Certify.violation with
   | Some v ->
-      Alcotest.(check bool) "stitch-level detection" true
-        (match v.Certify.where with `Probe _ | `Stitch -> true | `Segment _ -> false)
+      Alcotest.(check int) "refused by segment 0" 0 v.Certify.segment;
+      Alcotest.(check (list int)) "witness holds the ring"
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        (List.sort_uniq Int.compare v.Certify.witness)
   | None -> Alcotest.fail "no violation");
   (* the oracle agrees the full history is bad *)
   let h = Trace.to_history t ~commut:(rw_registry ()) in
@@ -278,8 +290,27 @@ let test_cross_segment_cycle () =
 let verdict_oracle h =
   (Serializability.check h).Serializability.oo_serializable
 
-(* random flat traces: overlapping spans, tiny segments, so heuristic
-   chains and pairwise probes do real work *)
+(* random flat spans, some overlapping, some not, cut at targets 1-4 *)
+let prop_segment_tiling =
+  QCheck.Test.make
+    ~name:"segments tile the trace at quiescent points (random flat)"
+    ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+    (fun (seed, target) ->
+      let rng = Random.State.make [| seed; 91 |] in
+      let n = Random.State.int rng 16 in
+      let records =
+        List.init n (fun k ->
+            let lo = 1 + Random.State.int rng (3 * n) in
+            let hi = lo + Random.State.int rng 6 in
+            flat ~top:(k + 1) [ (k mod 4, true); ((k + 1) mod 4, false) ] [ lo; hi ])
+      in
+      let path = tmp_trace () in
+      write_records path records;
+      let t = Trace.load path in
+      tiles_quiescently t (Segment.plan t ~target))
+
+(* random flat traces: overlapping spans, tiny segment targets *)
 let prop_flat_agreement =
   QCheck.Test.make ~name:"certify = oracle (random flat interleavings)"
     ~count:40
@@ -316,8 +347,8 @@ let prop_flat_agreement =
       let oracle = verdict_oracle (Trace.to_history t ~commut:registry) in
       r.Certify.ok = oracle)
 
-(* random nested (depth-2) systems under random interleavings: chains
-   containing nested transactions must escalate and stay exact *)
+(* random nested (depth-2) systems under random interleavings: a burst
+   with inherited dependencies (Def. 11) stays one segment and exact *)
 let prop_nested_agreement =
   QCheck.Test.make ~name:"certify = oracle (random nested interleavings)"
     ~count:30
@@ -343,7 +374,7 @@ let prop_nested_agreement =
       r.Certify.ok = verdict_oracle h)
 
 (* serial orders: every transaction boundary is quiescent, so this
-   exercises pure per-segment conjunction (no probes, no escalation) *)
+   exercises pure per-segment conjunction over one-transaction segments *)
 let prop_serial_agreement =
   QCheck.Test.make ~name:"certify = oracle (serial nested orders)" ~count:30
     QCheck.(int_bound 1_000_000)
@@ -461,13 +492,14 @@ let suites =
           test_segment_quiescent;
         Alcotest.test_case "segmenter degenerate 1-txn segments" `Quick
           test_segment_degenerate_singletons;
-        Alcotest.test_case "segmenter heuristic fallback" `Quick
-          test_segment_heuristic;
+        Alcotest.test_case "no quiescent point: one segment" `Quick
+          test_segment_no_quiescent_point;
         Alcotest.test_case "clean bench trace certifies" `Quick
           test_certify_clean;
         Alcotest.test_case "planted cycle rejected" `Quick test_certify_planted;
-        Alcotest.test_case "cross-segment cycle via stitching" `Quick
-          test_cross_segment_cycle;
+        Alcotest.test_case "planted ring is one segment" `Quick
+          test_ring_one_segment;
+        QCheck_alcotest.to_alcotest prop_segment_tiling;
         QCheck_alcotest.to_alcotest prop_flat_agreement;
         QCheck_alcotest.to_alcotest prop_nested_agreement;
         QCheck_alcotest.to_alcotest prop_serial_agreement;
