@@ -97,10 +97,9 @@ let explain_test =
   Test.make ~name:"report/explain"
     (Staged.stage (fun () -> ignore (Report.explain h)))
 
-(* One commutativity decision, memoised-probe path vs the dense table a
-   static atlas preloads (Engine.preload_atlas) — the per-request cost
-   the one-probe class skip pays at every lock request. *)
-let commut_probe_test, commut_table_test =
+(* One memoised commutativity decision — the per-request cost the
+   one-probe class skip pays at every lock request. *)
+let commut_probe_test =
   let mk top obj meth =
     Action.v
       ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
@@ -128,16 +127,12 @@ let commut_probe_test, commut_table_test =
              (fun (a, b) -> ignore (Commutativity.cached_test cache a b))
              pairs))
   in
-  let probe_cache = Commutativity.cached Cert_bench.registry in
-  let table_cache = Commutativity.cached Cert_bench.registry in
-  Commutativity.preload table_cache (Cert_bench.atlas_table ~n:8 ());
-  ( test "commutativity/12-probe-lookups" probe_cache,
-    test "commutativity/12-atlas-lookups" table_cache )
+  test "commutativity/12-probe-lookups"
+    (Commutativity.cached Cert_bench.registry)
 
-(* Same decision benchmark on the spec-inference output: set/directory
-   probes answered by the hand specs (keyed predicate dispatch) vs the
-   inferred argument-independent table (Infer.run, DESIGN §16). *)
-let infer_probe_test, infer_table_test =
+(* The same decision on set/directory probes answered by the hand specs
+   of the adts target (keyed predicate dispatch). *)
+let hand_probe_test =
   let mk top obj meth args =
     Action.v
       ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
@@ -164,22 +159,15 @@ let infer_probe_test, infer_table_test =
              (fun (p, q) -> ignore (Commutativity.cached_test cache p q))
              pairs))
   in
-  let target = Lint_targets.adts () in
-  let inferred = Ooser_analysis.Infer.run target in
-  let reg = target.Ooser_analysis.Lint.registry in
-  let probe_cache = Commutativity.cached reg in
-  let table_cache = Commutativity.cached reg in
-  Commutativity.preload table_cache inferred.Ooser_analysis.Infer.table;
-  ( test "commutativity/6-hand-spec-probes" probe_cache,
-    test "commutativity/6-inferred-table-lookups" table_cache )
+  test "commutativity/6-hand-spec-probes"
+    (Commutativity.cached (Lint_targets.adts ()).Ooser_analysis.Lint.registry)
 
 let tests =
   Test.make_grouped ~name:"ooser"
     [
       checker_test; extension_test; conventional_test; random_history_test;
       btree_insert_test; btree_search_test; engine_test; page_test;
-      explain_test; commut_probe_test; commut_table_test; infer_probe_test;
-      infer_table_test;
+      explain_test; commut_probe_test; hand_probe_test;
     ]
 
 let run ?(quota = 0.5) () =

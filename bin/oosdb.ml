@@ -4,7 +4,6 @@
      oosdb fmt FILE               reprint a file canonically
      oosdb run [options]          run an encyclopedia workload
      oosdb acceptance [options]   acceptance rates of random interleavings
-     oosdb bench [--json FILE]    certification scaling benchmark
      oosdb lint [options]         static analysis of specs and programs
      oosdb analyze [options]      whole-workload static conflict atlas
      oosdb demo                   the paper's Example 4, with dependency table
@@ -292,191 +291,6 @@ let acceptance_cmd =
        ~doc:"Acceptance rates of random interleavings per criterion.")
     Term.(const run $ samples $ seed $ p_commute $ atomic)
 
-(* -- bench -------------------------------------------------------------------- *)
-
-(* One sharded-engine datapoint: a short mixed single-/cross-shard run
-   through the dispatcher — cross-shard commit rate, coordinator
-   round-trip time, per-shard certifier depth. *)
-let shard_datapoint ~shards ~txns =
-  let module D = Ooser_shard.Dispatcher in
-  let module Router = Ooser_shard.Router in
-  let n_keys = 16 * shards in
-  let d =
-    D.create
-      {
-        D.shards;
-        stack = { Stack.default with preload = n_keys };
-        durable_dir = None;
-      }
-  in
-  Fun.protect ~finally:(fun () -> D.shutdown d) @@ fun () ->
-  let router = D.router d in
-  let key i = Printf.sprintf "k%05d" i in
-  (* first preloaded key on [shard], probing from [start] *)
-  let key_on shard start =
-    let rec go i =
-      if i >= n_keys then key start
-      else
-        let k = key ((start + i) mod n_keys) in
-        if
-          Router.shard_of_call router ~obj:"Enc" ~args:[ Ooser_core.Value.str k ]
-          = shard
-        then k
-        else go (i + 1)
-    in
-    go 0
-  in
-  for i = 0 to txns - 1 do
-    let top = i + 1 in
-    D.begin_txn d ~top ~name:(Printf.sprintf "bench%d" top) ~deadline:None;
-    let s0 = i mod shards in
-    (* every fourth transaction reaches across to its neighbour shard *)
-    let s1 = if i mod 4 = 0 && shards > 1 then (s0 + 1) mod shards else s0 in
-    List.iteri
-      (fun j shard ->
-        D.call d ~top ~obj:"Enc" ~meth:"update"
-          ~args:
-            [
-              Ooser_core.Value.str (key_on shard (i + (7 * j)));
-              Ooser_core.Value.str "bench";
-            ])
-      [ s0; s1 ];
-    D.commit d ~top;
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec wait () =
-      D.poll d;
-      match D.txn_state d top with
-      | (`Running | `Unknown) when Unix.gettimeofday () < deadline ->
-          ignore (Unix.select [ D.wake_fd d ] [] [] 0.005);
-          wait ()
-      | _ -> ()
-    in
-    wait ();
-    D.retire d ~top
-  done;
-  let c k = match List.assoc_opt k (D.counters d) with Some v -> v | None -> 0 in
-  let depths = List.map (fun s -> s.D.cert_depth) (D.stats d ()) in
-  let commits = c "commits" and cross = c "cross-shard-commits" in
-  let rate =
-    if commits > 0 then float_of_int cross /. float_of_int commits else 0.0
-  in
-  Json.(
-    Obj
-      [ "shards", Int shards; "txns", Int txns; "committed", Int commits;
-        "cross_shard_commits", Int cross; "cross_rate", Float rate;
-        "coordinator_roundtrip_ns", Int (c "roundtrip-ns-avg");
-        "cert_depth", List (List.map (fun d -> Int d) depths) ])
-
-(* One offline-certification datapoint: a small synthetic trace through
-   the segmented parallel certifier — segment throughput, busy time,
-   peak concurrent segments. *)
-let certify_datapoint () =
-  let module BT = Ooser_certify.Bench_trace in
-  let module C = Ooser_certify.Certify in
-  let path = Filename.temp_file "oosdb_bench_trace" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  BT.generate ~path { BT.default_params with BT.txns = 20_000; keys = 128 };
-  let t = Ooser_certify.Trace.load path in
-  C.to_json (C.run ~workers:4 ~registry:(BT.registry ()) t)
-
-(* One optimistic-protocol datapoint: the same escrow banking mix under
-   commute-mode and rw-mode validation — the abort-rate gap is the value
-   of commutativity-aware validation over the plain-SSI baseline. *)
-let occ_datapoint () =
-  let run mode =
-    let p = { Banking.default_params with Banking.n_txns = 64 } in
-    let db, store =
-      Occ.Workloads.setup_banking ~mode ~accounts:p.Banking.accounts
-        ~balance:p.Banking.initial ~low:p.Banking.low ~high:p.Banking.high ()
-    in
-    let bodies = Banking.transactions ~rng:(Rng.create ~seed:11) p in
-    let protocol = Occ.Store.protocol store in
-    let config =
-      {
-        (Engine.default_config protocol) with
-        Engine.strategy = Engine.Random_pick (Rng.create ~seed:12);
-        max_steps = 1_000_000;
-      }
-    in
-    let out = Engine.run ~config db ~protocol bodies in
-    let c k =
-      match
-        List.assoc_opt k
-          (Ooser_sim.Stats.Counter.to_list (Occ.Store.counters store))
-      with
-      | Some v -> v
-      | None -> 0
-    in
-    let committed = List.length out.Engine.committed in
-    ( committed,
-      c "validations",
-      c "aborts",
-      c "commute-saves",
-      Serializability.oo_serializable (Occ.Store.history store) )
-  in
-  let cc, cv, ca, cs, cok = run Occ.Store.Commute in
-  let rc, rv, ra, _, rok = run Occ.Store.Rw in
-  let rate a v =
-    Json.Float (if v > 0 then float_of_int a /. float_of_int v else 0.0)
-  in
-  Json.(
-    Obj
-      [ "txns", Int 64;
-        ( "commute",
-          Obj
-            [ "committed", Int cc; "validations", Int cv; "aborts", Int ca;
-              "commute_saves", Int cs; "abort_rate", rate ca cv;
-              "certified", Bool cok ] );
-        ( "rw",
-          Obj
-            [ "committed", Int rc; "validations", Int rv; "aborts", Int ra;
-              "abort_rate", rate ra rv; "certified", Bool rok ] ) ])
-
-let bench_cmd =
-  let n =
-    Arg.(value & opt int 600
-         & info [ "n" ] ~doc:"Transactions to commit through the certifier.")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the result as JSON to $(docv).")
-  in
-  let run n json =
-    let samples =
-      List.filter (fun s -> s <= n) [ 50; 150; 300; 600; n ]
-      |> List.sort_uniq Int.compare
-    in
-    let r = Cert_bench.run ~n ~samples () in
-    Fmt.pr "%a@." Cert_bench.pp r;
-    let shard = shard_datapoint ~shards:4 ~txns:48 in
-    let certify = certify_datapoint () in
-    let occ = occ_datapoint () in
-    let datapoints = [ ("shard", shard); ("certify", certify); ("occ", occ) ] in
-    List.iter
-      (fun (name, v) -> Fmt.pr "%s datapoint:@.%s@." name (Json.indented v))
-      datapoints;
-    (match json with
-    | Some file ->
-        let oc = open_out file in
-        output_string oc
-          (Json.indented (Json.Obj (Cert_bench.json_fields r @ datapoints)));
-        output_string oc "\n";
-        close_out oc;
-        Fmt.pr "wrote %s@." file
-    | None -> ());
-    if r.Cert_bench.incremental_sublinear then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Certification scaling: incremental certify-per-commit cost vs \
-          history length, against the from-scratch checker.  Exits non-zero \
-          if the incremental cost is not sub-linear.")
-    Term.(const run $ n $ json)
-
 (* -- lint / analyze ----------------------------------------------------------- *)
 
 module Analysis = Ooser_analysis
@@ -602,8 +416,7 @@ let analyze_cmd =
          "Whole-workload static conflict atlas: interprocedural dependency \
           inheritance (Defs. 10-13) over the workload's transaction \
           summaries, a safety verdict or minimal witness schedule per \
-          transaction pair, a precomputed conflict table for engine \
-          preloading, and the HOT001/COMP001 rules.  Exits non-zero on any \
+          transaction pair, and the HOT001/COMP001 rules.  Exits non-zero on any \
           unsafe pair (error), or on warnings under --strict — the same \
           mapping as lint.")
     Term.(const run $ suite_arg $ lint_seed_arg $ semantics_arg $ strict_arg
@@ -662,8 +475,7 @@ let infer_cmd =
           registered hand specs: INFER001 (error) for unsound hand cells \
           with a minimal replayable witness, INFER002 (warning) for \
           provably conservative cells, INFER003 (info) for undecidable \
-          cells.  Argument-independent hand-agreeing cells compile into a \
-          preloadable conflict table.  Exit mapping as lint.")
+          cells.  Exit mapping as lint.")
     Term.(const run $ suite $ lint_seed_arg $ semantics_arg $ strict_arg
           $ format $ random_states)
 
@@ -1560,7 +1372,7 @@ let main =
        ~doc:
          "Object-oriented serializability toolkit (Rakow, Gu & Neuhold, ICDE \
           1990).")
-    [ check_cmd; fmt_cmd; run_cmd; acceptance_cmd; bench_cmd; lint_cmd;
+    [ check_cmd; fmt_cmd; run_cmd; acceptance_cmd; lint_cmd;
       analyze_cmd; infer_cmd; demo_cmd; serve_cmd; recover_cmd; certify_cmd;
       client_cmd; loadgen_cmd; mc_cmd ]
 

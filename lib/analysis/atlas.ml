@@ -16,10 +16,8 @@
      statically undecidable, or the interleaving count exceeds the
      enumeration budget.  Never claimed safe.
 
-   The atlas also compiles the workload's reachable method classes into
-   a dense [Commutativity.table] for engine preloading, and emits the
-   HOT001 (inheritance never stops) and COMP001 (missing compensation on
-   an open-nested abort path) rules. *)
+   The atlas also emits the HOT001 (inheritance never stops) and COMP001
+   (missing compensation on an open-nested abort path) rules. *)
 
 open Ooser_core
 module Json = Ooser_sim.Json
@@ -48,7 +46,6 @@ type t = {
   target_name : string;
   summaries : Summary.t list;  (* deduped representatives *)
   entries : entry list;
-  table : Commutativity.table;
   diagnostics : Diagnostic.t list;  (* HOT001 / COMP001 *)
 }
 
@@ -182,55 +179,6 @@ let entry_of ?(max_interleavings = 20_000) (inh : Inherit.t) =
     let verdict, total = enumerate ~max_interleavings inh in
     { pair; verdict; inh; interleavings = total }
 
-(* ------------------------------------------------------------ the table *)
-
-let probe ~top oid meth =
-  Action.v
-    ~id:(Action_id.v ~top ~path:[ 1 ])
-    ~obj:oid ~meth
-    ~process:(Process_id.main top)
-    ()
-
-(* Compile the reachable method classes of every stable, method-only
-   spec into dense table entries.  Arg-sensitive (keyed) and unstable
-   (state-reading) specs are left out: the runtime probe path keeps
-   deciding those, so preloading cannot change any answer. *)
-let conflict_table (target : Lint.target) summaries =
-  let effs = List.map Effects.of_summary summaries in
-  let reg = target.Lint.registry in
-  let entries = ref [] in
-  List.iter
-    (fun (oid, meths) ->
-      if Commutativity.known reg oid then begin
-        let spec = Commutativity.spec_for reg oid in
-        if Commutativity.stable spec && Commutativity.meth_only spec then begin
-          let meths =
-            List.sort_uniq String.compare
-              (meths
-              @ Option.value ~default:[] (Commutativity.vocabulary spec))
-          in
-          List.iteri
-            (fun i m ->
-              List.iteri
-                (fun j m' ->
-                  if i <= j then
-                    entries :=
-                      {
-                        Commutativity.e_obj = Obj_id.name (Obj_id.original oid);
-                        e_meth = m;
-                        e_meth' = m';
-                        e_commutes =
-                          Commutativity.test spec (probe ~top:1 oid m)
-                            (probe ~top:2 oid m');
-                      }
-                      :: !entries)
-                meths)
-            meths
-        end
-      end)
-    (Effects.method_classes effs);
-  Commutativity.table_of_entries (List.rev !entries)
-
 (* ------------------------------------------------------------ lint rules *)
 
 let hot_diags entries =
@@ -338,7 +286,6 @@ let build ?max_interleavings ?(sys = Inherit.default_sys)
     target_name = target.Lint.name;
     summaries = reps;
     entries;
-    table = conflict_table target reps;
     diagnostics;
   }
 
@@ -386,13 +333,11 @@ let pp_entry ppf e =
   | Safe _ -> ()
 
 let pp ppf t =
-  let objs, cells = Commutativity.table_stats t.table in
   Fmt.pf ppf "@[<v>atlas %s: %d transaction types, %d pairs@," t.target_name
     (List.length t.summaries)
     (List.length t.entries);
   List.iter (fun e -> Fmt.pf ppf "  %a@," pp_entry e) t.entries;
   List.iter (fun d -> Fmt.pf ppf "  %a@," Diagnostic.pp d) t.diagnostics;
-  Fmt.pf ppf "  conflict table: %d objects, %d precomputed cells@," objs cells;
   Fmt.pf ppf "  %d safe, %d unsafe, %d unknown@]"
     (count (fun e -> match e.verdict with Safe _ -> true | _ -> false) t)
     (count (fun e -> match e.verdict with Unsafe _ -> true | _ -> false) t)
@@ -418,7 +363,6 @@ let verdict_json =
         Obj [ "kind", String "unknown"; "reason", String reason ])
 
 let to_json t =
-  let objs, cells = Commutativity.table_stats t.table in
   let entry e =
     Json.(
       Obj
@@ -435,7 +379,6 @@ let to_json t =
         "transaction_types", Int (List.length t.summaries);
         "pairs", List (List.map entry t.entries);
         "diagnostics", List (List.map Diagnostic.to_json t.diagnostics);
-        "table", Obj [ "objects", Int objs; "cells", Int cells ];
         "safe", count safe_entries; "unsafe", count unsafe_entries;
         "unknown", count unknown_entries ])
 

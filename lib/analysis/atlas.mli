@@ -14,9 +14,7 @@
     - [Unknown]: a state-reading spec or an enumeration budget overrun —
       conservatively never claimed safe.
 
-    The atlas also compiles the workload's reachable method classes
-    into a dense {!Ooser_core.Commutativity.table} for engine
-    preloading, and emits the HOT001 / COMP001 rules. *)
+    The atlas also emits the HOT001 / COMP001 rules. *)
 
 open Ooser_core
 
@@ -44,7 +42,6 @@ type t = {
   target_name : string;
   summaries : Summary.t list;  (** deduped type representatives *)
   entries : entry list;
-  table : Commutativity.table;
   diagnostics : Diagnostic.t list;  (** HOT001 / COMP001, sorted *)
 }
 
@@ -65,7 +62,7 @@ val verdict_label : verdict -> string
 val pp : Format.formatter -> t -> unit
 val to_json : t -> Ooser_sim.Json.t
 (** One JSON document: pairs with verdicts and witnesses, diagnostics
-    (via {!Diagnostic.to_json}), and table statistics. *)
+    (via {!Diagnostic.to_json}), and verdict counts. *)
 
 val to_dot : t -> string
 (** Graphviz rendering: one node per transaction type, one edge per

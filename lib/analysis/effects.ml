@@ -57,24 +57,6 @@ let atoms_on t o =
   let o = Obj_id.original o in
   List.filter (fun a -> Obj_id.equal a.obj o) t.atoms
 
-let method_classes ts =
-  let acc = ref [] in
-  (* (Obj_id.t * string list) assoc, insertion-ordered *)
-  List.iter
-    (fun t ->
-      List.iter
-        (fun a ->
-          match
-            List.find_opt (fun (o, _) -> Obj_id.equal o a.obj) !acc
-          with
-          | Some (o, ms) ->
-              if not (List.mem a.meth !ms) then ms := a.meth :: !ms;
-              ignore o
-          | None -> acc := !acc @ [ (a.obj, ref [ a.meth ]) ])
-        t.atoms)
-    ts;
-  List.map (fun (o, ms) -> (o, List.rev !ms)) !acc
-
 (* Canonical structural key of a summary's call tree: summaries with
    equal keys describe the same transaction type (the instance name —
    "transfer7" — does not matter for pairwise analysis). *)

@@ -31,11 +31,6 @@ val of_summary : Summary.t -> t
 val atoms_on : t -> Obj_id.t -> atom list
 (** Classes on one (de-virtualised) object. *)
 
-val method_classes : t list -> (Obj_id.t * string list) list
-(** Across several effect summaries: for each touched object, the
-    distinct method names invoked on it — the row space of the
-    precomputed conflict table. *)
-
 val shape_key : Summary.t -> string
 (** Canonical structural key of the summary's call tree; equal keys mean
     the same transaction type regardless of the instance name. *)

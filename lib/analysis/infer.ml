@@ -41,7 +41,6 @@ type t = {
   target_name : string;
   groups : group list;
   diagnostics : Diagnostic.t list;
-  table : Commutativity.table;
   decided : int;
   total : int;
   unsound_cells : (string * cell) list;
@@ -129,7 +128,6 @@ type group_result = {
   r_diags : Diagnostic.t list;
   r_unsound : (string * cell) list;
   r_conservative : (string * cell) list;
-  r_entries : Commutativity.table_entry list;
 }
 
 let unordered_pairs methods =
@@ -167,7 +165,6 @@ let unaudited_group spec_name members vocab =
     r_diags = [ diag ];
     r_unsound = [];
     r_conservative = [];
-    r_entries = [];
   }
 
 let is_read = function
@@ -195,8 +192,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
       in
       let states = model.Semantics.states @ random in
       (* a pinned spec decides on the state each action executed in, so
-         it is audited state by state, like a state-reading one, and its
-         cells never compile into an argument-keyed table *)
+         it is audited state by state, like a state-reading one *)
       let stable =
         Commutativity.stable reg_spec && not (Commutativity.pinned reg_spec)
       in
@@ -205,7 +201,6 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
       let unsound = ref [] in
       let conservative = ref [] in
       let cells = ref [] in
-      let entries = ref [] in
       let undecided_methods =
         List.filter (fun m -> not (List.mem m model.Semantics.vocab)) vocab
       in
@@ -368,14 +363,7 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
               emit_conservative cell
           | _ -> ()
         end;
-        let hand_uniform =
-          match per_pair with
-          | (_, _, h0, _, _) :: _
-            when List.for_all (fun (_, _, h, _, _) -> h = h0) per_pair ->
-              Some h0
-          | _ -> None
-        in
-        (cell, hand_uniform)
+        cell
       in
       let pairs = unordered_pairs (List.sort_uniq String.compare vocab) in
       List.iter
@@ -401,39 +389,8 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
                     buckets := add !buckets)
                   vs')
               vs;
-            let cell_results =
-              List.map (fun (rel, ps) -> eval_cell m m' rel ps) !buckets
-            in
-            cells := !cells @ List.map fst cell_results;
-            (* table compilation: the whole method pair must be decided,
-               uniform across every argument class, and hand-agreeing —
-               only then is the cell argument-independent within the
-               probed scope and safe to answer from a dense table *)
-            if stable then begin
-              let answers =
-                List.map
-                  (fun (c, hand) ->
-                    match (c.verdict, hand) with
-                    | Commutes _, Some true -> Some true
-                    | Conflicts _, Some false -> Some false
-                    | _ -> None)
-                  cell_results
-              in
-              match answers with
-              | Some b :: rest when List.for_all (fun a -> a = Some b) rest ->
-                  entries :=
-                    !entries
-                    @ List.map
-                        (fun o ->
-                          {
-                            Commutativity.e_obj = o;
-                            e_meth = m;
-                            e_meth' = m';
-                            e_commutes = b;
-                          })
-                        members
-              | _ -> ()
-            end
+            cells :=
+              !cells @ List.map (fun (rel, ps) -> eval_cell m m' rel ps) !buckets
           end
           else
             cells :=
@@ -466,7 +423,6 @@ let audit_group ~rand ~random_states ~effects (spec_name, infos) =
         r_diags = !diags;
         r_unsound = !unsound;
         r_conservative = !conservative;
-        r_entries = !entries;
       }
 
 (* ---------- driver ---------- *)
@@ -484,10 +440,6 @@ let run ?(seed = 0) ?(random_states = 100) (target : Lint.target) =
     List.stable_sort Diagnostic.compare
       (List.concat_map (fun r -> r.r_diags) results)
   in
-  let table =
-    Commutativity.table_of_entries
-      (List.concat_map (fun r -> r.r_entries) results)
-  in
   let all_cells = List.concat_map (fun g -> g.cells) groups in
   let decided =
     List.length
@@ -499,7 +451,6 @@ let run ?(seed = 0) ?(random_states = 100) (target : Lint.target) =
     target_name = target.name;
     groups;
     diagnostics;
-    table;
     decided;
     total = List.length all_cells;
     unsound_cells = List.concat_map (fun r -> r.r_unsound) results;
@@ -547,8 +498,6 @@ let pp_verdict ppf = function
 let pp ppf t =
   Format.fprintf ppf "== spec inference: %s ==@." t.target_name;
   Format.fprintf ppf "cells decided: %d/%d@." t.decided t.total;
-  let objs, covered = Commutativity.table_stats t.table in
-  Format.fprintf ppf "compiled table: %d object(s), %d cell(s)@." objs covered;
   List.iter
     (fun g ->
       Format.fprintf ppf "@.spec %S — objects: %s%s@." g.spec_name
@@ -567,7 +516,6 @@ let pp ppf t =
   end
 
 let to_json t =
-  let objs, covered = Commutativity.table_stats t.table in
   let verdict =
     Json.(
       function
@@ -604,6 +552,5 @@ let to_json t =
     Obj
       [ "target", String t.target_name; "decided", Int t.decided;
         "total", Int t.total;
-        "table", Obj [ "objects", Int objs; "cells", Int covered ];
         "groups", List (List.map group t.groups);
         "diagnostics", List (List.map Diagnostic.to_json t.diagnostics) ])

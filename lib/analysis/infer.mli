@@ -28,12 +28,7 @@
       execution commutes — sound but conservative; the message counts
       the workload summary pairs that lose concurrency.
     - [INFER003] (info): undecidable cells, so silence is never mistaken
-      for a verdict.
-
-    Cells that are argument-independent (uniform across every argument
-    class), oracle-decided and hand-agreeing compile into a
-    {!Ooser_core.Commutativity.table} ready for
-    [Engine.preload_atlas]. *)
+      for a verdict. *)
 
 open Ooser_core
 
@@ -82,8 +77,6 @@ type t = {
   target_name : string;
   groups : group list;
   diagnostics : Diagnostic.t list;  (** INFER001/002/003, errors first *)
-  table : Commutativity.table;
-      (** argument-independent, hand-agreeing cells of stable specs *)
   decided : int;  (** cells with a Commutes/Conflicts verdict *)
   total : int;
   unsound_cells : (string * cell) list;  (** INFER001 backing cells *)
@@ -120,4 +113,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Ooser_sim.Json.t
 (** Stable JSON document: groups with per-cell verdicts and witnesses,
-    table stats, coverage, and the diagnostics. *)
+    coverage, and the diagnostics. *)

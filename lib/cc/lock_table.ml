@@ -70,8 +70,6 @@ let create ?cache () =
     n_live = 0;
   }
 
-let cache t = t.cache
-
 let index tbl key e =
   match Hashtbl.find_opt tbl key with
   | Some r -> r := e :: !r

@@ -34,11 +34,6 @@ val create : ?cache:Commutativity.cache -> unit -> t
 (** [cache] memoises the raw spec probes behind the class-skip test; it
     must wrap the same registry later passed to {!conflicting}. *)
 
-val cache : t -> Commutativity.cache option
-(** The memo cache given at creation — the hook through which
-    [Engine.preload_atlas] installs the precomputed conflict table that
-    the one-probe class skip then reads instead of probing the spec. *)
-
 val add : t -> action:Action.t -> scope:Action_id.t -> unit
 val entries_on : t -> Obj_id.t -> entry list
 

@@ -162,13 +162,6 @@ let table t = t.table
 let quiescent t =
   match t.table with None -> true | Some lt -> Lock_table.total lt = 0
 
-let preload t tbl =
-  match t.table with
-  | None -> ()
-  | Some lt -> (
-      match Lock_table.cache lt with
-      | Some c -> Commutativity.preload c tbl
-      | None -> ())
 let request t action ~leaf = t.request action ~leaf
 let on_end t action = t.on_end action
 let on_top_commit t top = t.on_top_commit top

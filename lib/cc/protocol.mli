@@ -76,11 +76,6 @@ val quiescent : t -> bool
     state a rebuilt lock table must be in after recovery has decided
     every replayed transaction: in particular, no loser entries. *)
 
-val preload : t -> Commutativity.table -> unit
-(** Install a precomputed conflict table into the lock table's memo
-    cache, so the one-probe class skip answers from the table instead
-    of probing the spec.  No-op for lock-free protocols. *)
-
 val unlocked : unit -> t
 val flat_2pl : reg:Commutativity.registry -> unit -> t
 val closed_nested : reg:Commutativity.registry -> unit -> t

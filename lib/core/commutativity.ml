@@ -29,12 +29,6 @@ type spec = {
          triples — never on live object state or call timing — so it
          may be memoized.  Matrix, rw and all-* specs are stable by
          construction; opaque predicates must opt in. *)
-  meth_only : bool;
-      (* stronger than [stable]: the decision depends only on the two
-         METHOD NAMES (arguments ignored), so it can be compiled into a
-         dense method x method table.  Matrix, rw and all-* specs
-         qualify; [by_key] refinements and argument-reading predicates
-         do not. *)
   pinned : bool;
       (* the decision reads the actions' execution-time pins, so a probe
          that never executed (a static analyzer's) only gets the
@@ -42,13 +36,11 @@ type spec = {
 }
 
 let name s = s.name
-let make ?vocab ?(stable = false) ?(meth_only = false) ?(pinned = false) ~name
-    commutes =
-  { name; commutes; vocab; structure = Opaque; stable; meth_only; pinned }
+let make ?vocab ?(stable = false) ?(pinned = false) ~name commutes =
+  { name; commutes; vocab; structure = Opaque; stable; pinned }
 let test s a a' = s.commutes a a'
 let vocabulary s = s.vocab
 let stable s = s.stable
-let meth_only s = s.meth_only
 let pinned s = s.pinned
 let structure s = s.structure
 
@@ -59,7 +51,6 @@ let all_commute =
     vocab = None;
     structure = Total true;
     stable = true;
-    meth_only = true;
     pinned = false;
   }
 
@@ -70,7 +61,6 @@ let all_conflict =
     vocab = None;
     structure = Total false;
     stable = true;
-    meth_only = true;
     pinned = false;
   }
 
@@ -108,7 +98,6 @@ let of_conflict_matrix ~name pairs =
     vocab = Some (vocab_of_pairs pairs);
     structure = Conflict_pairs pairs;
     stable = true;
-    meth_only = true;
     pinned = false;
   }
 
@@ -120,7 +109,6 @@ let of_commute_matrix ~name pairs =
     vocab = Some (vocab_of_pairs pairs);
     structure = Commute_pairs pairs;
     stable = true;
-    meth_only = true;
     pinned = false;
   }
 
@@ -162,7 +150,6 @@ let rw_named ~name ~reads ~writes =
     vocab = Some (List.sort_uniq String.compare (reads @ writes));
     structure = Read_write { reads; writes };
     stable = true;
-    meth_only = true;
     pinned = false;
   }
 
@@ -183,10 +170,8 @@ let by_key ~key_of inner =
     vocab = inner.vocab;
     structure = Keyed inner.structure;
     (* [key_of] may only look at the action's method and arguments, so the
-       refinement preserves the inner spec's stability — but the decision
-       now reads arguments, so it is never method-only *)
+       refinement preserves the inner spec's stability *)
     stable = inner.stable;
-    meth_only = false;
     pinned = inner.pinned;
   }
 
@@ -239,124 +224,6 @@ let conflicts r a a' =
    for another.  Unstable specs bypass the table entirely; the cache is
    then merely a pass-through, never a source of stale answers. *)
 
-(* Precomputed conflict tables.
-
-   The static analyzer (the conflict atlas) knows, ahead of any run,
-   every (object, method, method') class a workload can produce.  For
-   specs whose decision is a pure function of the method-name pair
-   ([meth_only]), those answers compile into a dense per-object boolean
-   matrix; at runtime the memoizing cache consults the matrix before its
-   own hash table, turning the certifier's and lock table's per-call
-   spec probes into two array reads.  Cells the atlas did not cover (and
-   every arg-sensitive or unstable spec) fall through to the normal
-   probe path, so preloading can never change an answer — only where it
-   comes from. *)
-
-type table_entry = {
-  e_obj : string;  (* original object name *)
-  e_meth : string;
-  e_meth' : string;
-  e_commutes : bool;
-}
-
-type obj_table = {
-  idx : (string, int) Hashtbl.t;  (* method name -> matrix index *)
-  width : int;
-  cells : int array;  (* 0 = not covered, 1 = commute, 2 = conflict *)
-}
-
-type table = (string, obj_table) Hashtbl.t
-
-let table_of_entries entries =
-  let meths_of = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let prev =
-        match Hashtbl.find_opt meths_of e.e_obj with Some l -> l | None -> []
-      in
-      Hashtbl.replace meths_of e.e_obj (e.e_meth :: e.e_meth' :: prev))
-    entries;
-  let tbl : table = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun obj meths ->
-      let meths = List.sort_uniq String.compare meths in
-      let width = List.length meths in
-      let idx = Hashtbl.create width in
-      List.iteri (fun i m -> Hashtbl.add idx m i) meths;
-      Hashtbl.add tbl obj { idx; width; cells = Array.make (width * width) 0 })
-    meths_of;
-  List.iter
-    (fun e ->
-      let ot = Hashtbl.find tbl e.e_obj in
-      let i = Hashtbl.find ot.idx e.e_meth
-      and j = Hashtbl.find ot.idx e.e_meth' in
-      let v = if e.e_commutes then 1 else 2 in
-      let set k =
-        if ot.cells.(k) <> 0 && ot.cells.(k) <> v then
-          invalid_arg
-            (Printf.sprintf
-               "Commutativity.table_of_entries: contradictory entries for \
-                (%s, %s, %s)"
-               e.e_obj e.e_meth e.e_meth');
-        ot.cells.(k) <- v
-      in
-      (* Def. 9 is symmetric: fill both orientations *)
-      set ((i * ot.width) + j);
-      set ((j * ot.width) + i))
-    entries;
-  tbl
-
-let table_entries tbl =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun obj ot ->
-      let meths = Array.make ot.width "" in
-      Hashtbl.iter (fun m i -> meths.(i) <- m) ot.idx;
-      for i = 0 to ot.width - 1 do
-        for j = i to ot.width - 1 do
-          match ot.cells.((i * ot.width) + j) with
-          | 0 -> ()
-          | c ->
-              out :=
-                {
-                  e_obj = obj;
-                  e_meth = meths.(i);
-                  e_meth' = meths.(j);
-                  e_commutes = c = 1;
-                }
-                :: !out
-        done
-      done)
-    tbl;
-  List.sort compare !out
-
-let table_stats tbl =
-  let objs = Hashtbl.length tbl in
-  let cells =
-    Hashtbl.fold
-      (fun _ ot acc ->
-        acc + Array.fold_left (fun n c -> if c <> 0 then n + 1 else n) 0 ot.cells)
-      tbl 0
-  in
-  (objs, cells)
-
-let table_lookup tbl a a' =
-  match
-    Hashtbl.find_opt tbl (Obj_id.name (Obj_id.original (Action.obj a)))
-  with
-  | None -> None
-  | Some ot -> (
-      match
-        ( Hashtbl.find_opt ot.idx (Action.meth a),
-          Hashtbl.find_opt ot.idx (Action.meth a') )
-      with
-      | Some i, Some j -> (
-          match ot.cells.((i * ot.width) + j) with
-          | 1 -> Some true
-          | 2 -> Some false
-          | _ -> None)
-      | _ -> None)
-
 type class_key = {
   k_obj : string; (* original object name — ranks share the spec *)
   k_meth : string;
@@ -370,21 +237,15 @@ type class_key = {
 type cache = {
   reg : registry;
   table : (class_key, bool) Hashtbl.t;
-  mutable atlas : table option;
   mutable hits : int;
   mutable misses : int;
-  mutable atlas_hits : int;
 }
 
 let cached ?(size = 1024) reg =
-  { reg; table = Hashtbl.create size; atlas = None; hits = 0; misses = 0;
-    atlas_hits = 0 }
+  { reg; table = Hashtbl.create size; hits = 0; misses = 0 }
 
 let cache_registry c = c.reg
 let cache_stats c = (c.hits, c.misses)
-let preload c tbl = c.atlas <- Some tbl
-let preloaded c = c.atlas
-let atlas_hits c = c.atlas_hits
 
 let class_key a a' =
   {
@@ -397,38 +258,21 @@ let class_key a a' =
     k_pin' = Action.pin a';
   }
 
-(* Raw spec query (no same-process rule), memoized for stable specs.
-   A preloaded atlas table answers first — for any STABLE spec, because
-   every table builder only inserts cells whose answer is provably
-   argument-independent: the static atlas compiles meth_only specs
-   (trivially so), and the spec-inference pipeline compiles a cell only
-   after the answer was uniform across every probed argument class and
-   agreed with the hand spec on every probe.  Unstable specs always
-   bypass the table — their answers depend on live object state. *)
+(* Raw spec query (no same-process rule), memoized for stable specs. *)
 let cached_test c a a' =
   let s = c.reg.spec_for (Action.obj a) in
   if not s.stable then s.commutes a a'
   else
-    let from_atlas =
-      match c.atlas with
-      | Some tbl -> table_lookup tbl a a'
-      | None -> None
-    in
-    match from_atlas with
+    let key = class_key a a' in
+    match Hashtbl.find_opt c.table key with
     | Some b ->
-        c.atlas_hits <- c.atlas_hits + 1;
+        c.hits <- c.hits + 1;
         b
-    | None -> (
-        let key = class_key a a' in
-        match Hashtbl.find_opt c.table key with
-        | Some b ->
-            c.hits <- c.hits + 1;
-            b
-        | None ->
-            c.misses <- c.misses + 1;
-            let b = s.commutes a a' in
-            Hashtbl.add c.table key b;
-            b)
+    | None ->
+        c.misses <- c.misses + 1;
+        let b = s.commutes a a' in
+        Hashtbl.add c.table key b;
+        b
 
 let cached_commutes c a a' =
   (not (Obj_id.equal (Action.obj a) (Action.obj a')))

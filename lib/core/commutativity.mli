@@ -38,7 +38,6 @@ val structure : spec -> structure
 val make :
   ?vocab:string list ->
   ?stable:bool ->
-  ?meth_only:bool ->
   ?pinned:bool ->
   name:string ->
   (Action.t -> Action.t -> bool) ->
@@ -46,10 +45,9 @@ val make :
 (** [vocab] declares the method names the specification was written for;
     the static analyzer probes it and reports methods outside it.
     [stable] (default [false]) asserts the decision depends only on the
-    two (method, args, pin) triples — see {!stable}.  [meth_only] (default
-    [false]) additionally asserts arguments are ignored — see
-    {!meth_only}.  [pinned] (default [false]) declares the decision
-    reads execution-time pins — see {!pinned}. *)
+    two (method, args, pin) triples — see {!stable}.  [pinned] (default
+    [false]) declares the decision reads execution-time pins — see
+    {!pinned}. *)
 
 val test : spec -> Action.t -> Action.t -> bool
 (** Raw query of the specification ([true] = commute), without the
@@ -71,14 +69,6 @@ val stable : spec -> bool
     not — pin the state at execution instead, as escrow and fifo do).
     The incremental certifier requires every spec it meets to be stable
     and raises [Invalid_argument] otherwise. *)
-
-val meth_only : spec -> bool
-(** Stronger than {!stable}: the answer is a pure function of the two
-    METHOD NAMES, arguments ignored, so the whole specification compiles
-    into a dense method x method boolean matrix (see {!table}).  Matrix,
-    read/write and all-* specs qualify by construction; {!by_key}
-    refinements read arguments and never do; {!make}/{!predicate} specs
-    opt in via [?meth_only]. *)
 
 val pinned : spec -> bool
 (** The decision reads the actions' execution-time pins
@@ -123,14 +113,12 @@ val by_key : key_of:(Action.t -> Value.t option) -> spec -> spec
 val predicate :
   ?vocab:string list ->
   ?stable:bool ->
-  ?meth_only:bool ->
   ?pinned:bool ->
   name:string ->
   (Action.t -> Action.t -> bool) ->
   spec
 (** Arbitrary commutativity test ([true] = commute).  Pass [~stable:true]
     only when the predicate inspects nothing beyond method names,
-    arguments and pins, and [~meth_only:true] only when it ignores
     arguments and pins. *)
 
 val first_arg : Action.t -> Value.t option
@@ -165,47 +153,6 @@ val conflicts : registry -> Action.t -> Action.t -> bool
 (** [conflicts r a a'] — distinct actions that do not commute.  An action
     never conflicts with itself. *)
 
-(** {2 Precomputed conflict tables}
-
-    The static conflict atlas compiles, for every workload-reachable
-    object whose spec is {!stable} and {!meth_only}, the full
-    method x method commutativity matrix into a dense table; the
-    spec-inference pipeline additionally compiles stable arg-sensitive
-    specs, but only the cells it proved argument-independent (uniform
-    across every probed argument class) and hand-agreeing.  A table
-    {!preload}ed into a {!cache} answers probes with two array reads for
-    any {!stable} spec; uncovered cells (and every unstable spec) fall
-    through to the normal memoized probe, so preloading never changes an
-    answer — only where it comes from.  The table invariant every
-    builder must uphold: a covered cell's answer is independent of the
-    actions' arguments. *)
-
-type table_entry = {
-  e_obj : string;  (** original object name (ranks share the spec) *)
-  e_meth : string;
-  e_meth' : string;
-  e_commutes : bool;
-}
-
-type table
-
-val table_of_entries : table_entry list -> table
-(** Build a dense table.  Entries are symmetrized (Def. 9).
-    @raise Invalid_argument on two entries contradicting each other. *)
-
-val table_entries : table -> table_entry list
-(** The covered cells, one entry per unordered method pair, sorted. *)
-
-val table_stats : table -> int * int
-(** [(objects, covered cells)] — cells counted per orientation. *)
-
-val table_lookup : table -> Action.t -> Action.t -> bool option
-(** Raw table answer for two same-object actions; [None] when the
-    object or either method is not covered.  The caller must ensure the
-    object's runtime spec is {!stable} — the table is keyed by method
-    names alone, which is safe because covered cells are
-    argument-independent by construction. *)
-
 (** {2 Memoized queries}
 
     A registry wrapper that caches raw spec answers under
@@ -219,15 +166,6 @@ val cached : ?size:int -> registry -> cache
 (** Wrap a registry with a memo table ([size] is the initial capacity). *)
 
 val cache_registry : cache -> registry
-
-val preload : cache -> table -> unit
-(** Install a precomputed conflict table: subsequent {!cached_test}
-    probes on {!stable} specs consult it before the memo table. *)
-
-val preloaded : cache -> table option
-
-val atlas_hits : cache -> int
-(** Probes answered by the preloaded table (i.e. spec probes eliminated). *)
 
 val cached_test : cache -> Action.t -> Action.t -> bool
 (** Memoized {!test} of the owning object's spec (no same-process rule):

@@ -751,6 +751,18 @@ let discontinue_reply = function
   | Caught k -> discontinue_quietly k
   | To_parent -> ()
 
+let new_frame ?compensate ~kind ~caller_k action =
+  {
+    action;
+    kind;
+    caller_k;
+    compensate;
+    next_child = 0;
+    groups = [];
+    child_trees = [];
+    undo = [];
+  }
+
 let start_invocation eng txn task (inv : Runtime.invocation) action k =
   match Database.find_meth eng.db inv.Runtime.target inv.Runtime.meth_name with
   | Error msg -> (
@@ -773,16 +785,8 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
       match Protocol.request eng.config.protocol action ~leaf with
       | Protocol.Granted ->
           let frame =
-            {
-              action;
-              kind = m.Database.kind;
-              caller_k = k;
-              compensate = m.Database.compensate;
-              next_child = 0;
-              groups = [];
-              child_trees = [];
-              undo = [];
-            }
+            new_frame ?compensate:m.Database.compensate ~kind:m.Database.kind
+              ~caller_k:k action
           in
           task.stack <- frame :: task.stack;
           task.waiting_for <- [];
@@ -870,36 +874,27 @@ let fresh_task (eng : t) txn ~process ~parent =
   txn.tasks <- task :: txn.tasks;
   task
 
-let start_txn (eng : t) txn =
-  let root_id = Ids.Action_id.root txn.top in
+(* A root task running [body] as message [meth] on the system object:
+   an attempt of the transaction, or its compensation phase. *)
+let start_root (eng : t) txn ~meth body =
   let process = Ids.Process_id.main txn.top in
+  let action =
+    Action.v ~id:(Ids.Action_id.root txn.top) ~obj:Call_tree.Build.default_sys
+      ~meth ~process ()
+  in
+  let task = fresh_task eng txn ~process ~parent:None in
+  task.stack <- [ new_frame ~kind:`Composite ~caller_k:To_parent action ];
+  task.pending <- Step (fun () -> run_fiber (fun () -> body { Runtime.top = txn.top }))
+
+let start_txn (eng : t) txn =
   journal_append eng
     (Oplog.Begin { top = txn.top; attempt = txn.attempt; name = txn.tname });
   txn.first_step <- eng.steps;
   txn.branch_counter <- 0;
-  let action =
-    Action.v ~id:root_id ~obj:Call_tree.Build.default_sys ~meth:txn.tname
-      ~process ()
-  in
-  let task = fresh_task eng txn ~process ~parent:None in
-  let frame =
-    {
-      action;
-      kind = `Composite;
-      caller_k = To_parent;
-      compensate = None;
-      next_child = 0;
-      groups = [];
-      child_trees = [];
-      undo = [];
-    }
-  in
-  task.stack <- [ frame ];
+  start_root eng txn ~meth:txn.tname txn.body;
   (* optimistic protocols snapshot their version store per attempt, so a
      validation-abort retry re-reads against fresh committed state *)
-  Protocol.on_begin eng.config.protocol txn.top;
-  let ctx = { Runtime.top = txn.top } in
-  task.pending <- Step (fun () -> run_fiber (fun () -> txn.body ctx))
+  Protocol.on_begin eng.config.protocol txn.top
 
 (* The compensation phase: run the undo items in order as a synthetic
    transaction body.  Restores run directly (their locks are still held);
@@ -918,27 +913,7 @@ let start_compensation (eng : t) txn items =
       items;
     Value.unit
   in
-  let root_id = Ids.Action_id.root txn.top in
-  let process = Ids.Process_id.main txn.top in
-  let action =
-    Action.v ~id:root_id ~obj:Call_tree.Build.default_sys
-      ~meth:(txn.tname ^ ":abort") ~process ()
-  in
-  let task = fresh_task eng txn ~process ~parent:None in
-  let frame =
-    {
-      action;
-      kind = `Composite;
-      caller_k = To_parent;
-      compensate = None;
-      next_child = 0;
-      groups = [];
-      child_trees = [];
-      undo = [];
-    }
-  in
-  task.stack <- [ frame ];
-  task.pending <- Step (fun () -> run_fiber (fun () -> body { Runtime.top = txn.top }))
+  start_root eng txn ~meth:(txn.tname ^ ":abort") body
 
 let () = start_compensation_hook := start_compensation
 
@@ -986,6 +961,26 @@ let fork_branches eng txn task invs k =
       (List.combine indices invs)
   end
 
+(* A sequential call from the task's current frame: the next child
+   action, on the task's own process, requested on the next step. *)
+let request_call eng txn task (inv : Runtime.invocation) reply =
+  let parent = current_frame task in
+  if parent.kind = `Primitive then begin
+    discontinue_reply reply;
+    abort_txn eng txn ~retry:false
+      (Fmt.str "primitive method %a issued a call" Action.pp parent.action)
+  end
+  else begin
+    parent.next_child <- parent.next_child + 1;
+    parent.groups <- Seq (parent.next_child - 1) :: parent.groups;
+    let id = Ids.Action_id.child (Action.id parent.action) parent.next_child in
+    let action =
+      Action.v ~id ~obj:inv.Runtime.target ~meth:inv.Runtime.meth_name
+        ~args:inv.Runtime.args ~process:task.process ()
+    in
+    task.pending <- Request (inv, action, reply)
+  end
+
 (* Unwind ONE failed frame: its own and its completed children's locks
    are still held (the frame was active), so running the undo items
    directly is sound here — unlike a whole-transaction abort.  The
@@ -1009,42 +1004,23 @@ let rec dispatch eng txn task r =
       task.tstatus <- Awaiting;
       task.pending <- Await_input k
   | Yield_par (invs, k) -> fork_branches eng txn task invs k
-  | Yield_try (inv, k) ->
-      let parent = current_frame task in
-      if parent.kind = `Primitive then begin
-        discontinue_quietly k;
-        abort_txn eng txn ~retry:false
-          (Fmt.str "primitive method %a issued a call" Action.pp parent.action)
-      end
-      else begin
-        parent.next_child <- parent.next_child + 1;
-        parent.groups <- Seq (parent.next_child - 1) :: parent.groups;
-        let id = Ids.Action_id.child (Action.id parent.action) parent.next_child in
-        let action =
-          Action.v ~id ~obj:inv.Runtime.target ~meth:inv.Runtime.meth_name
-            ~args:inv.Runtime.args ~process:task.process ()
-        in
-        task.pending <- Request (inv, action, Caught k)
-      end
-  | Yield (inv, k) ->
-      let parent = current_frame task in
-      if parent.kind = `Primitive then begin
-        discontinue_quietly k;
-        abort_txn eng txn ~retry:false
-          (Fmt.str "primitive method %a issued a call" Action.pp parent.action)
-      end
-      else begin
-        parent.next_child <- parent.next_child + 1;
-        parent.groups <- Seq (parent.next_child - 1) :: parent.groups;
-        let id = Ids.Action_id.child (Action.id parent.action) parent.next_child in
-        let action =
-          Action.v ~id ~obj:inv.Runtime.target ~meth:inv.Runtime.meth_name
-            ~args:inv.Runtime.args ~process:task.process ()
-        in
-        task.pending <- Request (inv, action, Direct k)
-      end
+  | Yield_try (inv, k) -> request_call eng txn task inv (Caught k)
+  | Yield (inv, k) -> request_call eng txn task inv (Direct k)
 
 and propagate_failure eng txn task msg =
+  (* pop the failed frame and roll back its subtree in place: locks
+     scoped to the frame are still held, so direct execution is sound *)
+  let roll_back f rest =
+    task.stack <- rest;
+    List.iter
+      (fun item ->
+        match item with
+        | Restore g -> g ()
+        | Compensate inv ->
+            ignore (execute_direct eng { Runtime.top = txn.top } inv))
+      f.undo;
+    Protocol.on_end eng.config.protocol f.action
+  in
   match task.stack with
   | [] -> abort_txn eng txn ~retry:false msg
   | f :: rest -> (
@@ -1055,28 +1031,10 @@ and propagate_failure eng txn task msg =
              which collects this frame's undo items *)
           abort_txn eng txn ~retry:false msg
       | Caught k ->
-          task.stack <- rest;
-          (* roll back this frame's subtree in place: locks scoped to the
-             frame are still held, so direct execution is sound *)
-          List.iter
-            (fun item ->
-              match item with
-              | Restore g -> g ()
-              | Compensate inv ->
-                  ignore (execute_direct eng { Runtime.top = txn.top } inv))
-            f.undo;
-          Protocol.on_end eng.config.protocol f.action;
+          roll_back f rest;
           task.pending <- Step (fun () -> Effect.Deep.continue k (Error msg))
       | Direct k ->
-          task.stack <- rest;
-          List.iter
-            (fun item ->
-              match item with
-              | Restore g -> g ()
-              | Compensate inv ->
-                  ignore (execute_direct eng { Runtime.top = txn.top } inv))
-            f.undo;
-          Protocol.on_end eng.config.protocol f.action;
+          roll_back f rest;
           task.pending <-
             Step (fun () -> Effect.Deep.discontinue k (Runtime.Abort msg)))
 
@@ -1137,13 +1095,14 @@ let resolve_deadlock (eng : t) =
       let candidates =
         List.filter_map (fun tid -> txn_of_task eng tid) cycle
       in
+      let youngest = function
+        | [] -> None
+        | l -> Some (List.fold_left (fun a b -> if b.top > a.top then b else a) (List.hd l) l)
+      in
       let victim =
         match List.filter (fun txn -> txn.aborting = None) candidates with
-        | [] -> (
-            match candidates with
-            | [] -> None
-            | l -> Some (List.fold_left (fun a b -> if b.top > a.top then b else a) (List.hd l) l))
-        | l -> Some (List.fold_left (fun a b -> if b.top > a.top then b else a) (List.hd l) l)
+        | [] -> youngest candidates
+        | l -> youngest l
       in
       match victim with
       | Some txn -> abort_txn eng txn ~retry:true "deadlock victim"
@@ -1179,6 +1138,25 @@ let retry_blocked (eng : t) =
       | Not_started | Step _ | Idle | Joining | Await_input _ -> ())
     blocked
 
+let new_txn ?deadline ~top ~name body =
+  {
+    top;
+    tname = name;
+    body;
+    tasks = [];
+    status = Running;
+    attempt = 0;
+    resume_after = 0;
+    result = None;
+    branch_counter = 0;
+    aborting = None;
+    first_step = -1;
+    commit_step = -1;
+    deadline;
+    pinned = false;
+    prims = [];
+  }
+
 let create ?(config : config option) db ~protocol bodies =
   let config = match config with Some c -> c | None -> default_config protocol in
   (* top-level transactions are messages on the system object (Def. 4);
@@ -1186,32 +1164,10 @@ let create ?(config : config option) db ~protocol bodies =
   let sys = Call_tree.Build.default_sys in
   if not (Database.mem db sys) then
     Database.register db sys ~spec:Commutativity.all_commute [];
-  let txns =
-    List.map
-      (fun (top, tname, body) ->
-        {
-          top;
-          tname;
-          body;
-          tasks = [];
-          status = Running;
-          attempt = 0;
-          resume_after = 0;
-          result = None;
-          branch_counter = 0;
-          aborting = None;
-          first_step = -1;
-          commit_step = -1;
-          deadline = None;
-          pinned = false;
-          prims = [];
-        })
-      bodies
-  in
   {
     db;
     config;
-    txns;
+    txns = List.map (fun (top, name, body) -> new_txn ~top ~name body) bodies;
     order = [];
     trees = [];
     steps = 0;
@@ -1237,35 +1193,6 @@ let set_journal (eng : t) j = eng.journal <- j
 let journal (eng : t) = eng.journal
 let set_trace_sink (eng : t) sink = eng.trace_sink <- sink
 
-(* Install a precomputed conflict table (built by the static conflict
-   atlas) into both runtime probe sites: the incremental certifier's
-   memo cache and the locking protocol's lock-table cache.  Covered
-   probes become array lookups; everything else keeps the normal path,
-   so the engine's decisions cannot change — only their cost. *)
-let preload_atlas (eng : t) tbl =
-  (match eng.cert with
-  | Some c -> Commutativity.preload (Incremental.cache c) tbl
-  | None -> ());
-  Protocol.preload eng.config.protocol tbl;
-  let _, cells = Commutativity.table_stats tbl in
-  Stats.Counter.incr ~by:cells eng.counters "atlas-cells"
-
-let atlas_hits (eng : t) =
-  let cert_hits =
-    match eng.cert with
-    | Some c -> Commutativity.atlas_hits (Incremental.cache c)
-    | None -> 0
-  in
-  let lock_hits =
-    match Protocol.table eng.config.protocol with
-    | Some lt -> (
-        match Ooser_cc.Lock_table.cache lt with
-        | Some c -> Commutativity.atlas_hits c
-        | None -> 0)
-    | None -> 0
-  in
-  cert_hits + lock_hits
-
 let final_history (eng : t) =
   History.v
     ~tops:(List.map snd (by_top eng.trees))
@@ -1281,6 +1208,14 @@ let live_certified (eng : t) =
     ->
       Some true
   | Some _ | None -> None
+
+let metrics (eng : t) =
+  let protocol = eng.config.protocol in
+  let prefix = if Protocol.has_validate protocol then "occ." else "lock." in
+  Stats.Counter.to_list eng.counters
+  @ List.map
+      (fun (k, v) -> (prefix ^ k, v))
+      (Stats.Counter.to_list (Protocol.counters protocol))
 
 let outcome_of (eng : t) =
   let committed =
@@ -1314,14 +1249,7 @@ let outcome_of (eng : t) =
     results;
     steps = eng.steps;
     latencies;
-    metrics =
-      (let prefix =
-         if Protocol.has_validate eng.config.protocol then "occ." else "lock."
-       in
-       Stats.Counter.to_list eng.counters
-       @ List.map
-           (fun (k, v) -> (prefix ^ k, v))
-           (Stats.Counter.to_list (Protocol.counters eng.config.protocol)));
+    metrics = metrics eng;
   }
 
 let runnable_units (eng : t) =
@@ -1422,27 +1350,7 @@ let find_txn (eng : t) top = List.find_opt (fun x -> x.top = top) eng.txns
 let submit (eng : t) ~top ~name ?deadline body =
   if find_txn eng top <> None then
     invalid_arg (Printf.sprintf "Engine.submit: transaction %d exists" top);
-  eng.txns <-
-    eng.txns
-    @ [
-        {
-          top;
-          tname = name;
-          body;
-          tasks = [];
-          status = Running;
-          attempt = 0;
-          resume_after = 0;
-          result = None;
-          branch_counter = 0;
-          aborting = None;
-          first_step = -1;
-          commit_step = -1;
-          deadline;
-          pinned = false;
-          prims = [];
-        };
-      ]
+  eng.txns <- eng.txns @ [ new_txn ?deadline ~top ~name body ]
 
 let set_deadline (eng : t) ~top deadline =
   match find_txn eng top with
@@ -1551,10 +1459,9 @@ let nearest_deadline (eng : t) =
    await input and carry no deadline, so the pump's quiescence is
    completion.  Out of budget, fail the stragglers but keep stepping so
    their compensation phases can run to completion. *)
-let run ?config ?atlas ?journal db ~protocol bodies =
+let run ?config ?journal db ~protocol bodies =
   let (eng : t) = create ?config db ~protocol bodies in
   eng.journal <- journal;
-  Option.iter (preload_atlas eng) atlas;
   ignore (pump eng);
   let rec compensate () =
     List.iter
@@ -1597,8 +1504,6 @@ let run ?config ?atlas ?journal db ~protocol bodies =
         eng.txns
   in
   if eng.steps >= eng.config.max_steps then compensate ();
-  if atlas <> None then
-    Stats.Counter.incr ~by:(atlas_hits eng) eng.counters "atlas-hits";
   outcome_of eng
 
 (* Drop committed and aborted transactions the caller no longer needs —

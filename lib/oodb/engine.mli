@@ -109,7 +109,7 @@ type outcome = {
   results : (int * Value.t) list;
   steps : int;
   metrics : (string * int) list;
-      (** engine counters plus protocol counters under ["lock."] *)
+      (** {!metrics} at the end of the run *)
   latencies : (int * int) list;
       (** per committed transaction: scheduler steps from the final
           attempt's start to commit (response time) *)
@@ -117,7 +117,6 @@ type outcome = {
 
 val run :
   ?config:config ->
-  ?atlas:Commutativity.table ->
   ?journal:Ooser_recovery.Oplog.t ->
   Database.t ->
   protocol:Protocol.t ->
@@ -127,10 +126,8 @@ val run :
     [(id, name, body)] to completion (commit, permanent abort, or step
     budget), resolving deadlocks by aborting the youngest transaction in
     the waits-for cycle: a {!create} and one {!pump}, then, out of
-    budget, a compensation phase for the stragglers.  [atlas] preloads
-    a precomputed conflict table (see {!preload_atlas}) before the first
-    step; [journal] attaches a durable operation log (see
-    {!set_journal}). *)
+    budget, a compensation phase for the stragglers.  [journal]
+    attaches a durable operation log (see {!set_journal}). *)
 
 (** {1 Dynamic driving}
 
@@ -196,16 +193,6 @@ val retire : t -> top:int -> bool
     stays small in a long-running server.  Its committed work remains
     part of the history and of certification.  False while the
     transaction is still running (or unknown). *)
-
-val preload_atlas : t -> Commutativity.table -> unit
-(** Install a statically precomputed conflict table (the atlas of
-    {!Ooser_analysis.Atlas}) into the engine's commutativity caches —
-    both the incremental certifier's and the lock table's — before any
-    step runs.  Covered (stable, method-only) class pairs are then
-    answered by a dense table lookup instead of a runtime spec probe;
-    uncovered pairs fall back to the memoised probe path unchanged, so
-    preloading never alters an engine's decisions, only how they are
-    computed.  The ["atlas-cells"] counter records the table size. *)
 
 val final_history : t -> History.t
 (** The history of every committed transaction, including retired
@@ -277,6 +264,11 @@ val txn_quiescent : t -> top:int -> bool
 
 val counters : t -> Ooser_sim.Stats.Counter.t
 val steps : t -> int
+
+val metrics : t -> (string * int) list
+(** {!counters} plus the protocol's counters, prefixed ["occ."] under a
+    validating protocol and ["lock."] otherwise — {!outcome}'s
+    [metrics]. *)
 
 (** {1 Durability}
 

@@ -21,7 +21,6 @@
 open Ooser_core
 open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
-module Stats = Ooser_sim.Stats
 module Dispatcher = Ooser_shard.Dispatcher
 module Engine_stack = Ooser_shard.Engine_stack
 module Trace = Ooser_certify.Trace
@@ -189,10 +188,8 @@ let build_occ config =
     ~low:0 ~high:1_000_000 ()
 
 (* The single engine.  It owns the streaming trace writer and the
-   durable journal, and checkpoints at drain.  Protocol counters carry
-   the ["occ."] prefix under a validating protocol, ["lock."] otherwise,
-   as in [Engine.outcome_of]. *)
-let engine_backend config metrics ~occ_store ~durable engine protocol =
+   durable journal, and checkpoints at drain. *)
+let engine_backend config metrics ~occ_store ~durable engine =
   let trace =
     Option.map
       (fun path ->
@@ -207,7 +204,6 @@ let engine_backend config metrics ~occ_store ~durable engine protocol =
       config.trace_path
   in
   let poke ~top = ignore (Engine.poke engine top) in
-  let prefix = if Protocol.has_validate protocol then "occ." else "lock." in
   {
     submit =
       (fun tr ~name ~deadline ->
@@ -222,13 +218,7 @@ let engine_backend config metrics ~occ_store ~durable engine protocol =
     nearest_deadline = (fun () -> Engine.nearest_deadline engine);
     wake_fds = [];
     pump = (fun () -> ignore (Engine.pump engine));
-    counters =
-      (fun () ->
-        ( Stats.Counter.to_list (Engine.counters engine)
-          @ List.map
-              (fun (k, v) -> (prefix ^ k, v))
-              (Stats.Counter.to_list (Protocol.counters protocol)),
-          [] ));
+    counters = (fun () -> (Engine.metrics engine, []));
     certified =
       (fun () ->
         match (occ_store, Engine.live_certified engine) with
@@ -385,7 +375,7 @@ let create config =
     match dispatcher with
     | Some d -> (dispatcher_backend config d, Dispatcher.next_top_floor d)
     | None ->
-        ( engine_backend config metrics ~occ_store ~durable engine parts.protocol,
+        ( engine_backend config metrics ~occ_store ~durable engine,
           Option.fold ~none:1 ~some:Engine_stack.next_top durable )
   in
   let recovery = Option.map Engine_stack.boot_report durable in

@@ -540,39 +540,29 @@ let shard_obj_name i name = Printf.sprintf "s%d:%s" i name
 
 let sys_name = Obj_id.name Call_tree.Build.default_sys
 
+(* Inverse of [shard_obj_name] over the shards that exist. *)
+let shard_obj ~shards n =
+  match String.index_opt n ':' with
+  | Some j when j > 0 && n.[0] = 's' -> (
+      match int_of_string_opt (String.sub n 1 (j - 1)) with
+      | Some i when i >= 0 && i < shards ->
+          Some (i, Obj_id.v (String.sub n (j + 1) (String.length n - j - 1)))
+      | _ -> None)
+  | _ -> None
+
 let merged_registry t =
+  let local_spec o =
+    match shard_obj ~shards:(Array.length t.shards) (Obj_id.name o) with
+    | Some (i, local) -> Shard.spec t.shards.(i) local
+    | None -> None
+  in
   Ooser_core.Commutativity.registry
-    ~known:(fun o ->
-      let n = Obj_id.name o in
-      n = sys_name
-      ||
-      match String.index_opt n ':' with
-      | Some j -> (
-          let i = int_of_string_opt (String.sub n 1 (j - 1)) in
-          match i with
-          | Some i when n.[0] = 's' && i >= 0 && i < Array.length t.shards ->
-              Shard.spec t.shards.(i)
-                (Obj_id.v (String.sub n (j + 1) (String.length n - j - 1)))
-              <> None
-          | _ -> false)
-      | None -> false)
+    ~known:(fun o -> Obj_id.name o = sys_name || local_spec o <> None)
     (fun o ->
-      let n = Obj_id.name o in
-      if n = sys_name then Ooser_core.Commutativity.all_commute
+      if Obj_id.name o = sys_name then Ooser_core.Commutativity.all_commute
       else
-        match String.index_opt n ':' with
-        | Some j -> (
-            let i = int_of_string_opt (String.sub n 1 (j - 1)) in
-            match i with
-            | Some i when n.[0] = 's' && i >= 0 && i < Array.length t.shards -> (
-                match
-                  Shard.spec t.shards.(i)
-                    (Obj_id.v (String.sub n (j + 1) (String.length n - j - 1)))
-                with
-                | Some s -> s
-                | None -> Ooser_core.Commutativity.all_conflict)
-            | _ -> Ooser_core.Commutativity.all_conflict)
-        | None -> Ooser_core.Commutativity.all_conflict)
+        Option.value (local_spec o)
+          ~default:Ooser_core.Commutativity.all_conflict)
 
 (* Rewrite one shard's branch subtree of transaction [top]: rename its
    objects with the shard prefix and renumber the branch-local child

@@ -117,6 +117,11 @@ val certified : t -> ?timeout:float -> unit -> bool
     transaction-dependency relation is the union of the per-shard
     relations, all of which the coordinator keeps acyclic. *)
 
+val shard_obj : shards:int -> string -> (int * Obj_id.t) option
+(** The shard and shard-local object an ["s<i>:<name>"] object name of
+    {!merged_history} denotes; [None] for other names and for shards
+    outside [0, shards). *)
+
 val merged_history : t -> ?timeout:float -> unit -> History.t
 (** The stitched global history: per-shard committed call trees of each
     transaction merged under one root, renumbered to global call order,

@@ -60,26 +60,6 @@ type point = { upto : int; seconds : float }
 (* [upto]: number of committed transactions; [seconds]: mean per-commit
    certification time (incremental) or one full-check time (scratch) *)
 
-type atlas_parity = {
-  atlas_n : int;  (* transactions in each engine run *)
-  parity : bool;  (* identical commit and abort sets *)
-  committed : int;
-  aborted : int;
-  atlas_hits : int;  (* decisions answered from the table *)
-  table_cells : int;
-  probe_ns : float;  (* memoised spec-probe decision *)
-  table_ns : float;  (* dense-table decision *)
-}
-
-type infer_stats = {
-  infer_decided : int;  (* cells the inference decided on the adts target *)
-  infer_total : int;
-  infer_table_cells : int;  (* argument-independent cells it compiled *)
-  infer_table_hits : int;  (* probe decisions the inferred table answered *)
-  hand_probe_ns : float;  (* memoised hand-spec probe decision *)
-  inferred_table_ns : float;  (* same decision from the inferred table *)
-}
-
 type result = {
   n_txns : int;
   chunk : int;
@@ -91,8 +71,6 @@ type result = {
   len_growth : float;  (* history-length ratio between those endpoints *)
   incremental_sublinear : bool;
   scratch_superlinear : bool;
-  atlas : atlas_parity;
-  infer : infer_stats;
 }
 
 let time f =
@@ -143,189 +121,6 @@ let growth points =
        float_of_int last.upto /. float_of_int first.upto)
   | _ -> (1., 1.)
 
-(* -- Atlas parity: probe path vs preloaded conflict table -------------------
-
-   The same chain workload, run through the live engine (open-nested
-   locking + incremental certification) twice: once deciding
-   commutativity by memoised runtime spec probes, once with the
-   statically compiled conflict table installed up front
-   (Engine.preload_atlas).  The table may only change HOW decisions are
-   computed, never WHAT they are — both runs must commit and abort
-   exactly the same transactions.  The lookup comparison then times the
-   two decision paths directly on a shared cache. *)
-
-module Db = Ooser_oodb.Database
-module Engine = Ooser_oodb.Engine
-module Runtime = Ooser_oodb.Runtime
-module Protocol = Ooser_cc.Protocol
-module Analysis = Ooser_analysis
-module Json = Ooser_sim.Json
-
-let chain_db n =
-  let db = Db.create () in
-  let cell name =
-    let state = ref 0 in
-    let read _ _ = Value.int !state in
-    let write ctx args =
-      match args with
-      | [ Value.Int v ] ->
-          let old = !state in
-          Runtime.on_undo ctx (fun () -> state := old);
-          state := v;
-          Value.unit
-      | _ -> invalid_arg "cert_bench: write"
-    in
-    Db.register db (Obj_id.v name) ~spec:rw
-      [ ("read", Db.primitive read); ("write", Db.primitive write) ]
-  in
-  cell "HOT";
-  for i = 1 to n do
-    cell (Printf.sprintf "W%d" i)
-  done;
-  db
-
-let chain_bodies n =
-  List.init n (fun k ->
-      let i = k + 1 in
-      let body ctx =
-        ignore (Runtime.call ctx hot "read" []);
-        ignore (Runtime.call ctx (w i) "write" [ Value.int i ]);
-        if i > 1 then
-          ignore (Runtime.call ctx (w (i - 1)) "write" [ Value.int i ]);
-        Value.unit
-      in
-      (i, Printf.sprintf "chain%d" i, body))
-
-let chain_summaries n =
-  List.init n (fun k ->
-      let i = k + 1 in
-      Analysis.Summary.txn
-        (Printf.sprintf "chain%d" i)
-        (Analysis.Summary.call hot "read" []
-         :: Analysis.Summary.call (w i) "write" []
-         ::
-         (if i > 1 then [ Analysis.Summary.call (w (i - 1)) "write" [] ]
-          else [])))
-
-let atlas_table ?(n = 40) () =
-  let db = chain_db n in
-  let target =
-    Analysis.Lint.target ~name:"cert-bench" ~summaries:(chain_summaries n)
-      (Db.spec_registry db)
-  in
-  (Analysis.Atlas.build target).Analysis.Atlas.table
-
-let lookup_pairs () =
-  let mk top obj meth =
-    Action.v
-      ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-      ~obj ~meth ~args:[ Value.int 0 ]
-      ~process:(Ids.Process_id.main top)
-      ()
-  in
-  List.concat_map
-    (fun obj ->
-      [
-        (mk 1 obj "read", mk 2 obj "write");
-        (mk 1 obj "write", mk 2 obj "write");
-        (mk 1 obj "read", mk 2 obj "read");
-      ])
-    [ hot; w 1; w 2; w 3 ]
-
-let time_lookup pairs c =
-  let reps = 20_000 in
-  (* first pass warms the memo (probe path) / pays nothing (table) *)
-  List.iter (fun (a, b) -> ignore (Commutativity.cached_test c a b)) pairs;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    List.iter (fun (a, b) -> ignore (Commutativity.cached_test c a b)) pairs
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * List.length pairs)
-
-let lookup_bench tbl =
-  let pairs = lookup_pairs () in
-  let probe_c = Commutativity.cached registry in
-  let table_c = Commutativity.cached registry in
-  Commutativity.preload table_c tbl;
-  (time_lookup pairs probe_c, time_lookup pairs table_c)
-
-(* Spec-inference datapoint: probe latency of the hand specs (memoised
-   predicate calls, keyed dispatch) against the same decisions answered
-   from the inferred conflict table compiled by Infer.run — plus the
-   inference coverage itself. *)
-let infer_stats () =
-  let target = Lint_targets.adts () in
-  let r = Analysis.Infer.run target in
-  let mk top obj meth args =
-    Action.v
-      ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-      ~obj:(Obj_id.v obj) ~meth ~args
-      ~process:(Ids.Process_id.main top)
-      ()
-  in
-  let a = Value.str "a" and b = Value.str "b" in
-  (* pairs whose cells the inference proved argument-independent, so
-     the preloaded inferred table answers every one of them *)
-  let pairs =
-    [
-      (mk 1 "set" "insert" [ a ], mk 2 "set" "insert" [ b ]);
-      (mk 1 "set" "contains" [ a ], mk 2 "set" "cardinal" []);
-      (mk 1 "set" "insert" [ a ], mk 2 "set" "cardinal" []);
-      (mk 1 "dir" "lookup" [ a ], mk 2 "dir" "lookup" [ b ]);
-      (mk 1 "dir" "list" [], mk 2 "dir" "bind" [ a; Value.int 1 ]);
-      (mk 1 "dir" "list" [], mk 2 "dir" "lookup" [ a ]);
-    ]
-  in
-  let reg = target.Analysis.Lint.registry in
-  let probe_c = Commutativity.cached reg in
-  let table_c = Commutativity.cached reg in
-  Commutativity.preload table_c r.Analysis.Infer.table;
-  let hand_probe_ns = time_lookup pairs probe_c in
-  let inferred_table_ns = time_lookup pairs table_c in
-  let _, cells = Commutativity.table_stats r.Analysis.Infer.table in
-  {
-    infer_decided = r.Analysis.Infer.decided;
-    infer_total = r.Analysis.Infer.total;
-    infer_table_cells = cells;
-    infer_table_hits = Commutativity.atlas_hits table_c;
-    hand_probe_ns;
-    inferred_table_ns;
-  }
-
-let atlas_run ?(n = 40) () =
-  let tbl = atlas_table ~n () in
-  let run_engine atlas =
-    let db = chain_db n in
-    let protocol = Protocol.open_nested ~reg:(Db.spec_registry db) () in
-    let config =
-      { (Engine.default_config protocol) with Engine.certify = true }
-    in
-    Engine.run ~config ?atlas db ~protocol (chain_bodies n)
-  in
-  let probe_out = run_engine None in
-  let atlas_out = run_engine (Some tbl) in
-  let commits o = List.sort Int.compare o.Engine.committed in
-  let aborts o = List.sort compare (List.map fst o.Engine.aborted) in
-  let parity =
-    commits probe_out = commits atlas_out
-    && aborts probe_out = aborts atlas_out
-  in
-  let atlas_hits =
-    Option.value ~default:0 (List.assoc_opt "atlas-hits" atlas_out.Engine.metrics)
-  in
-  let _, table_cells = Commutativity.table_stats tbl in
-  let probe_ns, table_ns = lookup_bench tbl in
-  {
-    atlas_n = n;
-    parity;
-    committed = List.length atlas_out.Engine.committed;
-    aborted = List.length atlas_out.Engine.aborted;
-    atlas_hits;
-    table_cells;
-    probe_ns;
-    table_ns;
-  }
-
 let run ?(n = 600) ?(chunk = 50) ?(samples = [ 50; 150; 300; 600 ]) () =
   let samples = List.filter (fun s -> s <= n) samples in
   let incremental, act_edges = run_incremental ~n ~chunk in
@@ -347,13 +142,12 @@ let run ?(n = 600) ?(chunk = 50) ?(samples = [ 50; 150; 300; 600 ]) () =
        linear certifier still fails it from ~4x history growth on *)
     incremental_sublinear = inc_growth < Float.max (len_growth /. 2.) 2.0;
     scratch_superlinear = scratch_growth >= scratch_len_growth;
-    atlas = atlas_run ();
-    infer = infer_stats ();
   }
+
+module Json = Ooser_sim.Json
 
 let json_fields r =
   let point p = Json.(Obj [ "upto", Int p.upto; "seconds", Float p.seconds ]) in
-  let a = r.atlas and i = r.infer in
   Json.
     [ "n_txns", Int r.n_txns; "chunk", Int r.chunk;
       "incremental_per_commit", List (List.map point r.incremental);
@@ -362,21 +156,7 @@ let json_fields r =
       "scratch_growth", Float r.scratch_growth;
       "len_growth", Float r.len_growth;
       "incremental_sublinear", Bool r.incremental_sublinear;
-      "scratch_superlinear", Bool r.scratch_superlinear;
-      ( "atlas",
-        Obj
-          [ "n", Int a.atlas_n; "parity", Bool a.parity;
-            "committed", Int a.committed;
-            "aborted", Int a.aborted; "atlas_hits", Int a.atlas_hits;
-            "table_cells", Int a.table_cells; "probe_ns", Float a.probe_ns;
-            "table_ns", Float a.table_ns ] );
-      ( "infer",
-        Obj
-          [ "decided", Int i.infer_decided; "total", Int i.infer_total;
-            "table_cells", Int i.infer_table_cells;
-            "table_hits", Int i.infer_table_hits;
-            "hand_probe_ns", Float i.hand_probe_ns;
-            "inferred_table_ns", Float i.inferred_table_ns ] ) ]
+      "scratch_superlinear", Bool r.scratch_superlinear ]
 
 let pp ppf r =
   Fmt.pf ppf "@[<v>certification scaling (%d txns, chunks of %d)@," r.n_txns
@@ -391,18 +171,5 @@ let pp ppf r =
     r.scratch;
   Fmt.pf ppf "growth: incremental %.2fx vs history %.2fx (sublinear: %b)@,"
     r.inc_growth r.len_growth r.incremental_sublinear;
-  Fmt.pf ppf "        scratch %.2fx (superlinear: %b)@,"
-    r.scratch_growth r.scratch_superlinear;
-  Fmt.pf ppf
-    "atlas parity (%d txns): %s — %d committed, %d aborted, %d table hits@,"
-    r.atlas.atlas_n
-    (if r.atlas.parity then "identical to probe path" else "MISMATCH")
-    r.atlas.committed r.atlas.aborted r.atlas.atlas_hits;
-  Fmt.pf ppf
-    "conflict lookup: probe %.1f ns vs table %.1f ns (%d cells)@,"
-    r.atlas.probe_ns r.atlas.table_ns r.atlas.table_cells;
-  Fmt.pf ppf
-    "spec inference (adts): %d/%d cells decided, %d compiled; hand probe \
-     %.1f ns vs inferred table %.1f ns (%d table hits)@]"
-    r.infer.infer_decided r.infer.infer_total r.infer.infer_table_cells
-    r.infer.hand_probe_ns r.infer.inferred_table_ns r.infer.infer_table_hits
+  Fmt.pf ppf "        scratch %.2fx (superlinear: %b)@]"
+    r.scratch_growth r.scratch_superlinear

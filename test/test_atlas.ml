@@ -1,7 +1,6 @@
 (* Static conflict atlas tests: soundness of the verdicts against the
    dynamic checker (no false "safe" over random schedules, every witness
-   rejected), the dense conflict table and its engine preloading parity,
-   the HOT001/COMP001 rules, Callgraph coverage on recursive summaries,
+   rejected), the HOT001/COMP001 rules, Callgraph coverage on recursive summaries,
    and the shared lint/analyze exit-code mapping. *)
 
 open Ooser_core
@@ -251,112 +250,6 @@ let test_unknown_budget () =
   | Atlas.Unknown _ -> ()
   | v -> Alcotest.failf "expected unknown (budget), got %s" (Atlas.verdict_label v)
 
-(* -- the dense conflict table ------------------------------------------- *)
-
-let mk_action top obj meth =
-  Action.v
-    ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-    ~obj ~meth
-    ~process:(Ids.Process_id.main top)
-    ()
-
-let test_table_lookup () =
-  let tbl =
-    Commutativity.table_of_entries
-      [
-        { Commutativity.e_obj = "A"; e_meth = "read"; e_meth' = "read"; e_commutes = true };
-        { Commutativity.e_obj = "A"; e_meth = "read"; e_meth' = "write"; e_commutes = false };
-        { Commutativity.e_obj = "A"; e_meth = "write"; e_meth' = "write"; e_commutes = false };
-      ]
-  in
-  let look m m' = Commutativity.table_lookup tbl (mk_action 1 (o "A") m) (mk_action 2 (o "A") m') in
-  check_bool "read/read commutes" true (look "read" "read" = Some true);
-  check_bool "symmetric fill" true (look "write" "read" = Some false);
-  check_bool "uncovered method" true (look "read" "scan" = None);
-  check_bool "uncovered object" true
-    (Commutativity.table_lookup tbl (mk_action 1 (o "B") "read")
-       (mk_action 2 (o "B") "read")
-    = None);
-  let objs, cells = Commutativity.table_stats tbl in
-  check_int "one object" 1 objs;
-  check_int "covered cells" 4 cells
-
-let test_table_contradiction () =
-  Alcotest.check_raises "contradictory entries rejected"
-    (Invalid_argument
-       "Commutativity.table_of_entries: contradictory entries for (A, read, \
-        read)")
-    (fun () ->
-      ignore
-        (Commutativity.table_of_entries
-           [
-             { Commutativity.e_obj = "A"; e_meth = "read"; e_meth' = "read"; e_commutes = true };
-             { Commutativity.e_obj = "A"; e_meth = "read"; e_meth' = "read"; e_commutes = false };
-           ]))
-
-let test_table_virtual_object () =
-  (* lookups key on the ORIGINAL object, so decisions at Def. 5 virtual
-     objects come from the original's row *)
-  let tbl =
-    Commutativity.table_of_entries
-      [ { Commutativity.e_obj = "A"; e_meth = "write"; e_meth' = "write"; e_commutes = false } ]
-  in
-  let virt = Obj_id.virtualize (o "A") ~rank:1 in
-  check_bool "virtual object resolves to original" true
-    (Commutativity.table_lookup tbl (mk_action 1 virt "write")
-       (mk_action 2 virt "write")
-    = Some false)
-
-let test_preload_cache () =
-  let reg = registry_of [ ("A", rw) ] in
-  let cache = Commutativity.cached reg in
-  let a1 = mk_action 1 (o "A") "read" and a2 = mk_action 2 (o "A") "write" in
-  check_bool "probe path answers" false (Commutativity.cached_test cache a1 a2);
-  check_int "no atlas hits before preload" 0 (Commutativity.atlas_hits cache);
-  let atlas =
-    Atlas.build
-      (target "pair" [ ("A", rw) ]
-         [
-           Summary.txn "t1" [ Summary.call (o "A") "read" [] ];
-           Summary.txn "t2" [ Summary.call (o "A") "write" [] ];
-         ])
-  in
-  Commutativity.preload cache atlas.Atlas.table;
-  check_bool "preloaded" true (Commutativity.preloaded cache <> None);
-  check_bool "table path agrees" false (Commutativity.cached_test cache a1 a2);
-  check_bool "atlas hits counted" true (Commutativity.atlas_hits cache > 0)
-
-(* The compiled table must agree with the raw spec on every covered
-   cell — the engine-facing soundness of the preloading path. *)
-let test_table_matches_spec () =
-  let tgt = Lint_targets.banking ~semantics:`Rw ~seed:3 () in
-  let atlas = Atlas.build ~max_interleavings:1 tgt in
-  let entries = Commutativity.table_entries atlas.Atlas.table in
-  check_bool "table is populated" true (entries <> []);
-  List.iter
-    (fun (e : Commutativity.table_entry) ->
-      let obj = o e.Commutativity.e_obj in
-      let spec = Commutativity.spec_for tgt.Lint.registry obj in
-      let raw =
-        Commutativity.test spec
-          (mk_action 1 obj e.Commutativity.e_meth)
-          (mk_action 2 obj e.Commutativity.e_meth')
-      in
-      check_bool
-        (Printf.sprintf "cell %s.%s/%s" e.Commutativity.e_obj
-           e.Commutativity.e_meth e.Commutativity.e_meth')
-        raw e.Commutativity.e_commutes)
-    entries
-
-(* -- engine parity ------------------------------------------------------ *)
-
-let test_engine_parity () =
-  let r = Cert_bench.atlas_run ~n:12 () in
-  check_bool "identical commit/abort decisions" true r.Cert_bench.parity;
-  check_bool "atlas answered probes" true (r.Cert_bench.atlas_hits > 0);
-  check_bool "table covers the workload" true (r.Cert_bench.table_cells > 0);
-  check_int "all chain txns commit" 12 r.Cert_bench.committed
-
 (* -- HOT001 / COMP001 --------------------------------------------------- *)
 
 let test_hot001 () =
@@ -532,17 +425,6 @@ let suites =
             test_unknown_unstable;
           Alcotest.test_case "unknown: enumeration budget" `Quick
             test_unknown_budget;
-          Alcotest.test_case "conflict table lookup" `Quick test_table_lookup;
-          Alcotest.test_case "conflict table rejects contradictions" `Quick
-            test_table_contradiction;
-          Alcotest.test_case "table lookup via virtual objects" `Quick
-            test_table_virtual_object;
-          Alcotest.test_case "cache preload and atlas hits" `Quick
-            test_preload_cache;
-          Alcotest.test_case "table agrees with the raw specs" `Quick
-            test_table_matches_spec;
-          Alcotest.test_case "engine parity under preload_atlas" `Quick
-            test_engine_parity;
           Alcotest.test_case "HOT001 inheritance hotspot" `Quick test_hot001;
           Alcotest.test_case "COMP001 missing compensation" `Quick test_comp001;
           Alcotest.test_case "callgraph on recursive summaries" `Quick

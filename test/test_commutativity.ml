@@ -112,6 +112,91 @@ let test_fixed_default () =
   let b = mk ~top:2 ~path:[ 1 ] "X" "w" in
   check_bool "default applies" true (Commutativity.commutes reg a b)
 
+(* The memo cache never changes an answer.  For every shipped registry
+   (the lint targets and the standalone ADTs), random same-object action
+   pairs — pinned escrow/fifo actions and Def. 5 virtual objects
+   included — get the raw spec's answer from [cached_test], on the
+   first probe (a miss) and the second (a hit for stable specs), in both
+   orders.  Each case probes one object through one fresh cache, and
+   each (method, args) pair under several pins, so answers memoised at
+   one pin meet probes at another. *)
+let shipped_objects =
+  lazy
+    (List.concat_map
+       (fun (t : Ooser_analysis.Lint.target) ->
+         List.filter_map
+           (fun (i : Ooser_analysis.Spec_lint.object_info) ->
+             match Ooser_analysis.Spec_lint.probe_vocab i with
+             | [] -> None
+             | vocab -> Some (t.name, t.registry, i.obj, Array.of_list vocab))
+           t.objects)
+       (Ooser_workload.Lint_targets.adts ()
+       :: Ooser_workload.Lint_targets.all ~seed:1 ()))
+
+let arg_pool =
+  Value.
+    [|
+      []; [ int 1 ]; [ int 5 ]; [ int 200 ]; [ str "a" ]; [ str "b" ];
+      [ str "a"; int 1 ]; [ str "k00001"; str "v" ];
+    |]
+
+let pin_pool =
+  Value.
+    [|
+      None; Some (int 0); Some (int 3); Some (int 50); Some (int 1_000_000);
+      Some (bool true); Some (bool false);
+    |]
+
+(* (rank, (method, args), (method', args'), [(pin, pin')]) as pool indices *)
+let gen_case =
+  QCheck2.Gen.(
+    let side = pair nat (int_bound (Array.length arg_pool - 1)) in
+    let pin = int_bound (Array.length pin_pool - 1) in
+    pair nat
+      (list_size (int_range 1 8)
+         (quad (int_bound 2) side side (list_size (int_range 1 4) (pair pin pin)))))
+
+let prop_cache_agrees =
+  QCheck2.Test.make ~name:"cached_test = test on every shipped registry"
+    ~count:500 gen_case (fun (o, pairs) ->
+      let objects = Lazy.force shipped_objects in
+      let target, reg, name, vocab = List.nth objects (o mod List.length objects) in
+      let cache = Commutativity.cached reg in
+      let action top obj (m, args) pin =
+        Action.v
+          ~id:(Action_id.v ~top ~path:[ 1 ])
+          ~obj ~meth:vocab.(m mod Array.length vocab) ~args:arg_pool.(args)
+          ?pin:pin_pool.(pin) ~process:(Process_id.main top) ()
+      in
+      let probe spec a b =
+        let want = Commutativity.test spec a b in
+        let check () =
+          if Commutativity.cached_test cache a b <> want then
+            let pin x = Option.fold ~none:"-" ~some:Value.to_string (Action.pin x) in
+            QCheck2.Test.fail_reportf
+              "%s %s: %a (pin %s) vs %a (pin %s): cached %b, raw %b" target
+              name Action.pp a (pin a) Action.pp b (pin b) (not want) want
+        in
+        let hits () = fst (Commutativity.cache_stats cache) in
+        check ();
+        let before = hits () in
+        check ();
+        (not (Commutativity.stable spec)) || hits () = before + 1
+      in
+      List.for_all
+        (fun (rank, l, r, pins) ->
+          let obj =
+            if rank = 0 then Obj_id.v name
+            else Obj_id.virtualize (Obj_id.v name) ~rank
+          in
+          let spec = Commutativity.spec_for reg obj in
+          List.for_all
+            (fun (p, p') ->
+              let a = action 1 obj l p and b = action 2 obj r p' in
+              probe spec a b && probe spec b a)
+            pins)
+        pairs)
+
 let suites =
   [
     ( "commutativity",
@@ -125,5 +210,6 @@ let suites =
         Alcotest.test_case "virtual objects use original spec" `Quick
           test_registry_virtual_objects;
         Alcotest.test_case "fixed registry default" `Quick test_fixed_default;
+        QCheck_alcotest.to_alcotest prop_cache_agrees;
       ] );
   ]

@@ -3,9 +3,9 @@
    must be flagged with a replayable witness the checker rejects), the
    INFER002 conservative gate (a planted over-conservative kv cell must
    be reported), the qcheck oracle-agreement property (no inferred
-   commuting cell is refuted by the semantics at random states), the
-   inferred-table compile/lookup path, and the named Invalid_argument
-   diagnostics of the matrix/rw spec constructors. *)
+   commuting cell is refuted by the semantics at random states), and the
+   named Invalid_argument diagnostics of the matrix/rw spec
+   constructors. *)
 
 open Ooser_core
 open Ooser_workload
@@ -118,72 +118,6 @@ let test_witness_details () =
            ("bind", w.Infer.w_args)
            ("bind", w.Infer.w_args'))
   | _ -> Alcotest.fail "dir same-args bind/bind should conflict"
-
-(* --- the compiled argument-independent table ------------------------ *)
-
-let act top obj meth args =
-  Action.v
-    ~id:(Ids.Action_id.v ~top ~path:[ 1 ])
-    ~obj:(Obj_id.v obj) ~meth ~args
-    ~process:(Ids.Process_id.main top)
-    ()
-
-let test_inferred_table () =
-  let r = Lazy.force adts_report in
-  let t = r.Infer.table in
-  let objs, cells = Commutativity.table_stats t in
-  check_bool "table covers stable specs" true (objs >= 2 && cells > 0);
-  let a = Value.str "a" and b = Value.str "b" in
-  check_bool "insert/insert compiled commuting" true
-    (Commutativity.table_lookup t
-       (act 1 "set" "insert" [ a ])
-       (act 2 "set" "insert" [ b ])
-    = Some true);
-  check_bool "list/bind compiled conflicting" true
-    (Commutativity.table_lookup t
-       (act 1 "dir" "list" [])
-       (act 2 "dir" "bind" [ a; Value.int 1 ])
-    = Some false);
-  check_bool "argument-dependent insert/remove not covered" true
-    (Commutativity.table_lookup t
-       (act 1 "set" "insert" [ a ])
-       (act 2 "set" "remove" [ a ])
-    = None);
-  check_bool "unstable escrow spec not covered" true
-    (Commutativity.table_lookup t
-       (act 1 "counter" "read" [])
-       (act 2 "counter" "read" [])
-    = None)
-
-(* Preloading the inferred table into a cache must change where answers
-   come from, never what they are — and it must actually be consulted
-   for the stable keyed specs (the Engine.preload_atlas path). *)
-let test_table_cache_parity () =
-  let r = Lazy.force adts_report in
-  let target = Lint_targets.adts () in
-  let reg = target.Lint.registry in
-  let plain = Commutativity.cached reg in
-  let loaded = Commutativity.cached reg in
-  Commutativity.preload loaded r.Infer.table;
-  let a = Value.str "a" and b = Value.str "b" in
-  let pairs =
-    [
-      (act 1 "set" "insert" [ a ], act 2 "set" "insert" [ b ]);
-      (act 1 "set" "insert" [ a ], act 2 "set" "remove" [ a ]);
-      (act 1 "set" "contains" [ a ], act 2 "set" "cardinal" []);
-      (act 1 "dir" "list" [], act 2 "dir" "bind" [ a; Value.int 1 ]);
-      (act 1 "dir" "lookup" [ a ], act 2 "dir" "lookup" [ b ]);
-      (act 1 "counter" "read" [], act 2 "counter" "read" []);
-    ]
-  in
-  List.iter
-    (fun (p, q) ->
-      check_bool "preloaded cache agrees with probe cache" true
-        (Commutativity.cached_test plain p q
-        = Commutativity.cached_test loaded p q))
-    pairs;
-  check_bool "inferred table answered some decisions" true
-    (Commutativity.atlas_hits loaded > 0)
 
 (* --- INFER001: a planted unsound escrow cell ------------------------ *)
 
@@ -394,10 +328,6 @@ let suites =
           test_shipped_verdicts;
         Alcotest.test_case "conflict witnesses are minimal and labelled"
           `Quick test_witness_details;
-        Alcotest.test_case "argument-independent cells compile to a table"
-          `Quick test_inferred_table;
-        Alcotest.test_case "preloaded inferred table: parity and hits" `Quick
-          test_table_cache_parity;
         Alcotest.test_case "planted unsound escrow cell raises INFER001"
           `Quick test_escrow_mutation_flagged;
         Alcotest.test_case "planted conservative kv cell raises INFER002"

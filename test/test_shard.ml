@@ -131,6 +131,34 @@ let with_dispatcher config f =
   let d = Dispatcher.create config in
   Fun.protect ~finally:(fun () -> Dispatcher.shutdown d) (fun () -> f d)
 
+(* Merged-history object names: ["s<i>:<name>"] resolves to shard i's
+   object only when shard i exists; the system object is known and
+   all-commute; every other name falls back to all-conflict. *)
+let test_merged_object_names () =
+  let parse = Dispatcher.shard_obj ~shards:2 in
+  check_bool "s0:Enc parses" true
+    (match parse "s0:Enc" with
+    | Some (0, o) -> Obj_id.equal o (Obj_id.v "Enc")
+    | _ -> false);
+  let others = [ "s9:Enc"; "x0:Enc"; "s:Enc"; "Enc"; ":Enc" ] in
+  let sys = Obj_id.name Call_tree.Build.default_sys in
+  List.iter
+    (fun n -> check_bool (n ^ " does not parse") true (parse n = None))
+    (sys :: others);
+  with_dispatcher (disp_config ()) (fun d ->
+      let reg = History.commut (Dispatcher.merged_history d ()) in
+      let known n = Commutativity.known reg (Obj_id.v n) in
+      let spec n = Commutativity.name (Commutativity.spec_for reg (Obj_id.v n)) in
+      check_bool "s0:Enc known" true (known "s0:Enc");
+      check_bool "s0:Enc has the shard's spec" true (spec "s0:Enc" <> "all-conflict");
+      check_bool "system object known" true (known sys);
+      Alcotest.(check string) "system object commutes" "all-commute" (spec sys);
+      List.iter
+        (fun n ->
+          check_bool (n ^ " unknown") false (known n);
+          Alcotest.(check string) (n ^ " conflicts") "all-conflict" (spec n))
+        others)
+
 let settle d ~top ~timeout =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
@@ -468,5 +496,7 @@ let suites =
           test_handbuilt_cycle_rejected;
         Alcotest.test_case "e2e sharded server" `Quick
           test_e2e_sharded_server;
+        Alcotest.test_case "merged-history object names" `Quick
+          test_merged_object_names;
       ] );
   ]
