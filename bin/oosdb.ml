@@ -123,25 +123,6 @@ let protocol_conv =
     [ ("open", `Open); ("flat", `Flat); ("closed", `Closed); ("none", `None);
       ("certify", `Certify); ("occ", `Occ); ("occ-rw", `Occ_rw) ]
 
-let occ_validate_conv = Arg.enum [ ("commute", `Commute); ("rw", `Rw) ]
-
-let occ_validate_arg =
-  Arg.(
-    value
-    & opt occ_validate_conv `Commute
-    & info [ "occ-validate" ]
-        ~doc:
-          "Validation mode for $(b,-p occ): $(b,commute) probes the \
-           registered commutativity specs (escrow deposits admit each \
-           other), $(b,rw) validates the read/write projection — the \
-           plain-SSI baseline.  $(b,-p occ-rw) is shorthand for $(b,-p occ \
-           --occ-validate rw).")
-
-let resolve_occ protocol occ_validate =
-  match (protocol, occ_validate) with
-  | `Occ, `Rw -> `Occ_rw
-  | p, _ -> p
-
 (* The occ engine run: the multiversion store registers the database, so
    the workload is the escrow banking mix (occ's model coverage) rather
    than the encyclopedia.  The certifiable history is the store's
@@ -184,7 +165,11 @@ let run_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let protocol =
     Arg.(value & opt protocol_conv `Open
-         & info [ "p"; "protocol" ] ~doc:"Protocol: open, flat, closed, none, certify.")
+         & info [ "p"; "protocol" ]
+             ~doc:
+               "Protocol: open, flat, closed, none, certify, occ (escrow \
+                commutativity validation), occ-rw (read/write-projection \
+                validation, the plain-SSI baseline).")
   in
   let scans =
     Arg.(value & flag & info [ "scans" ] ~doc:"Include readSeq scans in the mix.")
@@ -194,7 +179,7 @@ let run_cmd =
          & info [ "dump" ]
              ~doc:"Write the executed history as a checkable description file.")
   in
-  let run txns fanout seed protocol occ_validate scans dump =
+  let run txns fanout seed protocol scans dump =
     let go protocol =
     let p =
       {
@@ -240,7 +225,7 @@ let run_cmd =
     | None -> ());
     if List.length out.Engine.committed = txns then 0 else 1
     in
-    match resolve_occ protocol occ_validate with
+    match protocol with
     | `Occ -> run_occ ~txns ~seed Occ.Store.Commute
     | `Occ_rw -> run_occ ~txns ~seed Occ.Store.Rw
     | `Open -> go `Open
@@ -255,8 +240,7 @@ let run_cmd =
          "Run an encyclopedia workload under a protocol ($(b,-p occ) runs \
           the escrow banking mix — the occ store's model coverage).")
     Term.(
-      const run $ txns $ fanout $ seed $ protocol $ occ_validate_arg $ scans
-      $ dump)
+      const run $ txns $ fanout $ seed $ protocol $ scans $ dump)
 
 (* -- acceptance -------------------------------------------------------------- *)
 
@@ -591,9 +575,8 @@ let serve_cmd =
                 single-shard server streams every commit, a sharded \
                 server exports the merged history at drain.")
   in
-  let run socket port db protocol occ_validate max_inflight timeout_ms preload
-      durable shards trace =
-    let protocol = resolve_occ protocol occ_validate in
+  let run socket port db protocol max_inflight timeout_ms preload durable
+      shards trace =
     let config =
       {
         (Srv.default_config (addr_of socket port)) with
@@ -643,8 +626,8 @@ let serve_cmd =
           unix-domain socket, multiplexed onto one engine.  Exits non-zero \
           if the committed history fails certification.")
     Term.(
-      const run $ socket_arg $ port_arg $ db $ protocol $ occ_validate_arg
-      $ max_inflight $ timeout_ms $ preload $ durable $ shards $ trace)
+      const run $ socket_arg $ port_arg $ db $ protocol $ max_inflight
+      $ timeout_ms $ preload $ durable $ shards $ trace)
 
 (* -- recover ------------------------------------------------------------------- *)
 

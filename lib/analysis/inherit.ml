@@ -186,13 +186,3 @@ let analyse ?(sys = default_sys) reg (left : Summary.t) (right : Summary.t) =
 
 let reaches_top c = c.stop = Reached_top
 
-let pp_channel ppf c =
-  let stop_label = function
-    | Reached_top -> "reaches top"
-    | Callers_commute -> "stopped: callers commute"
-    | Different_objects -> "stopped: callers on different objects"
-  in
-  Fmt.pf ppf "%a (%s/%s) via %a [%s]" Obj_id.pp c.source (fst c.meths)
-    (snd c.meths)
-    (Fmt.list ~sep:(Fmt.any " -> ") Obj_id.pp)
-    c.trail (stop_label c.stop)

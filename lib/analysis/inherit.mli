@@ -68,4 +68,3 @@ val analyse :
 
 val reaches_top : channel -> bool
 
-val pp_channel : Format.formatter -> channel -> unit

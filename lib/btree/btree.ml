@@ -386,6 +386,3 @@ let check_invariants t =
   in
   if sorted all then Ok () else fail "leaf chain out of order"
 
-let pp_stats ppf s =
-  Fmt.pf ppf "height=%d internal=%d leaves=%d keys=%d fill=%.2f" s.height
-    s.internal_nodes s.leaves s.keys s.avg_fill

@@ -49,7 +49,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 val check_invariants : t -> (unit, string) result
 (** Sortedness, equal leaf depth, high-key bounds, ordered leaf chain. *)

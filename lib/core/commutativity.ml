@@ -244,7 +244,6 @@ type cache = {
 let cached ?(size = 1024) reg =
   { reg; table = Hashtbl.create size; hits = 0; misses = 0 }
 
-let cache_registry c = c.reg
 let cache_stats c = (c.hits, c.misses)
 
 let class_key a a' =

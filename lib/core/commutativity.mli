@@ -165,8 +165,6 @@ type cache
 val cached : ?size:int -> registry -> cache
 (** Wrap a registry with a memo table ([size] is the initial capacity). *)
 
-val cache_registry : cache -> registry
-
 val cached_test : cache -> Action.t -> Action.t -> bool
 (** Memoized {!test} of the owning object's spec (no same-process rule):
     the class-level probe used to skip whole buckets of commuting

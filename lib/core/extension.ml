@@ -58,15 +58,6 @@ let same_call_path a b =
   || Action_id.is_proper_ancestor a b
   || Action_id.is_proper_ancestor b a
 
-(* Transactions on O (Def. 6): the actions calling an action on O. *)
-let transactions_on t o =
-  Action_id.Set.fold
-    (fun a acc ->
-      match caller_of t a with
-      | Some c -> Action_id.Set.add c acc
-      | None -> acc)
-    (acts_of t o) Action_id.Set.empty
-
 let extend h =
   let trees = History.tops h in
   (* Base action map and caller map from the call trees. *)

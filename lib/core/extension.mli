@@ -31,9 +31,6 @@ val caller_of : t -> Action_id.t -> Action_id.t option
 val acts_of : t -> Obj_id.t -> Action_id.Set.t
 (** [ACT_O]: the actions on an object, after extension. *)
 
-val transactions_on : t -> Obj_id.t -> Action_id.Set.t
-(** [TRA_O] (Def. 6): the actions that call an action on the object. *)
-
 val objects : t -> Obj_id.t list
 (** All objects with at least one action, virtual ones included. *)
 

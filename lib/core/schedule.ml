@@ -233,9 +233,6 @@ let compute ?ext h =
    transaction dependency relation; two system schedules are equivalent
    iff all their object schedules are (the union over absent objects being
    empty). *)
-let equivalent_object (a : object_schedule) (b : object_schedule) =
-  Action.Rel.equal a.txn_dep b.txn_dep
-
 let equivalent a b =
   let objs =
     List.sort_uniq Obj_id.compare
@@ -249,12 +246,6 @@ let equivalent a b =
       in
       Action.Rel.equal (dep a) (dep b))
     objs
-
-let pp_source ppf = function
-  | Axiom1 -> Fmt.string ppf "execution order (Axiom 1)"
-  | Completion -> Fmt.string ppf "span order (completion rule)"
-  | Program_order -> Fmt.string ppf "program order (Def. 7)"
-  | Inherited o -> Fmt.pf ppf "inherited from %a" Obj_id.pp o
 
 let pp_object ppf s =
   Fmt.pf ppf "@[<v 2>%a:@,acts: %a@,act_dep: %a@,txn_dep: %a@]" Obj_id.pp s.obj

@@ -57,13 +57,9 @@ val conflicts : Extension.t -> Action_id.t -> Action_id.t -> bool
 (** Conflict test honouring Def. 9 (same-process actions commute) and the
     virtual-extension exclusion of call-path pairs. *)
 
-val equivalent_object : object_schedule -> object_schedule -> bool
-(** Def. 12: equality of transaction dependency relations. *)
-
 val equivalent : t -> t -> bool
 (** Def. 12 lifted to system schedules: every object's transaction
     dependency relation coincides. *)
 
-val pp_source : Format.formatter -> dep_source -> unit
 val pp_object : Format.formatter -> object_schedule -> unit
 val pp : Format.formatter -> t -> unit

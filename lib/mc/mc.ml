@@ -163,7 +163,7 @@ let serial_fingerprint (sc : Scenario.t) ~fresh memo perm =
       let config =
         { (Engine.default_config protocol) with max_restarts = 0 }
       in
-      let eng = Engine.create ~config inst.i_db ~protocol [] in
+      let eng = Engine.create ~config inst.i_db ~protocol in
       let fp =
         try
           List.iter
@@ -262,7 +262,7 @@ let run_single (sc : Scenario.t) ~fresh ~crash memo chooser =
       certify = inst.i_certify;
     }
   in
-  let eng = Engine.create ~config inst.i_db ~protocol [] in
+  let eng = Engine.create ~config inst.i_db ~protocol in
   let journal =
     match crash with
     | [] -> None

@@ -152,11 +152,6 @@ let buf_of store top =
       Hashtbl.replace store.bufs top b;
       b
 
-let snapshot_ts store top =
-  match Hashtbl.find_opt store.bufs top with
-  | Some b -> Some b.b_snap
-  | None -> None
-
 (* Snapshot state overlaid with the transaction's own buffered
    intentions on this object, in buffer order. *)
 let local_state store buf obj =

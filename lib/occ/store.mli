@@ -40,9 +40,6 @@ val protocol : t -> Protocol.t
     snapshot at every attempt start, validation at commit point,
     buffers dropped on top-level commit/abort. *)
 
-val snapshot_ts : t -> int -> int option
-(** The snapshot timestamp of the transaction's current attempt. *)
-
 val committed_state : t -> Obj_id.t -> Value.t
 (** Newest committed state of the object. *)
 

@@ -674,8 +674,6 @@ let enc_object t = t.enc
 let bptree_object t = t.bptree
 let linkedlist_object t = t.linkedlist
 let pool t = t.pool
-let root_page t = t.root
-let item_count t = t.item_counter
 
 (* -- transaction body helpers ------------------------------------------------------------ *)
 

@@ -36,8 +36,6 @@ val enc_object : t -> Obj_id.t
 val bptree_object : t -> Obj_id.t
 val linkedlist_object : t -> Obj_id.t
 val pool : t -> Buffer_pool.t
-val root_page : t -> Disk.page_id
-val item_count : t -> int
 
 val page_obj : int -> Obj_id.t
 (** ["Page<pid>"]. *)

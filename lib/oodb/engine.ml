@@ -185,9 +185,6 @@ type unit_label = {
 type strategy =
   | Round_robin
   | Random_pick of Rng.t
-  | Scripted of int list ref
-      (* step the named transaction when it is runnable, else fall back to
-         round-robin; each consumed entry advances the script *)
   | Controlled of (unit_label list -> int)
       (* every pick is delegated to the hook, which returns an index into
          the label list (same order as the runnable units); out-of-range
@@ -1157,7 +1154,7 @@ let new_txn ?deadline ~top ~name body =
     prims = [];
   }
 
-let create ?(config : config option) db ~protocol bodies =
+let create ?(config : config option) db ~protocol =
   let config = match config with Some c -> c | None -> default_config protocol in
   (* top-level transactions are messages on the system object (Def. 4);
      they carry no semantics of their own *)
@@ -1167,7 +1164,7 @@ let create ?(config : config option) db ~protocol bodies =
   {
     db;
     config;
-    txns = List.map (fun (top, name, body) -> new_txn ~top ~name body) bodies;
+    txns = [];
     order = [];
     trees = [];
     steps = 0;
@@ -1319,15 +1316,6 @@ let pick_unit (eng : t) units =
   match eng.config.strategy with
   | Round_robin -> List.nth units (eng.steps mod List.length units)
   | Random_pick rng -> Rng.pick rng units
-  | Scripted script -> (
-      match !script with
-      | top :: rest -> (
-          match List.find_opt (fun (txn, _) -> txn.top = top) units with
-          | Some u ->
-              script := rest;
-              u
-          | None -> List.nth units (eng.steps mod List.length units))
-      | [] -> List.nth units (eng.steps mod List.length units))
   | Controlled choose ->
       let i = choose (List.map label_of_unit units) in
       if i >= 0 && i < List.length units then List.nth units i
@@ -1455,55 +1443,41 @@ let nearest_deadline (eng : t) =
       | _ -> acc)
     None eng.txns
 
-(* A batch run is a pump over a fixed transaction set: its bodies never
-   await input and carry no deadline, so the pump's quiescence is
-   completion.  Out of budget, fail the stragglers but keep stepping so
-   their compensation phases can run to completion. *)
+(* A batch run is a pump over a fixed transaction set: its bodies carry
+   no deadline and nothing pokes them, so the pump's quiescence ends the
+   run (a body parked on [Runtime.await] is left running).  Out of
+   budget, fail the stragglers and pump on, one budget per call and 4x
+   the budget in all, so their compensation phases can run to
+   completion; no straggler restarts, since aborting a compensating
+   transaction gives up rather than retries. *)
 let run ?config ?journal db ~protocol bodies =
-  let (eng : t) = create ?config db ~protocol bodies in
+  let eng = create ?config db ~protocol in
   eng.journal <- journal;
+  List.iter (fun (top, name, body) -> submit eng ~top ~name body) bodies;
   ignore (pump eng);
-  let rec compensate () =
+  if eng.steps >= eng.config.max_steps then begin
     List.iter
       (fun txn ->
-        match (txn.status, txn.aborting) with
-        | Running, None -> abort_txn eng txn ~retry:false "step budget"
-        | _ -> ())
+        if txn.status = Running && txn.aborting = None then
+          abort_txn eng txn ~retry:false "step budget")
       eng.txns;
-    if
-      List.exists (fun txn -> txn.status = Running) eng.txns
-      && eng.steps < 4 * eng.config.max_steps
-    then begin
-      retry_blocked eng;
-      (match runnable_units eng with
-      | [] ->
-          if blocked_exists eng then resolve_deadlock eng
-          else eng.steps <- eng.steps + 1
-      | units -> (
-          (* compensation phase: the script no longer applies, but a
-             controlled scheduler must still see every pick *)
-          let txn, task_opt =
-            match eng.config.strategy with
-            | Round_robin | Scripted _ ->
-                List.nth units (eng.steps mod List.length units)
-            | Random_pick _ | Controlled _ -> pick_unit eng units
-          in
-          match task_opt with
-          | None -> eng.steps <- eng.steps + 1
-          | Some task -> step eng txn task));
-      compensate ()
-    end
-    else
-      (* even the compensations ran out of road *)
-      List.iter
-        (fun txn ->
-          if txn.status = Running then begin
-            ignore (unwind_tasks txn);
-            finish_abort eng txn ~retry:false "step budget"
-          end)
-        eng.txns
-  in
-  if eng.steps >= eng.config.max_steps then compensate ();
+    let rec compensate () =
+      if
+        List.exists (fun txn -> txn.status = Running) eng.txns
+        && eng.steps < 4 * eng.config.max_steps
+        && pump eng > 0
+      then compensate ()
+    in
+    compensate ();
+    (* even the compensations ran out of road *)
+    List.iter
+      (fun txn ->
+        if txn.status = Running then begin
+          ignore (unwind_tasks txn);
+          finish_abort eng txn ~retry:false "step budget"
+        end)
+      eng.txns
+  end;
   outcome_of eng
 
 (* Drop committed and aborted transactions the caller no longer needs —
@@ -1676,7 +1650,7 @@ let recover ?config ?snapshot ?crash ?(recertify = true) db ~protocol oplog =
   let config =
     match config with Some c -> c | None -> default_config protocol
   in
-  let eng = create ~config db ~protocol [] in
+  let eng = create ~config db ~protocol in
   let records = Oplog.stable oplog in
   let applied = match snapshot with Some s -> Snapshot.keys s | None -> [] in
   let plan = Recovery.analyze ~applied records in

@@ -35,18 +35,17 @@ type unit_label = {
   u_meth : string;
 }
 
-(** How the scheduler picks the next transaction to advance.
-    [Scripted] steps the named transaction when it is runnable (falling
-    back to round-robin otherwise), consuming one entry per step — for
-    reproducing a specific interleaving in tests.  [Controlled]
-    delegates {e every} pick to the hook, which returns an index into
-    the given labels (out-of-range falls back to round-robin): a run
-    under [Controlled] is a pure function of the hook's answers, which
-    is what makes model-checking runs replayable choice sequences. *)
+(** How the scheduler picks the next unit to advance.  {!pump} takes
+    every pick, whether it starts a body, steps a task or runs a
+    compensation.  [Controlled] delegates {e every} pick to the hook,
+    which returns an index into the given labels (out of range, e.g.
+    [-1], falls back to round-robin): a run under [Controlled] is a
+    pure function of the hook's answers, which is what makes
+    model-checking runs replayable choice sequences and lets a test
+    script a specific interleaving. *)
 type strategy =
   | Round_robin
   | Random_pick of Rng.t
-  | Scripted of int list ref
   | Controlled of (unit_label list -> int)
 
 (** Deadlock handling: [Detect] aborts the youngest member of a
@@ -124,10 +123,14 @@ val run :
   outcome
 (** [run db ~protocol txns] executes the given top-level transactions
     [(id, name, body)] to completion (commit, permanent abort, or step
-    budget), resolving deadlocks by aborting the youngest transaction in
-    the waits-for cycle: a {!create} and one {!pump}, then, out of
-    budget, a compensation phase for the stragglers.  [journal]
-    attaches a durable operation log (see {!set_journal}). *)
+    budget): a {!create}, one {!submit} per body in order, and a
+    {!pump}.  When that pump spends [config.max_steps], every
+    transaction still running is aborted with ["step budget"] and the
+    engine is pumped on, up to [4 * config.max_steps] steps in all, so
+    the compensations can finish; whatever is still running then is
+    abandoned without compensation.  Within the budget, a body parked
+    on {!Runtime.await} is left running.  [journal] attaches a durable
+    operation log (see {!set_journal}). *)
 
 (** {1 Dynamic driving}
 
@@ -140,14 +143,9 @@ val run :
 type t
 (** A live engine, created by {!create} and driven by {!pump}. *)
 
-val create :
-  ?config:config ->
-  Database.t ->
-  protocol:Protocol.t ->
-  (int * string * (Runtime.ctx -> Value.t)) list ->
-  t
-(** An engine over the given initial transactions (usually [[]] for a
-    server) that has not taken any steps yet. *)
+val create : ?config:config -> Database.t -> protocol:Protocol.t -> t
+(** An engine with no transactions that has not taken any steps yet;
+    {!submit} is the only way a transaction enters it. *)
 
 val submit :
   t -> top:int -> name:string -> ?deadline:float -> (Runtime.ctx -> Value.t) -> unit

@@ -57,7 +57,3 @@ let await (_ : ctx) = Effect.perform Await
 
 let abort msg = raise (Abort msg)
 
-let pp_invocation ppf i =
-  Fmt.pf ppf "%a.%s(%a)" Obj_id.pp i.target i.meth_name
-    (Fmt.list ~sep:(Fmt.any ", ") Value.pp)
-    i.args

@@ -67,4 +67,3 @@ val await : ctx -> unit
     driving; inside a batch {!Engine.run} nothing ever pokes, and an
     awaiting transaction simply never commits. *)
 
-val pp_invocation : Format.formatter -> invocation -> unit

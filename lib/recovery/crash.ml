@@ -25,8 +25,6 @@ let site_name = function
   | After_force -> "after-force"
   | Mid_undo -> "mid-undo"
 
-let all_sites = [ Before_append; After_append; After_force; Mid_undo ]
-
 let fired t = t.fired
 
 (* Called from the instrumented sites.  [None] (no injector armed) is
@@ -41,4 +39,3 @@ let point inj site =
       else c.fuel <- c.fuel - 1
   | Some _ | None -> ()
 
-let pp_site ppf s = Fmt.string ppf (site_name s)

@@ -24,6 +24,4 @@ val point : t option -> site -> unit
     @raise Crashed when the armed hit is reached. *)
 
 val fired : t -> bool
-val all_sites : site list
 val site_name : site -> string
-val pp_site : Format.formatter -> site -> unit

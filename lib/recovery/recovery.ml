@@ -149,7 +149,3 @@ let snapshot_of ?(base = Snapshot.empty) plan =
     entries = base.Snapshot.entries @ fresh;
   }
 
-let pp_disposition ppf = function
-  | Committed -> Fmt.string ppf "committed"
-  | Aborted r -> Fmt.pf ppf "aborted(%s)" r
-  | Incomplete -> Fmt.string ppf "incomplete"

@@ -48,4 +48,3 @@ val snapshot_of : ?base:Snapshot.t -> plan -> Snapshot.t
 (** Compact the plan's (non-skipped) winners into snapshot entries in
     commit order, appended to [base]'s. *)
 
-val pp_disposition : Format.formatter -> disposition -> unit

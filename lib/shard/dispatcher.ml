@@ -41,10 +41,6 @@ type t = {
   in_process : bool;
       (* shards are cores on this thread (no domains): [await] steps
          them instead of sleeping on the wake pipe *)
-  mutable reorder : (Shard.event list -> Shard.event list) option;
-      (* delivery-order hook: [poll] hands each drained batch through it
-         before running the 2PC state machines, so vote arrival order is
-         a scheduling decision rather than wall-clock select order *)
   txns : (int, gtxn) Hashtbl.t;
   seqmap : (int * int * int, int) Hashtbl.t;
       (* (top, shard, branch seq) -> global seq; retained past retire so
@@ -119,7 +115,6 @@ let create ?(in_process = false) (config : config) =
     router;
     shards;
     in_process;
-    reorder = None;
     txns = Hashtbl.create 256;
     seqmap = Hashtbl.create 1024;
     coord = Coordinator.create ?log_dir:config.durable_dir ();
@@ -408,11 +403,7 @@ let poll t =
     evs := Queue.pop t.events :: !evs
   done;
   Mutex.unlock t.ev_mu;
-  let evs = List.rev !evs in
-  let evs = match t.reorder with Some f -> f evs | None -> evs in
-  List.iter (handle_event t) evs
-
-let set_delivery_order t f = t.reorder <- f
+  List.iter (handle_event t) (List.rev !evs)
 
 (* -- in-process driving (model checking) -------------------------------------- *)
 

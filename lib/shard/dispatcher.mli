@@ -57,18 +57,16 @@ val retire : t -> top:int -> unit
 
 val wake_fd : t -> Unix.file_descr
 val poll : t -> unit
-(** Drain shard events and run the 2PC state machines.  Never blocks.
-    When a delivery-order hook is installed the drained batch passes
-    through it first. *)
+(** Drain shard events in arrival order and run the 2PC state machines.
+    Never blocks. *)
 
-val set_delivery_order : t -> (Shard.event list -> Shard.event list) option -> unit
-(** Install (or clear) the delivery-order hook: each batch {!poll}
-    drains is handed to the hook before the 2PC state machines run, so
-    event arrival order — in particular the order votes reach the
-    coordinator — becomes a scheduling decision instead of wall-clock
-    select order.  The hook must return a permutation of its input. *)
+(** {2 In-process driving (model checking)}
 
-(** {2 In-process driving (model checking)} *)
+    On a dispatcher created with [~in_process:true] the caller decides
+    both when each shard runs ({!step_shard}) and in which order queued
+    events reach the 2PC state machines ({!pending_events}, {!deliver}).
+    {!deliver} is the one way to control delivery order: per-event
+    delivery subsumes every vote-arrival permutation. *)
 
 val step_shard : t -> int -> unit
 (** One scheduling turn of shard [i] (see {!Shard.step}) — core-mode

@@ -139,7 +139,7 @@ let boot ?decisions ~dir p =
 
 let start ?decisions ?dir p =
   match dir with
-  | None -> (Engine.create ~config:p.engine_config p.db ~protocol:p.protocol [], None)
+  | None -> (Engine.create ~config:p.engine_config p.db ~protocol:p.protocol, None)
   | Some dir ->
       let eng, d = boot ?decisions ~dir p in
       (eng, Some d)

@@ -208,7 +208,6 @@ let create ?(name = "Book") ?(chapters = 3) ?(sections_per_chapter = 4)
   register_book t name;
   t
 
-let book_object t = t.book
 let chapters t = t.chapters
 let sections_per_chapter t = t.sections_per_chapter
 

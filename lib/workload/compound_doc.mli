@@ -22,7 +22,6 @@ val create :
   t
 (** @raise Invalid_argument on non-positive dimensions. *)
 
-val book_object : t -> Ooser_core.Obj_id.t
 val chapters : t -> int
 val sections_per_chapter : t -> int
 

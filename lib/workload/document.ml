@@ -158,7 +158,6 @@ let create ?(name = "Doc") ?(sections = 8) ?(sections_per_page = 4)
   register_doc t name;
   t
 
-let doc_object t = t.doc
 let sections t = t.sections
 
 let section_page t i = fst t.section_rid.(i)

@@ -22,7 +22,6 @@ val create :
 (** Register the document schema.
     @raise Invalid_argument when [sections <= 0]. *)
 
-val doc_object : t -> Obj_id.t
 val sections : t -> int
 
 val section_page : t -> int -> int

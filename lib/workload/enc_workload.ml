@@ -17,7 +17,6 @@ type mix = {
 }
 
 let insert_heavy = { p_insert = 0.6; p_search = 0.3; p_update = 0.1; p_readseq = 0.0 }
-let read_mostly = { p_insert = 0.1; p_search = 0.7; p_update = 0.2; p_readseq = 0.0 }
 let with_scans = { p_insert = 0.4; p_search = 0.3; p_update = 0.2; p_readseq = 0.1 }
 
 type params = {

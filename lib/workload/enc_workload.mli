@@ -15,7 +15,6 @@ type mix = {
 }
 
 val insert_heavy : mix
-val read_mostly : mix
 val with_scans : mix
 
 type params = {

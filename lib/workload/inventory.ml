@@ -121,7 +121,6 @@ let create ?(name = "Store") ?(products = 4) ?(initial_stock = 100) db =
     ];
   t
 
-let store_object t = t.store
 let stock_level t i = Escrow.value t.stock.(i)
 let revenue_total t = Escrow.value t.revenue
 let pending_orders t = Fifo_queue.length t.orders

@@ -17,7 +17,6 @@ type t
 val create : ?name:string -> ?products:int -> ?initial_stock:int -> Database.t -> t
 (** @raise Invalid_argument when [products <= 0]. *)
 
-val store_object : t -> Obj_id.t
 val stock_level : t -> int -> int
 val revenue_total : t -> int
 val pending_orders : t -> int

@@ -182,10 +182,14 @@ let test_set_compensations_commute () =
   in
   (* script: T1 inserts, T2 runs to completion, T1 aborts *)
   let protocol = open_protocol db in
-  let script = ref (List.init 6 (fun _ -> 1) @ List.init 10 (fun _ -> 2)
-                    @ List.init 20 (fun _ -> 1)) in
   let config =
-    { (Engine.default_config protocol) with Engine.strategy = Engine.Scripted script }
+    {
+      (Engine.default_config protocol) with
+      Engine.strategy =
+        Test_engine.scripted
+          (List.init 6 (fun _ -> 1) @ List.init 10 (fun _ -> 2)
+          @ List.init 20 (fun _ -> 1));
+    }
   in
   let out = Engine.run ~config db ~protocol [ (1, "t1", t1); (2, "t2", t2) ] in
   check_bool "t2 committed" true (List.mem 2 out.Engine.committed);
@@ -210,10 +214,14 @@ let test_queue_compensations_commute () =
     Value.unit
   in
   let protocol = open_protocol db in
-  let script = ref (List.init 6 (fun _ -> 1) @ List.init 10 (fun _ -> 2)
-                    @ List.init 20 (fun _ -> 1)) in
   let config =
-    { (Engine.default_config protocol) with Engine.strategy = Engine.Scripted script }
+    {
+      (Engine.default_config protocol) with
+      Engine.strategy =
+        Test_engine.scripted
+          (List.init 6 (fun _ -> 1) @ List.init 10 (fun _ -> 2)
+          @ List.init 20 (fun _ -> 1));
+    }
   in
   let out = Engine.run ~config db ~protocol [ (1, "t1", t1); (2, "t2", t2) ] in
   check_bool "t2 committed" true (List.mem 2 out.Engine.committed);

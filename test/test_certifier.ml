@@ -321,7 +321,7 @@ let test_certifier_refuses_unstable_spec () =
     ~spec:(Commutativity.make ~name:"moody" (fun _ _ -> false))
     [ ("add", Database.primitive (fun _ _ -> Value.unit)) ];
   let config = certified_config () in
-  match Engine.create ~config db ~protocol:config.Engine.protocol [] with
+  match Engine.create ~config db ~protocol:config.Engine.protocol with
   | _ -> Alcotest.fail "unstable spec accepted"
   | exception Invalid_argument msg ->
       let needle = "object M " in

@@ -429,7 +429,8 @@ let escrow_trace ~seed ~certify =
     }
   in
   let txns = Banking.transactions ~rng:(Ooser_sim.Rng.create ~seed) p in
-  let eng = Engine.create ~config db ~protocol txns in
+  let eng = Engine.create ~config db ~protocol in
+  List.iter (fun (top, name, body) -> Engine.submit eng ~top ~name body) txns;
   let path = tmp_trace () in
   let w = Trace.create_writer ~registry:"banking" path in
   Engine.set_trace_sink eng

@@ -186,7 +186,8 @@ let run kind seed seen =
   let bodies =
     List.map (fun top -> (top, Printf.sprintf "t%d" top, body seen (gen_txn rng))) tops
   in
-  let eng = Engine.create ~config db ~protocol bodies in
+  let eng = Engine.create ~config db ~protocol in
+  List.iter (fun (top, name, body) -> Engine.submit eng ~top ~name body) bodies;
   let sunk = ref [] in
   Engine.set_trace_sink eng
     (Some (fun ~top ~tree ~prims -> sunk := (top, tree, prims) :: !sunk));

@@ -10,6 +10,23 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let o = Obj_id.v
 
+(* A scripted interleaving on [Controlled]: each pick steps the next
+   transaction the script names and consumes the entry; when that
+   transaction is not runnable, or the script is spent, the hook answers
+   -1 and the engine falls back to round-robin. *)
+let scripted tops =
+  let script = ref tops in
+  Engine.Controlled
+    (fun labels ->
+      match !script with
+      | [] -> -1
+      | top :: rest -> (
+          match List.find_index (fun l -> l.Engine.u_top = top) labels with
+          | Some i ->
+              script := rest;
+              i
+          | None -> -1))
+
 (* A register: a primitive cell with read/write and undo. *)
 let register_cell db name init =
   let state = ref init in
@@ -260,6 +277,64 @@ let test_metrics_exposed () =
   check_bool "lock requests counted" true
     (List.assoc "lock.requests" out.Engine.metrics >= 2)
 
+(* [run]'s quiescent exit: a batch body parked on [Runtime.await] is
+   never poked, so the pump goes quiet within the budget and [run]
+   returns with the transaction still running — no budget abort, and no
+   ABORT record in the journal. *)
+let test_run_leaves_awaiting_body () =
+  let db = Database.create () in
+  let cell = register_cell db "R" 0 in
+  let body ctx =
+    ignore (Runtime.call ctx (o "R") "write" [ Value.int 1 ]);
+    Runtime.await ctx;
+    Value.unit
+  in
+  let protocol = Protocol.flat_2pl ~reg:(Database.spec_registry db) () in
+  let journal = Ooser_recovery.Oplog.create () in
+  let config = { (Engine.default_config protocol) with Engine.max_steps = 100 } in
+  let out = Engine.run ~config ~journal db ~protocol [ (1, "waiter", body) ] in
+  check_bool "within the budget" true (out.Engine.steps < 100);
+  check_int "not committed" 0 (List.length out.Engine.committed);
+  check_int "not aborted" 0 (List.length out.Engine.aborted);
+  check_int "its write stays in place" 1 !cell;
+  check_bool "no ABORT journaled" true
+    (List.for_all
+       (function Ooser_recovery.Oplog.Abort _ -> false | _ -> true)
+       (Ooser_recovery.Oplog.all journal))
+
+(* [run]'s budget exit, reached while the two writers of crossed objects
+   wait on each other (each holds one object and requests the other's):
+   the cycle is never broken by a victim, both abort with "step budget",
+   their compensations undo every write and release every lock. *)
+let test_run_budget_exhausted_in_lock_cycle () =
+  let db = Database.create () in
+  let a = register_cell db "A" 0 in
+  let b = register_cell db "B" 0 in
+  let writer first second v ctx =
+    ignore (Runtime.call ctx (o first) "write" [ Value.int v ]);
+    ignore (Runtime.call ctx (o second) "write" [ Value.int v ]);
+    Value.unit
+  in
+  let protocol = Protocol.flat_2pl ~reg:(Database.spec_registry db) () in
+  (* round-robin: the second wait, which closes the cycle, is the 12th
+     step *)
+  let config = { (Engine.default_config protocol) with Engine.max_steps = 12 } in
+  let out =
+    Engine.run ~config db ~protocol
+      [ (1, "ab", writer "A" "B" 1); (2, "ba", writer "B" "A" 2) ]
+  in
+  let metric k = Option.value ~default:0 (List.assoc_opt k out.Engine.metrics) in
+  check_int "both writers waiting" 2 (metric "waits");
+  check_int "no deadlock victim" 0 (metric "deadlocks");
+  Alcotest.(check (list (pair int string)))
+    "both aborted on the budget"
+    [ (1, "step budget"); (2, "step budget") ]
+    (List.sort compare out.Engine.aborted);
+  check_int "A undone" 0 !a;
+  check_int "B undone" 0 !b;
+  check_bool "compensations within 4x the budget" true (out.Engine.steps <= 48);
+  check_bool "no lock left" true (Protocol.quiescent protocol)
+
 let suites =
   [
     ( "engine",
@@ -280,5 +355,9 @@ let suites =
         Alcotest.test_case "unlocked violations detected" `Quick
           test_unlocked_can_violate;
         Alcotest.test_case "metrics exposed" `Quick test_metrics_exposed;
+        Alcotest.test_case "run leaves an awaiting body running" `Quick
+          test_run_leaves_awaiting_body;
+        Alcotest.test_case "run budget exhausted in a lock cycle" `Quick
+          test_run_budget_exhausted_in_lock_cycle;
       ] );
   ]

@@ -58,7 +58,7 @@ let test_occ_banking () =
   let db, store =
     Workloads.setup_banking ~mode:Store.Commute ~accounts ~balance:500_000 ()
   in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let rng = Rng.create ~seed:11 in
   check_flat "occ banking" eng
     ~meters:[ ("minor words", Gc.minor_words) ]
@@ -83,7 +83,7 @@ let test_open_encyclopedia () =
   let db, enc, _ = Enc_workload.setup ~fanout:16 ~rng params in
   let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
   let table = Option.get (Protocol.table protocol) in
-  let eng = Engine.create db ~protocol [] in
+  let eng = Engine.create db ~protocol in
   (* the trace recorder is on the commit path of a traced server *)
   Engine.set_trace_sink eng (Some (fun ~top:_ ~tree:_ ~prims:_ -> ()));
   let obj = Encyclopedia.enc_object enc in
@@ -247,7 +247,7 @@ let test_enc_pool_misses () =
   let pages = Disk.page_count disk in
   if pages < 4 * 32 then Alcotest.failf "only %d pages for a 32-frame pool" pages;
   let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
-  let eng = Engine.create db ~protocol [] in
+  let eng = Engine.create db ~protocol in
   let rng = Rng.create ~seed:14 in
   let obj = Encyclopedia.enc_object enc in
   let run first last =

@@ -134,10 +134,14 @@ let test_scripted_interleaving () =
   let protocol = open_protocol db in
   (* T1 places the first order (~steps), then T2 runs to completion, then
      T1 finishes *)
-  let script = ref (List.init 25 (fun _ -> 1) @ List.init 40 (fun _ -> 2)
-                    @ List.init 100 (fun _ -> 1)) in
   let config =
-    { (Engine.default_config protocol) with Engine.strategy = Engine.Scripted script }
+    {
+      (Engine.default_config protocol) with
+      Engine.strategy =
+        Test_engine.scripted
+          (List.init 25 (fun _ -> 1) @ List.init 40 (fun _ -> 2)
+          @ List.init 100 (fun _ -> 1));
+    }
   in
   let out =
     Engine.run ~config db ~protocol [ (1, "b1", b1); (2, "b2", b2) ]

@@ -47,7 +47,7 @@ let committed eng top =
 
 let test_snapshot_visibility () =
   let db, store = Workloads.setup_banking ~mode:Store.Commute ~accounts:2 () in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let seen = ref [] in
   let body1 ctx =
     seen := Value.to_int_exn (Runtime.call ctx (o "Account0") "balance" []) :: !seen;
@@ -82,7 +82,7 @@ let test_snapshot_visibility () =
 (* Own writes are visible through the snapshot overlay before commit. *)
 let test_read_own_writes () =
   let db, store = Workloads.setup_banking ~mode:Store.Commute ~accounts:1 () in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let mid = ref 0 in
   Engine.submit eng ~top:1 ~name:"rmw" (fun ctx ->
       ignore (Runtime.call ctx (o "Account0") "deposit" [ Value.int 7 ]);
@@ -100,7 +100,7 @@ let test_apply_order () =
   let db, store =
     Workloads.setup_registers ~mode:Store.Commute ~cells:[ "X" ] ()
   in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   Engine.submit eng ~top:1 ~name:"writer" (fun ctx ->
       ignore (Runtime.call ctx (o "X") "write" [ Value.int 1 ]);
       ignore (Runtime.call ctx (o "X") "write" [ Value.int 2 ]);
@@ -126,7 +126,7 @@ let test_partial_rollback_drops_intentions () =
             ignore (Runtime.call ctx (o "X") "write" [ Value.int 99 ]);
             Runtime.abort "doomed subtransaction") );
     ];
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   Engine.submit eng ~top:1 ~name:"partial" (fun ctx ->
       (match Runtime.try_call ctx (o "H") "doomed" [] with
       | Ok _ -> Alcotest.fail "doomed subtransaction succeeded"
@@ -144,7 +144,7 @@ let test_validation_abort_retry () =
   let db, store =
     Workloads.setup_registers ~mode:Store.Commute ~cells:[ "X"; "Y" ] ()
   in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let observed = ref [] in
   Engine.submit eng ~top:1 ~name:"rmw" (fun ctx ->
       let v = Value.to_int_exn (Runtime.call ctx (o "X") "read" []) in
@@ -177,7 +177,7 @@ let test_validation_abort_retry () =
    commutativity-aware OCC and plain SSI. *)
 let run_concurrent_deposits mode =
   let db, store = Workloads.setup_banking ~mode ~accounts:1 () in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let deposit top n =
     Engine.submit eng ~top ~name:(Printf.sprintf "dep%d" top) (fun ctx ->
         ignore (Runtime.call ctx (o "Account0") "deposit" [ Value.int n ]);
@@ -211,7 +211,7 @@ let test_escrow_deposits_rw_abort () =
 
 let run_write_skew mode =
   let db, store = Workloads.setup_roster ~mode () in
-  let eng = Engine.create db ~protocol:(Store.protocol store) [] in
+  let eng = Engine.create db ~protocol:(Store.protocol store) in
   let sign top meth =
     Engine.submit eng ~top ~name:meth (fun ctx ->
         ignore (Runtime.call ctx Workloads.roster_obj meth []);

@@ -180,7 +180,7 @@ let test_deadline_expiry () =
       now = (fun () -> !clock);
     }
   in
-  let eng = Engine.create ~config db ~protocol [] in
+  let eng = Engine.create ~config db ~protocol in
   let tr = Session.new_txn ~top:1 ~began:0.0 in
   Engine.submit eng ~top:1 ~name:"s1" ~deadline:10.0 (Session.body tr);
   ignore (Engine.pump eng);

@@ -343,33 +343,67 @@ let test_planted_cross_shard_cycle () =
         (vote_counter "vote-full-history"))
 
 (* The 2PC decision must not depend on which shard's vote reaches the
-   coordinator first.  The delivery-order hook makes that order a test
-   parameter instead of wall-clock select order: the same cross-shard
-   transaction must commit under FIFO and under reversed delivery. *)
+   coordinator first.  On an in-process dispatcher the test steps the
+   shards itself, so both votes are queued before either is handled;
+   [Dispatcher.deliver] then hands them to the coordinator first-to-last
+   and last-to-first, and the same cross-shard transaction must commit
+   either way. *)
 let test_cross_shard_delivery_orders () =
+  let settle_shards d =
+    for i = 0 to Dispatcher.shards d - 1 do
+      while Dispatcher.shard_has_work d i do
+        Dispatcher.step_shard d i
+      done
+    done
+  in
   List.iter
     (fun (name, order) ->
-      with_dispatcher (disp_config ()) (fun d ->
-          Dispatcher.set_delivery_order d (Some order);
-          let r = Dispatcher.router d in
-          let ka = key_on r 0 and kb = key_on r 1 in
-          Dispatcher.begin_txn d ~top:1 ~name:"both" ~deadline:None;
-          Dispatcher.call d ~top:1 ~obj:"Enc" ~meth:"update"
-            ~args:[ Value.str ka; Value.str "a'" ];
-          Dispatcher.call d ~top:1 ~obj:"Enc" ~meth:"update"
-            ~args:[ Value.str kb; Value.str "b'" ];
-          (match await_result d ~top:1 ~seq:1 ~timeout:5.0 with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "%s: update failed: %s" name e);
-          Dispatcher.commit d ~top:1;
-          (match settle d ~top:1 ~timeout:5.0 with
-          | `Committed _ -> ()
-          | `Aborted r -> Alcotest.failf "%s: aborted: %s" name r
-          | _ -> Alcotest.failf "%s: still running" name);
-          check_int (name ^ ": one 2PC commit") 1 (counter d "2pc-commits");
-          Dispatcher.retire d ~top:1;
-          check_bool (name ^ ": certified") true (Dispatcher.certified d ())))
-    [ ("fifo", Fun.id); ("reversed", List.rev) ]
+      let d = Dispatcher.create ~in_process:true (disp_config ()) in
+      Fun.protect ~finally:(fun () -> Dispatcher.shutdown d) @@ fun () ->
+      let r = Dispatcher.router d in
+      let ka = key_on r 0 and kb = key_on r 1 in
+      Dispatcher.begin_txn d ~top:1 ~name:"both" ~deadline:None;
+      Dispatcher.call d ~top:1 ~obj:"Enc" ~meth:"update"
+        ~args:[ Value.str ka; Value.str "a'" ];
+      Dispatcher.call d ~top:1 ~obj:"Enc" ~meth:"update"
+        ~args:[ Value.str kb; Value.str "b'" ];
+      settle_shards d;
+      Dispatcher.poll d;
+      List.iter
+        (fun seq ->
+          match Dispatcher.result d ~top:1 ~seq with
+          | Some (Ok _) -> ()
+          | Some (Error e) -> Alcotest.failf "%s: update failed: %s" name e
+          | None -> Alcotest.failf "%s: no result for call %d" name seq)
+        [ 0; 1 ];
+      Dispatcher.commit d ~top:1;
+      settle_shards d;
+      let pending = Dispatcher.pending_events d in
+      let votes =
+        List.filter_map
+          (function
+            | Ooser_shard.Shard.Ev_vote { shard; _ } -> Some shard | _ -> None)
+          pending
+      in
+      check_int (name ^ ": only the two votes queued") 2 (List.length pending);
+      check_bool (name ^ ": one vote per shard") true
+        (List.sort Int.compare votes = [ 0; 1 ]);
+      List.iter
+        (fun n ->
+          check_bool (name ^ ": vote delivered") true (Dispatcher.deliver d n))
+        order;
+      settle_shards d;
+      Dispatcher.poll d;
+      (match Dispatcher.txn_state d 1 with
+      | `Committed _ -> ()
+      | `Aborted r -> Alcotest.failf "%s: aborted: %s" name r
+      | _ -> Alcotest.failf "%s: still running" name);
+      check_int (name ^ ": one 2PC commit") 1 (counter d "2pc-commits");
+      Dispatcher.retire d ~top:1;
+      check_bool (name ^ ": certified") true (Dispatcher.certified d ()))
+    (* the two votes are the only queued events; delivering index 0
+       twice takes them first-to-last, 1 then 0 last-to-first *)
+    [ ("first-to-last", [ 0; 0 ]); ("last-to-first", [ 1; 0 ]) ]
 
 (* What the coordinator prevented, built by hand: both transactions
    committed, objects carrying the per-shard rename.  The from-scratch

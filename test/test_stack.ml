@@ -53,7 +53,7 @@ let test_call_log_retry () =
   let config =
     { (Engine.default_config protocol) with Engine.deadlock = Engine.Wound_wait }
   in
-  let eng = Engine.create ~config db ~protocol [] in
+  let eng = Engine.create ~config db ~protocol in
   (* the younger transaction (top 2) logs two calls and parks *)
   let log = Call_log.create () in
   Engine.submit eng ~top:2 ~name:"logged" (Call_log.body log);

@@ -173,7 +173,7 @@ let test_wait_die_first_branch_dies () =
       (Engine.default_config protocol) with
       Engine.deadlock = Engine.Wait_die;
       (* the older one takes A's lock before the younger one forks *)
-      Engine.strategy = Engine.Scripted (ref [ 1; 1; 1; 2; 2 ]);
+      Engine.strategy = Test_engine.scripted [ 1; 1; 1; 2; 2 ];
     }
   in
   let out =
