@@ -19,98 +19,131 @@
    Conflicts between different transactions are decided by the
    commutativity registry (Def. 9).
 
-   Representation.  Entries live in per-object hash buckets keyed by the
-   held action's (method, args, pin) class, so a conflict probe touches only
-   the classes present on one object — and can dismiss a whole class
-   with a single raw commutativity test when the object's spec is
-   stable (the decision is then a function of the class alone; the
-   per-entry rules below only ever remove conflicts).  Release paths
-   are driven by secondary indexes (scope, retainer, top) instead of
-   whole-table scans: releasing marks entries dead in place, and the
-   buckets purge dead entries lazily the next time they are scanned.  A
-   bucket whose last live entry is released leaves its object's table at
-   once, so a probe only meets the classes held now, not every class the
-   object has ever seen. *)
+   Representation.  Each object's entries are grouped by the held
+   action's (method, args, pin) class, so a conflict probe touches only
+   the classes present on one object.  The probe resolves the object's
+   spec once, and when that spec is stable it dismisses a whole class
+   with a single raw commutativity test against the class's
+   representative: the decision is then a function of the class alone,
+   and the per-entry rules below only ever remove conflicts.  Release
+   paths are driven by secondary indexes (scope, retainer, top) instead
+   of whole-table scans; the action-id indexes hash ids with
+   {!Action_id.hash} rather than the polymorphic hash.  Releasing marks
+   an entry dead in place and the class purges its dead members the
+   next time it is scanned (the purge copies the member list only when
+   a member has died).  A class whose last live entry is released
+   leaves its object at once, so a probe only meets the classes held
+   now, not every class the object has ever seen. *)
 
 open Ooser_core
 
+(* [members] holds [n_members] entries, [n_held] of them live; [rep] is
+   the first member's action, which stands for the class in the
+   class-skip test *)
 type entry = {
   action : Action.t;
   scope : Action_id.t;
   mutable retainer : Action_id.t;
   mutable live : bool;
+  clazz : clazz;
 }
 
-(* (method, args, pin) — one bucket per commutativity class on each
-   object; the pin belongs to the class because escrow and fifo decide
-   on it *)
-type clazz = string * Value.t list * Value.t option
+and clazz = {
+  rep : Action.t;
+  owner : obj_locks;
+  mutable members : entry list;
+  mutable n_members : int;
+  mutable n_held : int;
+}
 
-type bucket = { mutable members : entry list; mutable n_held : int }
-type obj_locks = { buckets : (clazz, bucket) Hashtbl.t }
+and obj_locks = { mutable classes : clazz list }
 
+module Top_tbl = Hashtbl.Make (Int)
+
+(* The hot paths below look keys up with [find] and [Not_found] rather
+   than [find_opt], which would allocate an option per lookup. *)
 type t = {
-  objs : (Obj_id.t, obj_locks) Hashtbl.t;
-  by_scope : (Action_id.t, entry list ref) Hashtbl.t;
-  by_retainer : (Action_id.t, entry list ref) Hashtbl.t;
-  by_top : (int, entry list ref) Hashtbl.t;
-  cache : Commutativity.cache option;
-      (* shared memo of raw spec decisions, used for the class-skip
-         probe; must wrap the registry passed to [conflicting] *)
+  objs : obj_locks Obj_id.Tbl.t;
+  by_scope : entry list Action_id.Tbl.t;
+  by_retainer : entry list Action_id.Tbl.t;
+  by_top : entry list Top_tbl.t;
   mutable n_live : int;
 }
 
-let create ?cache () =
+let create () =
   {
-    objs = Hashtbl.create 64;
-    by_scope = Hashtbl.create 64;
-    by_retainer = Hashtbl.create 64;
-    by_top = Hashtbl.create 16;
-    cache;
+    objs = Obj_id.Tbl.create 64;
+    by_scope = Action_id.Tbl.create 64;
+    by_retainer = Action_id.Tbl.create 64;
+    by_top = Top_tbl.create 16;
     n_live = 0;
   }
 
-let index tbl key e =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := e :: !r
-  | None -> Hashtbl.add tbl key (ref [ e ])
+(* [replace] on a present key updates its binding in place *)
+let index_id tbl key e =
+  match Action_id.Tbl.find tbl key with
+  | l -> Action_id.Tbl.replace tbl key (e :: l)
+  | exception Not_found -> Action_id.Tbl.add tbl key [ e ]
 
-(* drop dead entries from a bucket in place *)
-let purge b = b.members <- List.filter (fun e -> e.live) b.members
+let index_top tbl top e =
+  match Top_tbl.find tbl top with
+  | l -> Top_tbl.replace tbl top (e :: l)
+  | exception Not_found -> Top_tbl.add tbl top [ e ]
+
+let live e = e.live
+
+(* drop dead entries from a class in place *)
+let purge c =
+  if c.n_members > c.n_held then begin
+    c.members <- List.filter live c.members;
+    c.n_members <- c.n_held
+  end
+
+let same_class a b =
+  String.equal (Action.meth a) (Action.meth b)
+  && List.equal Value.equal (Action.args a) (Action.args b)
+  && Option.equal Value.equal (Action.pin a) (Action.pin b)
+
+let rec find_class action = function
+  | [] -> raise Not_found
+  | c :: rest -> if same_class c.rep action then c else find_class action rest
 
 let obj_locks t obj =
-  match Hashtbl.find_opt t.objs obj with
-  | Some ol -> ol
-  | None ->
-      let ol = { buckets = Hashtbl.create 8 } in
-      Hashtbl.add t.objs obj ol;
+  match Obj_id.Tbl.find t.objs obj with
+  | ol -> ol
+  | exception Not_found ->
+      let ol = { classes = [] } in
+      Obj_id.Tbl.add t.objs obj ol;
       ol
 
-let clazz action = (Action.meth action, Action.args action, Action.pin action)
-
 let add t ~action ~scope =
-  let e = { action; scope; retainer = Action.id action; live = true } in
   let ol = obj_locks t (Action.obj action) in
-  let key = clazz action in
-  (match Hashtbl.find_opt ol.buckets key with
-  | Some b ->
-      b.members <- e :: b.members;
-      b.n_held <- b.n_held + 1
-  | None -> Hashtbl.add ol.buckets key { members = [ e ]; n_held = 1 });
-  index t.by_scope scope e;
-  index t.by_retainer e.retainer e;
-  index t.by_top (Action_id.top scope) e;
+  let c =
+    match find_class action ol.classes with
+    | c -> c
+    | exception Not_found ->
+        let c = { rep = action; owner = ol; members = []; n_members = 0; n_held = 0 } in
+        ol.classes <- c :: ol.classes;
+        c
+  in
+  let e = { action; scope; retainer = Action.id action; live = true; clazz = c } in
+  c.members <- e :: c.members;
+  c.n_members <- c.n_members + 1;
+  c.n_held <- c.n_held + 1;
+  index_id t.by_scope scope e;
+  index_id t.by_retainer e.retainer e;
+  index_top t.by_top (Action_id.top scope) e;
   t.n_live <- t.n_live + 1
 
 let entries_on t obj =
-  match Hashtbl.find_opt t.objs obj with
-  | None -> []
-  | Some ol ->
-      Hashtbl.fold
-        (fun _ b acc ->
-          purge b;
-          b.members @ acc)
-        ol.buckets []
+  match Obj_id.Tbl.find t.objs obj with
+  | exception Not_found -> []
+  | ol ->
+      List.concat_map
+        (fun c ->
+          purge c;
+          c.members)
+        ol.classes
 
 (* Same transaction and one is an ancestor of (or equal to) the other. *)
 let call_path_related a b =
@@ -127,104 +160,135 @@ let retained_compatible entry requester_id =
   && (Action_id.equal entry.retainer requester_id
      || Action_id.is_proper_ancestor entry.retainer requester_id)
 
-let conflicting reg t action =
-  match Hashtbl.find_opt t.objs (Action.obj action) with
-  | None -> []
-  | Some ol ->
-      let id = Action.id action in
-      let spec_stable =
-        Commutativity.stable
-          (Commutativity.spec_for reg (Action.obj action))
-      in
-      Hashtbl.fold
-        (fun _ b acc ->
-          purge b;
-          match b.members with
-          | [] -> acc
-          | rep :: _ ->
-              (* one memoised raw-spec probe dismisses the whole class
-                 when the spec is stable: commutation at the spec level
-                 holds for every member, and the per-entry rules below
-                 only remove further conflicts, never add any *)
-              let class_commutes =
-                spec_stable
-                &&
-                match t.cache with
-                | Some c -> Commutativity.cached_test c action rep.action
-                | None ->
-                    Commutativity.test
-                      (Commutativity.spec_for reg (Action.obj action))
-                      action rep.action
-              in
-              if class_commutes then acc
-              else
-                List.fold_left
-                  (fun acc e ->
-                    if
-                      (not (retained_compatible e id))
-                      && (not (call_path_related (Action.id e.action) id))
-                      && Commutativity.conflicts reg action e.action
-                    then e :: acc
-                    else acc)
-                  acc b.members)
-        ol.buckets []
-      (* the fold's order follows the buckets' hash layout, which
-         dropping and re-adding buckets reshuffles; holder order reaches
-         wound-wait's victim sequence, so fix it by the holders' ids *)
-      |> List.sort (fun a b ->
-             Action_id.compare (Action.id a.action) (Action.id b.action))
+(* The last two tests are [Commutativity.conflicts] with the object's
+   spec resolved once per probe: every entry met here is on the
+   requester's object, and an entry of the requester itself is on its
+   call path. *)
+let entry_conflicts spec action id e =
+  (not (retained_compatible e id))
+  && (not (call_path_related (Action.id e.action) id))
+  && (not (Process_id.equal (Action.process e.action) (Action.process action)))
+  && not (Commutativity.test spec action e.action)
 
-(* the entry's bucket leaves its object's table with its last live
-   entry *)
+let rec members_conflicting spec action id acc = function
+  | [] -> acc
+  | e :: rest ->
+      let acc = if entry_conflicts spec action id e then e :: acc else acc in
+      members_conflicting spec action id acc rest
+
+(* With a stable spec, one raw test against the representative
+   dismisses the whole class: commutation at the spec level holds for
+   every member, and the per-entry rules only remove further conflicts,
+   never add any. *)
+let rec classes_conflicting spec stable action id acc = function
+  | [] -> acc
+  | c :: rest ->
+      let acc =
+        if stable && Commutativity.test spec action c.rep then acc
+        else begin
+          purge c;
+          members_conflicting spec action id acc c.members
+        end
+      in
+      classes_conflicting spec stable action id acc rest
+
+let by_holder a b = Action_id.compare (Action.id a.action) (Action.id b.action)
+
+let conflicting reg t action =
+  match Obj_id.Tbl.find t.objs (Action.obj action) with
+  | exception Not_found -> []
+  | ol ->
+      let spec = Commutativity.spec_for reg (Action.obj action) in
+      (* holder order reaches wound-wait's victim sequence, so fix it by
+         the holders' ids rather than by where the classes sit; most
+         probes find no holder, and [List.sort] allocates even then *)
+      match
+        classes_conflicting spec (Commutativity.stable spec) action
+          (Action.id action) [] ol.classes
+      with
+      | ([] | [ _ ]) as holders -> holders
+      | holders -> List.sort by_holder holders
+
+let rec remove_class c = function
+  | [] -> []
+  | c' :: rest -> if c' == c then rest else c' :: remove_class c rest
+
+(* the entry's class leaves its object with its last live entry *)
 let kill t e =
   if e.live then begin
     e.live <- false;
     t.n_live <- t.n_live - 1;
-    let buckets = (Hashtbl.find t.objs (Action.obj e.action)).buckets in
-    let key = clazz e.action in
-    let b = Hashtbl.find buckets key in
-    b.n_held <- b.n_held - 1;
-    if b.n_held = 0 then Hashtbl.remove buckets key
+    let c = e.clazz in
+    c.n_held <- c.n_held - 1;
+    if c.n_held = 0 then c.owner.classes <- remove_class c c.owner.classes
   end
 
-let drain tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> []
-  | Some r ->
-      Hashtbl.remove tbl key;
-      List.filter (fun e -> e.live) !r
+(* the entries indexed under [key], which leaves the index; released
+   ones among them are skipped by their users *)
+let drain_id tbl key =
+  match Action_id.Tbl.find tbl key with
+  | exception Not_found -> []
+  | l ->
+      Action_id.Tbl.remove tbl key;
+      l
 
-let release_scope t scope = List.iter (kill t) (drain t.by_scope scope)
+(* a loop rather than [List.iter (kill t)], whose partial application
+   would allocate on every release *)
+let rec kill_all t = function
+  | [] -> ()
+  | e :: rest ->
+      kill t e;
+      kill_all t rest
+
+let release_scope t scope = kill_all t (drain_id t.by_scope scope)
+
+(* Open nesting scopes a lock to its acquirer's caller, so an entry
+   [finished] retains usually holds its caller's id already. *)
+let rec caller_of finished = function
+  | e :: rest ->
+      if Action_id.is_parent e.scope finished then e.scope
+      else caller_of finished rest
+  | [] -> Option.get (Action_id.parent finished)
+
+let rec retain t parent = function
+  | [] -> ()
+  | e :: rest ->
+      if e.live then begin
+        e.retainer <- parent;
+        index_id t.by_retainer parent e
+      end;
+      retain t parent rest
 
 (* Completion of an action: every lock it retains moves up to its
    caller. *)
 let escalate t finished =
-  match Action_id.parent finished with
-  | None -> ()
-  | Some parent ->
-      List.iter
-        (fun e ->
-          e.retainer <- parent;
-          index t.by_retainer parent e)
-        (drain t.by_retainer finished)
+  if not (Action_id.is_root finished) then
+    match drain_id t.by_retainer finished with
+    | [] -> ()
+    | retained -> retain t (caller_of finished retained) retained
 
-let release_top t top = List.iter (kill t) (drain t.by_top top)
+let release_top t top =
+  match Top_tbl.find t.by_top top with
+  | exception Not_found -> ()
+  | l ->
+      Top_tbl.remove t.by_top top;
+      kill_all t l
 
 (* Live entries held on behalf of one top-level transaction — the
    post-mortem a server runs after killing a session: a dead transaction
    must retain nothing. *)
 let live_for_top t top =
-  match Hashtbl.find_opt t.by_top top with
-  | None -> []
-  | Some r -> List.filter (fun e -> e.live) !r
+  match Top_tbl.find t.by_top top with
+  | exception Not_found -> []
+  | l -> List.filter live l
 
 let classes t obj =
-  match Hashtbl.find_opt t.objs obj with
-  | None -> 0
-  | Some ol -> Hashtbl.length ol.buckets
+  match Obj_id.Tbl.find t.objs obj with
+  | exception Not_found -> 0
+  | ol -> List.length ol.classes
 
 let all_entries t =
-  Hashtbl.fold (fun obj _ objs -> obj :: objs) t.objs []
+  Obj_id.Tbl.fold (fun obj _ objs -> obj :: objs) t.objs []
   |> List.concat_map (entries_on t)
 
 let total t = t.n_live

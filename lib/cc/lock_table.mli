@@ -7,12 +7,12 @@
     over which the paper's transaction dependencies at O matter.  In flat
     2PL the scope is the top-level transaction.
 
-    Entries are bucketed per object by (method, args, pin) class, with
+    Entries are grouped per object by (method, args, pin) class, with
     secondary indexes on scope, retainer and top-level transaction: a
     conflict probe touches only the classes held on one object (and can
-    dismiss an entire class with a single memoised raw commutativity
-    test when the object's spec is {!Commutativity.stable}), and the
-    release paths are index lookups rather than whole-table scans. *)
+    dismiss an entire class with a single raw commutativity test when
+    the object's spec is {!Commutativity.stable}), and the release paths
+    are index lookups rather than whole-table scans. *)
 
 open Ooser_core
 
@@ -24,15 +24,16 @@ type entry = {
           caller on completion; never conflicts with the retainer's
           descendants *)
   mutable live : bool;
-      (** cleared on release; dead entries are purged from the buckets
+      (** cleared on release; dead entries are purged from their class
           lazily, on the next scan that meets them *)
+  clazz : clazz;  (** the (method, args, pin) class the entry is held in *)
 }
+
+and clazz
 
 type t
 
-val create : ?cache:Commutativity.cache -> unit -> t
-(** [cache] memoises the raw spec probes behind the class-skip test; it
-    must wrap the same registry later passed to {!conflicting}. *)
+val create : unit -> t
 
 val add : t -> action:Action.t -> scope:Action_id.t -> unit
 val entries_on : t -> Obj_id.t -> entry list

@@ -102,7 +102,7 @@ let optimistic ~name ?counters ~on_begin ~validate ~on_top_commit
 (* Shared skeleton: [wants_lock] decides which actions are locked at all;
    [scope_of] decides how long the lock lives. *)
 let lock_based ~name ~reg ~wants_lock ~scope_of () =
-  let table = Lock_table.create ~cache:(Commutativity.cached reg) () in
+  let table = Lock_table.create () in
   let counters = Stats.Counter.create () in
   let request action ~leaf =
     Stats.Counter.incr counters "requests";

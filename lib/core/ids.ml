@@ -14,7 +14,7 @@ module Obj_id = struct
   let rank t = t.rank
   let is_virtual t = t.rank > 0
   let virtualize t ~rank = { t with rank }
-  let original t = { t with rank = 0 }
+  let original t = if t.rank = 0 then t else { t with rank = 0 }
 
   let compare a b =
     match String.compare a.name b.name with
@@ -27,6 +27,7 @@ module Obj_id = struct
     if t.rank = 0 then t.name else t.name ^ String.make t.rank '\''
 
   let pp ppf t = Fmt.string ppf (to_string t)
+  let hash t = Hashtbl.hash t.name + t.rank
 
   module Ord = struct
     type nonrec t = t
@@ -36,6 +37,13 @@ module Obj_id = struct
 
   module Set = Set.Make (Ord)
   module Map = Map.Make (Ord)
+
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
 end
 
 module Process_id = struct
@@ -75,9 +83,24 @@ module Action_id = struct
   let is_root t = t.path = []
 
   let parent t =
-    match List.rev t.path with
+    let rec drop_last = function
+      | [] | [ _ ] -> []
+      | i :: rest -> i :: drop_last rest
+    in
+    match t.path with
     | [] -> None
-    | _ :: rev -> Some { t with path = List.rev rev; virt = 0 }
+    | path -> Some { t with path = drop_last path; virt = 0 }
+
+  (* [is_parent p c]: [p] is [Some]-equal to [parent c], without
+     building the parent *)
+  let is_parent p c =
+    let rec prefix ps cs =
+      match (ps, cs) with
+      | [], [ _ ] -> true
+      | p :: ps', x :: cs' -> p = x && prefix ps' cs'
+      | _ -> false
+    in
+    p.top = c.top && p.virt = 0 && prefix p.path c.path
 
   (* [is_proper_ancestor a b] holds when [a]'s path is a strict prefix of
      [b]'s path within the same top-level transaction. *)
@@ -99,7 +122,17 @@ module Action_id = struct
         | c -> c)
     | c -> c
 
-  let equal a b = compare a b = 0
+  let equal a b =
+    a.top = b.top && a.virt = b.virt && List.equal Int.equal a.path b.path
+
+  (* mixes every field without allocating or calling the polymorphic
+     hash; [equal] ids hash alike *)
+  let hash t =
+    List.fold_left
+      (fun h i -> (h * 31) + i)
+      ((t.top * 7) + t.virt)
+      t.path
+    land max_int
 
   let to_string t =
     let base =
@@ -121,4 +154,11 @@ module Action_id = struct
 
   module Set = Set.Make (Ord)
   module Map = Map.Make (Ord)
+
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
 end

@@ -36,8 +36,12 @@ module Obj_id : sig
 
   val pp : Format.formatter -> t -> unit
 
+  val hash : t -> int
+  (** Agrees with {!equal}. *)
+
   module Set : Set.S with type elt = t
   module Map : Map.S with type key = t
+  module Tbl : Hashtbl.S with type key = t
 end
 
 (** Process identifiers (Def. 9).  A top-level transaction may consist of
@@ -86,6 +90,10 @@ module Action_id : sig
   val parent : t -> t option
   (** Identifier of the (non-virtual) calling action; [None] at the root. *)
 
+  val is_parent : t -> t -> bool
+  (** [is_parent p c] iff [parent c = Some p] (by {!equal}), without
+      allocating. *)
+
   val is_proper_ancestor : t -> t -> bool
   (** [is_proper_ancestor a b]: [a] calls [b] directly or indirectly
       ([a →+ b] with [a ≠ b]). *)
@@ -98,6 +106,10 @@ module Action_id : sig
 
   val pp : Format.formatter -> t -> unit
 
+  val hash : t -> int
+  (** Agrees with {!equal}; allocation-free. *)
+
   module Set : Set.S with type elt = t
   module Map : Map.S with type key = t
+  module Tbl : Hashtbl.S with type key = t
 end

@@ -36,53 +36,60 @@ type obj = {
   methods : (string * meth) list;
 }
 
-type t = { mutable objects : obj Obj_id.Map.t }
+(* One hash lookup finds an object: the engine resolves every invocation
+   here, and the lock protocols' registry asks for the spec on every
+   request.  A table is single-domain state: a shard's database is read
+   only from the shard's own domain (its snapshots carry the specs other
+   domains need). *)
+type t = { objects : obj Obj_id.Tbl.t }
 
-let create () = { objects = Obj_id.Map.empty }
+let create () = { objects = Obj_id.Tbl.create 64 }
 
 let register t oid ~spec ?pin methods =
-  if Obj_id.Map.mem oid t.objects then
+  if Obj_id.Tbl.mem t.objects oid then
     invalid_arg (Fmt.str "Database.register: %a already registered" Obj_id.pp oid);
-  t.objects <- Obj_id.Map.add oid { spec; pin; methods } t.objects
+  Obj_id.Tbl.replace t.objects oid { spec; pin; methods }
 
 let register_or_replace t oid ~spec ?pin methods =
-  t.objects <- Obj_id.Map.add oid { spec; pin; methods } t.objects
+  Obj_id.Tbl.replace t.objects oid { spec; pin; methods }
 
-let mem t oid = Obj_id.Map.mem oid t.objects
+let mem t oid = Obj_id.Tbl.mem t.objects oid
 
-let objects t = List.map fst (Obj_id.Map.bindings t.objects)
+let objects t =
+  List.sort Obj_id.compare
+    (Obj_id.Tbl.fold (fun oid _ acc -> oid :: acc) t.objects [])
+
+let find t oid = Obj_id.Tbl.find_opt t.objects oid
 
 let methods t oid =
-  match Obj_id.Map.find_opt oid t.objects with
-  | None -> []
-  | Some o -> List.map fst o.methods
+  match find t oid with None -> [] | Some o -> List.map fst o.methods
 
-let spec t oid =
-  Option.map (fun o -> o.spec) (Obj_id.Map.find_opt oid t.objects)
-
-let pin t oid =
-  match Obj_id.Map.find_opt oid t.objects with Some o -> o.pin | None -> None
+let spec t oid = Option.map (fun o -> o.spec) (find t oid)
 
 let compensated_methods t oid =
-  match Obj_id.Map.find_opt oid t.objects with
+  match find t oid with
   | None -> []
   | Some o ->
       List.filter_map
         (fun (name, m) -> if Option.is_some m.compensate then Some name else None)
         o.methods
 
-let find_meth t oid name =
-  match Obj_id.Map.find_opt oid t.objects with
-  | None -> Error (Fmt.str "unknown object %a" Obj_id.pp oid)
-  | Some o -> (
-      match List.assoc_opt name o.methods with
-      | Some m -> Ok m
+let rec assoc_meth name = function
+  | [] -> None
+  | (n, m) :: rest -> if String.equal n name then Some m else assoc_meth name rest
+
+let resolve t oid name =
+  match Obj_id.Tbl.find t.objects oid with
+  | exception Not_found -> Error (Fmt.str "unknown object %a" Obj_id.pp oid)
+  | o -> (
+      match assoc_meth name o.methods with
+      | Some m -> Ok (m, o.pin)
       | None -> Error (Fmt.str "object %a has no method %s" Obj_id.pp oid name))
 
 let spec_registry ?(default = Commutativity.all_conflict) t =
   Commutativity.registry
-    ~known:(fun oid -> Obj_id.Map.mem oid t.objects)
+    ~known:(fun oid -> Obj_id.Tbl.mem t.objects oid)
     (fun oid ->
-      match Obj_id.Map.find_opt oid t.objects with
-      | Some o -> o.spec
-      | None -> default)
+      match Obj_id.Tbl.find t.objects oid with
+      | o -> o.spec
+      | exception Not_found -> default)

@@ -45,6 +45,7 @@ val composite :
 type t
 
 val create : unit -> t
+(** A mutable registry, to be used from one domain at a time. *)
 
 val register :
   t ->
@@ -76,16 +77,16 @@ val methods : t -> Obj_id.t -> string list
 
 val spec : t -> Obj_id.t -> Commutativity.spec option
 
-val pin : t -> Obj_id.t -> (unit -> Value.t) option
-(** The pin function the object was registered with; [None] when it
-    registered none (or is unknown). *)
-
 val compensated_methods : t -> Obj_id.t -> string list
 (** Names of registered methods that carry a compensation; the COMP001
     lint compares these against the methods reachable from open-nested
     abort paths. *)
 
-val find_meth : t -> Obj_id.t -> string -> (meth, string) result
+val resolve :
+  t -> Obj_id.t -> string -> (meth * (unit -> Value.t) option, string) result
+(** The named method of the object together with the pin function the
+    object was registered with ([None] when it registered none), from
+    one lookup; [Error] names the unknown object or method. *)
 
 val spec_registry : ?default:Commutativity.spec -> t -> Commutativity.registry
 (** Commutativity registry over the registered objects, for the protocols

@@ -337,9 +337,9 @@ let current_frame task =
    surrounding transaction still holds its higher-level semantic locks, so
    this is safe under the open nesting rule. *)
 let rec execute_direct (eng : t) ctx (inv : Runtime.invocation) =
-  match Database.find_meth eng.db inv.Runtime.target inv.Runtime.meth_name with
+  match Database.resolve eng.db inv.Runtime.target inv.Runtime.meth_name with
   | Error msg -> failwith ("compensation failed: " ^ msg)
-  | Ok m ->
+  | Ok (m, _) ->
       let rec drive = function
         | Done v -> v
         | Raised e -> raise e
@@ -368,37 +368,47 @@ let discontinue_quietly k =
 
 (* Precedence pairs from the recorded child groups: every member of a
    group precedes every member of the next group (transitivity covers the
-   rest); members of one parallel group stay unordered. *)
-let prec_of_groups groups =
-  let ordered = List.rev_map (function Seq i -> [ i ] | Par is -> is) groups in
-  let rec pairs acc = function
-    | [] | [ _ ] -> acc
-    | g :: (next :: _ as rest) ->
-        let acc =
-          List.fold_left
-            (fun acc a -> List.fold_left (fun acc b -> (a, b) :: acc) acc next)
-            acc g
-        in
-        pairs acc rest
+   rest); members of one parallel group stay unordered.  [pos.(i)] is the
+   position in the children list of the child numbered [i] (0-based), or
+   -1 when that child failed under try_call and left a numbering gap:
+   pairs that mention a missing child are dropped.  [groups] is newest
+   first, and the pairs come out oldest group first. *)
+let prec_of_groups pos groups =
+  let fold_right_members g f acc =
+    match g with Seq i -> f i acc | Par is -> List.fold_right f is acc
   in
-  List.rev (pairs [] ordered)
+  (* the pairs from [g] to [next] in front of [acc] *)
+  let pairs_into g next acc =
+    fold_right_members g
+      (fun a acc ->
+        if pos.(a) < 0 then acc
+        else
+          fold_right_members next
+            (fun b acc -> if pos.(b) < 0 then acc else (pos.(a), pos.(b)) :: acc)
+            acc)
+      acc
+  in
+  let rec walk acc = function
+    | next :: (g :: _ as rest) -> walk (pairs_into g next acc) rest
+    | [] | [ _ ] -> acc
+  in
+  walk [] groups
 
 let tree_of_frame f =
-  let sorted = List.sort (fun (i, _) (j, _) -> Int.compare i j) f.child_trees in
-  (* a child that failed under try_call leaves a numbering gap: remap the
-     0-based child numbers used by the groups to positions in the actual
-     children list, dropping pairs that mention the missing child *)
-  let positions = List.mapi (fun pos (idx, _) -> (idx - 1, pos)) sorted in
-  let remap i = List.assoc_opt i positions in
-  let prec =
-    List.filter_map
-      (fun (a, b) ->
-        match (remap a, remap b) with
-        | Some x, Some y -> Some (x, y)
-        | _ -> None)
-      (prec_of_groups f.groups)
-  in
-  Call_tree.v ~prec f.action (List.map snd sorted)
+  match f.child_trees with
+  | [] ->
+      (* a leaf: every precedence pair would mention a missing child *)
+      Call_tree.v f.action []
+  | child_trees ->
+      let sorted =
+        match child_trees with
+        | [ _ ] -> child_trees (* [List.sort] allocates even here *)
+        | _ -> List.sort (fun (i, _) (j, _) -> Int.compare i j) child_trees
+      in
+      let pos = Array.make f.next_child (-1) in
+      List.iteri (fun p (idx, _) -> pos.(idx - 1) <- p) sorted;
+      Call_tree.v ~prec:(prec_of_groups pos f.groups) f.action
+        (List.map snd sorted)
 
 (* -- abort / commit ------------------------------------------------------------ *)
 
@@ -632,6 +642,12 @@ let deliver_to_parent eng txn task ~tree ~undo v =
                 (fun () -> Effect.Deep.continue j.j_k (Array.to_list j.j_results))
           end)
 
+(* the last element of a path: an action's position under its caller *)
+let rec last_or default = function
+  | [] -> default
+  | [ i ] -> i
+  | _ :: rest -> last_or default rest
+
 let complete_frame eng txn task v =
   match task.stack with
   | [] -> invalid_arg "Engine.complete_frame: empty stack"
@@ -684,11 +700,7 @@ let complete_frame eng txn task v =
              | _ -> None
            in
            if depth = 1 then
-             let seq =
-               match List.rev (Ids.Action_id.path id) with
-               | i :: _ -> i
-               | [] -> 0
-             in
+             let seq = last_or 0 (Ids.Action_id.path id) in
              journal_append eng
                (Oplog.Call
                   {
@@ -724,11 +736,7 @@ let complete_frame eng txn task v =
       in
       (match parent_frame with
       | Some pf ->
-          let idx =
-            match List.rev (Ids.Action_id.path (Action.id f.action)) with
-            | i :: _ -> i
-            | [] -> 1
-          in
+          let idx = last_or 1 (Ids.Action_id.path (Action.id f.action)) in
           pf.child_trees <- (idx, tree) :: pf.child_trees;
           pf.undo <- undo_contribution @ pf.undo
       | None -> ());
@@ -760,8 +768,10 @@ let new_frame ?compensate ~kind ~caller_k action =
     undo = [];
   }
 
+let pinned pin a = match pin with Some f -> Action.with_pin a (f ()) | None -> a
+
 let start_invocation eng txn task (inv : Runtime.invocation) action k =
-  match Database.find_meth eng.db inv.Runtime.target inv.Runtime.meth_name with
+  match Database.resolve eng.db inv.Runtime.target inv.Runtime.meth_name with
   | Error msg -> (
       match k with
       | Caught kk ->
@@ -770,15 +780,11 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
       | Direct _ | To_parent ->
           task.pending <- Idle;
           abort_txn eng txn ~retry:false msg)
-  | Ok m -> (
+  | Ok (m, pin) -> (
       let leaf = m.Database.kind = `Primitive in
       (* the lock table judges the request at the state it is made in;
          the recorded action is re-pinned when it actually runs *)
-      let pin = Database.pin eng.db inv.Runtime.target in
-      let pinned a =
-        match pin with Some f -> Action.with_pin a (f ()) | None -> a
-      in
-      let action = pinned action in
+      let action = pinned pin action in
       match Protocol.request eng.config.protocol action ~leaf with
       | Protocol.Granted ->
           let frame =
@@ -792,7 +798,7 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
           task.pending <-
             Step
               (fun () ->
-                frame.action <- pinned frame.action;
+                frame.action <- pinned pin frame.action;
                 run_fiber (fun () -> m.Database.run ctx inv.Runtime.args))
       | Protocol.Blocked holders ->
           (* wait-die: a younger requester blocked by an older holder
@@ -1249,22 +1255,32 @@ let outcome_of (eng : t) =
     metrics = metrics eng;
   }
 
+(* What the pump may run next: a transaction to start, or one of its
+   tasks to step. *)
+type run_unit = Start of txn | Task of txn * task
+
+(* The pump asks for these on every iteration, so the list is built
+   directly: one cell and one unit per runnable task, no intermediate
+   lists. *)
 let runnable_units (eng : t) =
-  List.concat_map
-    (fun txn ->
-      match txn.status with
-      | Running when txn.resume_after <= eng.steps ->
-          if txn.tasks = [] then [ (txn, None) ]
-          else
-            List.filter_map
-              (fun task ->
-                match (task.tstatus, task.pending) with
-                | Runnable, (Step _ | Request _ | Not_started) ->
-                    Some (txn, Some task)
-                | _ -> None)
-              txn.tasks
-      | _ -> [])
-    eng.txns
+  let rec tasks txn units = function
+    | [] -> units
+    | task :: rest -> (
+        match (task.tstatus, task.pending) with
+        | Runnable, (Step _ | Request _ | Not_started) ->
+            Task (txn, task) :: tasks txn units rest
+        | _ -> tasks txn units rest)
+  in
+  let rec txns = function
+    | [] -> []
+    | txn :: rest -> (
+        match txn.status with
+        | Running when txn.resume_after <= eng.steps ->
+            if txn.tasks = [] then Start txn :: txns rest
+            else tasks txn (txns rest) txn.tasks
+        | _ -> txns rest)
+  in
+  txns eng.txns
 
 let parked (eng : t) =
   List.exists
@@ -1281,11 +1297,10 @@ let awaiting_exists (eng : t) =
     (fun txn -> List.exists (fun t -> t.tstatus = Awaiting) txn.tasks)
     eng.txns
 
-let label_of_unit (txn, task_opt) =
-  match task_opt with
-  | None ->
+let label_of_unit = function
+  | Start txn ->
       { u_top = txn.top; u_task = -1; u_boundary = true; u_obj = ""; u_meth = "" }
-  | Some task -> (
+  | Task (txn, task) -> (
       match task.pending with
       | Request (inv, _, _) ->
           {
@@ -1379,16 +1394,25 @@ let abort_top (eng : t) ~top reason =
       true
   | Some _ | None -> false
 
+(* The pump calls this on every iteration, so the clock (a system call
+   in the server) is read only when some transaction could expire. *)
 let check_deadlines (eng : t) =
-  let now = eng.config.now () in
-  List.iter
-    (fun txn ->
-      match (txn.status, txn.aborting, txn.deadline) with
-      | Running, None, Some d when now > d && not txn.pinned ->
-          Stats.Counter.incr eng.counters "deadline-aborts";
-          abort_txn eng txn ~retry:false "deadline exceeded"
-      | _ -> ())
-    eng.txns
+  let expirable txn =
+    match (txn.status, txn.aborting, txn.deadline) with
+    | Running, None, Some _ -> not txn.pinned
+    | _ -> false
+  in
+  if List.exists expirable eng.txns then begin
+    let now = eng.config.now () in
+    List.iter
+      (fun txn ->
+        match txn.deadline with
+        | Some d when expirable txn && now > d ->
+            Stats.Counter.incr eng.counters "deadline-aborts";
+            abort_txn eng txn ~retry:false "deadline exceeded"
+        | _ -> ())
+      eng.txns
+  end
 
 (* Step until quiescent: nothing runnable, no deadlock cycle to break,
    no backoff park to sit out — every live task either [Awaiting] client
@@ -1424,11 +1448,11 @@ let pump (eng : t) =
           end
       | units ->
           (match pick_unit eng units with
-          | txn, None ->
+          | Start txn ->
               eng.steps <- eng.steps + 1;
               Stats.Counter.incr eng.counters "starts";
               start_txn eng txn
-          | txn, Some task -> step eng txn task);
+          | Task (txn, task) -> step eng txn task);
           loop ()
     end
   in

@@ -510,14 +510,14 @@ let stats t ?(timeout = 5.0) () =
 let snapshots t ~timeout =
   gather t ~timeout (fun token -> Shard.Snapshot_req { token })
   |> List.filter_map (function
-       | Shard.Ev_snapshot { shard; serializable; trees; order; _ } ->
-           Some (shard, serializable, trees, order)
+       | Shard.Ev_snapshot { shard; serializable; trees; order; specs; _ } ->
+           Some (shard, serializable, trees, order, specs)
        | _ -> None)
 
 let certified t ?(timeout = 60.0) () =
   let snaps = snapshots t ~timeout in
   List.length snaps = Array.length t.shards
-  && List.for_all (fun (_, serializable, _, _) -> serializable) snaps
+  && List.for_all (fun (_, serializable, _, _, _) -> serializable) snaps
   && Coordinator.clean t.coord
 
 (* -- the merged global history ----------------------------------------------- *)
@@ -541,19 +541,31 @@ let shard_obj ~shards n =
       | _ -> None)
   | _ -> None
 
-let merged_registry t =
-  let local_spec o =
-    match shard_obj ~shards:(Array.length t.shards) (Obj_id.name o) with
-    | Some (i, local) -> Shard.spec t.shards.(i) local
-    | None -> None
-  in
+(* Built from the specs the shards put in their snapshots, never from
+   their databases, which their domains keep mutating. *)
+let merged_registry snaps =
+  let specs = Obj_id.Tbl.create 256 in
+  List.iter
+    (fun (shard, _, _, _, shard_specs) ->
+      List.iter
+        (fun (o, spec) ->
+          Obj_id.Tbl.replace specs
+            (Obj_id.v (shard_obj_name shard (Obj_id.name o)))
+            spec)
+        shard_specs)
+    snaps;
   Ooser_core.Commutativity.registry
-    ~known:(fun o -> Obj_id.name o = sys_name || local_spec o <> None)
+    ~known:(fun o -> Obj_id.name o = sys_name || Obj_id.Tbl.mem specs o)
     (fun o ->
       if Obj_id.name o = sys_name then Ooser_core.Commutativity.all_commute
       else
-        Option.value (local_spec o)
+        Option.value (Obj_id.Tbl.find_opt specs o)
           ~default:Ooser_core.Commutativity.all_conflict)
+
+let shard_spec t ~shard o =
+  if not t.in_process then
+    invalid_arg "Dispatcher.shard_spec: shards run in their own domains";
+  Shard.spec t.shards.(shard) o
 
 (* Rewrite one shard's branch subtree of transaction [top]: rename its
    objects with the shard prefix and renumber the branch-local child
@@ -595,7 +607,7 @@ let merged_history t ?(timeout = 60.0) () =
     Hashtbl.create 256
   in
   List.iter
-    (fun (shard, _, trees, _) ->
+    (fun (shard, _, trees, _, _) ->
       List.iter
         (fun (top, tree) ->
           let l =
@@ -664,7 +676,7 @@ let merged_history t ?(timeout = 60.0) () =
      otherwise *)
   let entries =
     List.concat_map
-      (fun (shard, _, _, order) ->
+      (fun (shard, _, _, order, _) ->
         List.map (fun (id, stamp) -> (shard, id, stamp)) order)
       snaps
     |> List.sort (fun (_, _, a) (_, _, b) -> Int.compare a b)
@@ -690,7 +702,7 @@ let merged_history t ?(timeout = 60.0) () =
             | None -> None))
       entries
   in
-  History.v ~tops ~order ~commut:(merged_registry t)
+  History.v ~tops ~order ~commut:(merged_registry snaps)
 
 (* -- shutdown ----------------------------------------------------------------- *)
 

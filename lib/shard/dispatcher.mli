@@ -120,13 +120,21 @@ val shard_obj : shards:int -> string -> (int * Obj_id.t) option
     {!merged_history} denotes; [None] for other names and for shards
     outside [0, shards). *)
 
+val shard_spec : t -> shard:int -> Obj_id.t -> Commutativity.spec option
+(** The spec shard [shard]'s own database registers for a shard-local
+    object.  Only on a dispatcher created [~in_process:true], whose
+    shards run on the caller's thread.
+    @raise Invalid_argument on a dispatcher whose shards run in their
+    own domains. *)
+
 val merged_history : t -> ?timeout:float -> unit -> History.t
 (** The stitched global history: per-shard committed call trees of each
     transaction merged under one root, renumbered to global call order,
     objects renamed with a per-shard prefix (two shards' ["Page0"] are
     different physical pages), orders interleaved by shared execution
-    stamp.  Only meaningful at quiescence; used by tests and as the
-    from-scratch oracle. *)
+    stamp.  Its registry answers from the specs each shard put in its
+    snapshot, for the objects of its committed trees.  Only meaningful
+    at quiescence; used by tests and as the from-scratch oracle. *)
 
 val shutdown : t -> unit
 (** Checkpoint (durable), stop and join every shard, close the

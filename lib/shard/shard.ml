@@ -58,6 +58,7 @@ type event =
       serializable : bool;
       trees : (int * Call_tree.t) list;
       order : (Ids.Action_id.t * int) list;
+      specs : (Obj_id.t * Commutativity.spec) list;
     }
   | Ev_checkpointed of { shard : int; token : int }
   | Ev_stopped of { shard : int }
@@ -122,6 +123,23 @@ let idx t = t.idx
 let next_top_floor t =
   match t.durable with Some d -> Engine_stack.next_top d | None -> 1
 let spec t o = Database.spec t.db o
+
+(* The registered spec of every object the trees touch, looked up here in
+   the shard's own domain: the database is a mutable table that this
+   domain keeps growing, so another domain may read specs only from a
+   snapshot. *)
+let tree_specs db trees =
+  let seen = Obj_id.Tbl.create 64 in
+  let rec visit (node : Call_tree.t) =
+    let o = Obj_id.original (Action.obj node.Call_tree.act) in
+    if not (Obj_id.Tbl.mem seen o) then Obj_id.Tbl.add seen o (Database.spec db o);
+    List.iter visit node.Call_tree.children
+  in
+  List.iter (fun (_, tree) -> visit tree) trees;
+  Obj_id.Tbl.fold
+    (fun o spec acc -> match spec with Some s -> (o, s) :: acc | None -> acc)
+    seen []
+  |> List.sort (fun (a, _) (b, _) -> Obj_id.compare a b)
 
 let force_journal sh = Option.iter Oplog.force (Engine.journal sh.engine)
 
@@ -406,14 +424,16 @@ let apply sh = function
       let serializable =
         Serializability.oo_serializable (Engine.final_history sh.engine)
       in
+      let trees = Engine.committed_trees sh.engine in
       sh.emit
         (Ev_snapshot
            {
              shard = sh.idx;
              token;
              serializable;
-             trees = Engine.committed_trees sh.engine;
+             trees;
              order = Engine.stamped_order sh.engine;
+             specs = tree_specs sh.db trees;
            })
   | Checkpoint_req { token } ->
       Option.iter (Engine_stack.checkpoint sh.engine) sh.durable;

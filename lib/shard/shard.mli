@@ -91,6 +91,9 @@ type event =
       serializable : bool;  (** this shard's final history, checked *)
       trees : (int * Call_tree.t) list;
       order : (Ids.Action_id.t * int) list;  (** stamped *)
+      specs : (Obj_id.t * Commutativity.spec) list;
+          (** the registered spec of every object in [trees], read in the
+              shard's own domain *)
     }
   | Ev_checkpointed of { shard : int; token : int }
   | Ev_stopped of { shard : int }
@@ -135,8 +138,9 @@ val next_top_floor : t -> int
     checkpoints. *)
 
 val spec : t -> Obj_id.t -> Commutativity.spec option
-(** The shard database's registered spec — only sound to call while the
-    shard is quiescent (merged-history construction at drain). *)
+(** The shard database's registered spec.  The database is mutable
+    single-domain state: only the caller that steps a core-mode shard
+    may call this (other domains read specs from {!Ev_snapshot}). *)
 
 val drain_pipe : Unix.file_descr -> unit
 (** Empty a non-blocking wake pipe (a shard's or the dispatcher's). *)

@@ -146,8 +146,10 @@ module Counter = struct
 
   let create () : t = Hashtbl.create 16
 
+  (* [find] rather than [find_opt]: the lock protocols count every
+     request, and an option per count is garbage *)
   let incr ?(by = 1) t key =
-    let cur = match Hashtbl.find_opt t key with Some v -> v | None -> 0 in
+    let cur = match Hashtbl.find t key with v -> v | exception Not_found -> 0 in
     Hashtbl.replace t key (cur + by)
 
   let get t key =

@@ -6,19 +6,25 @@
    eviction is then read into the victim's bytes, so a full pool serves
    misses without allocating page images. *)
 
+(* Resident frames sit on a circular doubly linked list through a
+   sentinel, least recently pinned first: a pin moves its frame to the
+   back, so the first unpinned frame from the front is the least
+   recently used one.  Only pinned frames are ever skipped, and those
+   are the few pages the current accesses hold. *)
 type frame = {
   page_id : Disk.page_id;
   page : Page.t;
   mutable pins : int;
   mutable dirty : bool;
-  mutable last_use : int;
+  mutable prev : frame;
+  mutable next : frame;
 }
 
 type t = {
   disk : Disk.t;
   capacity : int;
   frames : (Disk.page_id, frame) Hashtbl.t;
-  mutable clock : int;
+  lru : frame;  (* sentinel: [lru.next] is the least recently used *)
   mutable evictions : int;
 }
 
@@ -26,20 +32,27 @@ exception Pool_full
 
 let create ?(capacity = 64) disk =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity";
-  {
-    disk;
-    capacity;
-    frames = Hashtbl.create (capacity * 2);
-    clock = 0;
-    evictions = 0;
-  }
+  let page = Page.create ~size:64 () in
+  let rec lru =
+    { page_id = -1; page; pins = 0; dirty = false; prev = lru; next = lru }
+  in
+  { disk; capacity; frames = Hashtbl.create (capacity * 2); lru; evictions = 0 }
 
 let disk t = t.disk
 let evictions t = t.evictions
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+let resident t =
+  List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.frames [])
+
+let unlink f =
+  f.prev.next <- f.next;
+  f.next.prev <- f.prev
+
+let push_back t f =
+  f.prev <- t.lru.prev;
+  f.next <- t.lru;
+  t.lru.prev.next <- f;
+  t.lru.prev <- f
 
 let flush_frame t frame =
   if frame.dirty then begin
@@ -48,29 +61,24 @@ let flush_frame t frame =
   end
 
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun _ f best ->
-        if f.pins > 0 then best
-        else
-          match best with
-          | Some b when b.last_use <= f.last_use -> best
-          | _ -> Some f)
-      t.frames None
+  let rec victim f =
+    if f == t.lru then raise Pool_full
+    else if f.pins > 0 then victim f.next
+    else f
   in
-  match victim with
-  | None -> raise Pool_full
-  | Some f ->
-      flush_frame t f;
-      Hashtbl.remove t.frames f.page_id;
-      t.evictions <- t.evictions + 1;
-      f.page
+  let f = victim t.lru.next in
+  flush_frame t f;
+  unlink f;
+  Hashtbl.remove t.frames f.page_id;
+  t.evictions <- t.evictions + 1;
+  f.page
 
 let pin t page_id =
   match Hashtbl.find_opt t.frames page_id with
   | Some f ->
       f.pins <- f.pins + 1;
-      f.last_use <- tick t;
+      unlink f;
+      push_back t f;
       f.page
   | None ->
       let page =
@@ -81,7 +89,8 @@ let pin t page_id =
         end
         else Page.of_bytes (Disk.read t.disk page_id)
       in
-      let f = { page_id; page; pins = 1; dirty = false; last_use = tick t } in
+      let f = { page_id; page; pins = 1; dirty = false; prev = t.lru; next = t.lru } in
+      push_back t f;
       Hashtbl.replace t.frames page_id f;
       page
 

@@ -33,3 +33,6 @@ val alloc : t -> Disk.page_id
 (** Allocate a fresh page on the underlying volume. *)
 
 val evictions : t -> int
+
+val resident : t -> Disk.page_id list
+(** The pages held in frames, in ascending id order. *)

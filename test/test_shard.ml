@@ -131,34 +131,6 @@ let with_dispatcher config f =
   let d = Dispatcher.create config in
   Fun.protect ~finally:(fun () -> Dispatcher.shutdown d) (fun () -> f d)
 
-(* Merged-history object names: ["s<i>:<name>"] resolves to shard i's
-   object only when shard i exists; the system object is known and
-   all-commute; every other name falls back to all-conflict. *)
-let test_merged_object_names () =
-  let parse = Dispatcher.shard_obj ~shards:2 in
-  check_bool "s0:Enc parses" true
-    (match parse "s0:Enc" with
-    | Some (0, o) -> Obj_id.equal o (Obj_id.v "Enc")
-    | _ -> false);
-  let others = [ "s9:Enc"; "x0:Enc"; "s:Enc"; "Enc"; ":Enc" ] in
-  let sys = Obj_id.name Call_tree.Build.default_sys in
-  List.iter
-    (fun n -> check_bool (n ^ " does not parse") true (parse n = None))
-    (sys :: others);
-  with_dispatcher (disp_config ()) (fun d ->
-      let reg = History.commut (Dispatcher.merged_history d ()) in
-      let known n = Commutativity.known reg (Obj_id.v n) in
-      let spec n = Commutativity.name (Commutativity.spec_for reg (Obj_id.v n)) in
-      check_bool "s0:Enc known" true (known "s0:Enc");
-      check_bool "s0:Enc has the shard's spec" true (spec "s0:Enc" <> "all-conflict");
-      check_bool "system object known" true (known sys);
-      Alcotest.(check string) "system object commutes" "all-commute" (spec sys);
-      List.iter
-        (fun n ->
-          check_bool (n ^ " unknown") false (known n);
-          Alcotest.(check string) (n ^ " conflicts") "all-conflict" (spec n))
-        others)
-
 let settle d ~top ~timeout =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
@@ -197,6 +169,123 @@ let key_on router shard =
     else go (i + 1)
   in
   go 0
+
+(* Step every core-mode shard until none has queued work. *)
+let settle_shards d =
+  for i = 0 to Dispatcher.shards d - 1 do
+    while Dispatcher.shard_has_work d i do
+      Dispatcher.step_shard d i
+    done
+  done
+
+(* One committed single-call transaction: [Enc.search k]. *)
+let commit_search d ~top k =
+  Dispatcher.begin_txn d ~top ~name:(Printf.sprintf "t%d" top) ~deadline:None;
+  Dispatcher.call d ~top ~obj:"Enc" ~meth:"search" ~args:[ Value.str k ];
+  (match await_result d ~top ~seq:0 ~timeout:5.0 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "search failed: %s" e);
+  Dispatcher.commit d ~top;
+  (match settle d ~top ~timeout:5.0 with
+  | `Committed _ -> ()
+  | `Aborted r -> Alcotest.failf "aborted: %s" r
+  | _ -> Alcotest.fail "still running");
+  Dispatcher.retire d ~top
+
+(* Merged-history object names: ["s<i>:<name>"] resolves to shard i's
+   object only when shard i exists and its committed trees touch it; the
+   system object is known and all-commute; every other name falls back
+   to all-conflict. *)
+let test_merged_object_names () =
+  let parse = Dispatcher.shard_obj ~shards:2 in
+  check_bool "s0:Enc parses" true
+    (match parse "s0:Enc" with
+    | Some (0, o) -> Obj_id.equal o (Obj_id.v "Enc")
+    | _ -> false);
+  let others = [ "s9:Enc"; "x0:Enc"; "s:Enc"; "Enc"; ":Enc" ] in
+  let sys = Obj_id.name Call_tree.Build.default_sys in
+  List.iter
+    (fun n -> check_bool (n ^ " does not parse") true (parse n = None))
+    (sys :: others);
+  with_dispatcher (disp_config ()) (fun d ->
+      commit_search d ~top:1 (key_on (Dispatcher.router d) 0);
+      let reg = History.commut (Dispatcher.merged_history d ()) in
+      let known n = Commutativity.known reg (Obj_id.v n) in
+      let spec n = Commutativity.name (Commutativity.spec_for reg (Obj_id.v n)) in
+      check_bool "s0:Enc known" true (known "s0:Enc");
+      check_bool "s0:Enc has the shard's spec" true (spec "s0:Enc" <> "all-conflict");
+      check_bool "system object known" true (known sys);
+      Alcotest.(check string) "system object commutes" "all-commute" (spec sys);
+      List.iter
+        (fun n ->
+          check_bool (n ^ " unknown") false (known n);
+          Alcotest.(check string) (n ^ " conflicts") "all-conflict" (spec n))
+        others)
+
+(* The merged registry reads the specs each shard put in its snapshot,
+   in its own domain, never the shards' databases.  For every object of
+   the merged history it must give the very spec that shard's database
+   registers. *)
+let test_merged_registry_specs () =
+  let d = Dispatcher.create ~in_process:true (disp_config ()) in
+  Fun.protect ~finally:(fun () -> Dispatcher.shutdown d) @@ fun () ->
+  (* the caller runs the shards: step them and hand their events over
+     until the transaction is decided *)
+  let run ~top calls =
+    Dispatcher.begin_txn d ~top ~name:(Printf.sprintf "t%d" top) ~deadline:None;
+    List.iter
+      (fun (meth, args) -> Dispatcher.call d ~top ~obj:"Enc" ~meth ~args)
+      calls;
+    settle_shards d;
+    Dispatcher.poll d;
+    Dispatcher.commit d ~top;
+    let rec decide n =
+      settle_shards d;
+      Dispatcher.poll d;
+      match Dispatcher.txn_state d top with
+      | `Committed _ -> Dispatcher.retire d ~top
+      | `Aborted r -> Alcotest.failf "t%d aborted: %s" top r
+      | _ when n > 0 -> decide (n - 1)
+      | _ -> Alcotest.failf "t%d undecided" top
+    in
+    decide 10
+  in
+  let r = Dispatcher.router d in
+  let ka = key_on r 0 and kb = key_on r 1 in
+  run ~top:1 [ ("search", [ Value.str ka ]) ];
+  run ~top:2
+    [
+      ("update", [ Value.str ka; Value.str "a'" ]);
+      ("update", [ Value.str kb; Value.str "b'" ]);
+    ];
+  let h = Dispatcher.merged_history d () in
+  let reg = History.commut h in
+  let sys = Obj_id.name Call_tree.Build.default_sys in
+  let objs =
+    List.sort_uniq Obj_id.compare
+      (List.map (fun a -> Obj_id.original (Action.obj a)) (History.all_actions h))
+  in
+  let on_shard i =
+    List.exists
+      (fun o ->
+        match Dispatcher.shard_obj ~shards:2 (Obj_id.name o) with
+        | Some (j, _) -> i = j
+        | None -> false)
+      objs
+  in
+  check_bool "objects of both shards" true (on_shard 0 && on_shard 1);
+  List.iter
+    (fun o ->
+      let n = Obj_id.name o in
+      match Dispatcher.shard_obj ~shards:2 n with
+      | Some (i, local) ->
+          check_bool (n ^ " known") true (Commutativity.known reg o);
+          check_bool (n ^ " has its shard's own spec") true
+            (match Dispatcher.shard_spec d ~shard:i local with
+            | Some s -> s == Commutativity.spec_for reg o
+            | None -> false)
+      | None -> Alcotest.(check string) "only the system object is unprefixed" sys n)
+    objs
 
 let counter d k =
   match List.assoc_opt k (Dispatcher.counters d) with Some v -> v | None -> 0
@@ -349,13 +438,6 @@ let test_planted_cross_shard_cycle () =
    and last-to-first, and the same cross-shard transaction must commit
    either way. *)
 let test_cross_shard_delivery_orders () =
-  let settle_shards d =
-    for i = 0 to Dispatcher.shards d - 1 do
-      while Dispatcher.shard_has_work d i do
-        Dispatcher.step_shard d i
-      done
-    done
-  in
   List.iter
     (fun (name, order) ->
       let d = Dispatcher.create ~in_process:true (disp_config ()) in
@@ -530,6 +612,8 @@ let suites =
           test_handbuilt_cycle_rejected;
         Alcotest.test_case "e2e sharded server" `Quick
           test_e2e_sharded_server;
+        Alcotest.test_case "merged registry carries shard specs" `Quick
+          test_merged_registry_specs;
         Alcotest.test_case "merged-history object names" `Quick
           test_merged_object_names;
       ] );

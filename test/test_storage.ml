@@ -195,6 +195,197 @@ let prop_page_model =
         model true
       && Page.record_count p = Hashtbl.length model)
 
+(* Property: the pool evicts exactly like a reference model that picks
+   the unpinned frame with the smallest last-use stamp, stamping a frame
+   on every pin.  Random sequences of [alloc] and [with_page] (with page
+   writes and nested pins) on pools of 2-8 frames must give the same
+   evicted page at every pin, the same eviction count, and the same
+   bytes in every frame and on disk. *)
+type pool_op = Alloc | Access of int * (int * char) option * pool_op list
+
+let page_size = 64
+
+module Pool_model = struct
+  type frame = {
+    mutable pins : int;
+    mutable dirty : bool;
+    mutable last_use : int;
+    bytes : Bytes.t;
+  }
+
+  type t = {
+    capacity : int;
+    frames : (int, frame) Hashtbl.t;
+    disk : (int, Bytes.t) Hashtbl.t;
+    mutable clock : int;
+    mutable evictions : int;
+  }
+
+  let create capacity =
+    { capacity; frames = Hashtbl.create 8; disk = Hashtbl.create 8; clock = 0; evictions = 0 }
+
+  let tick m =
+    m.clock <- m.clock + 1;
+    m.clock
+
+  (* the evicted page, if the pin missed on a full pool *)
+  let pin m id =
+    match Hashtbl.find_opt m.frames id with
+    | Some f ->
+        f.pins <- f.pins + 1;
+        f.last_use <- tick m;
+        (f.bytes, None)
+    | None ->
+        let evicted =
+          if Hashtbl.length m.frames < m.capacity then None
+          else begin
+            let victim =
+              Hashtbl.fold
+                (fun vid f best ->
+                  match best with
+                  | _ when f.pins > 0 -> best
+                  | Some (_, b) when b.last_use <= f.last_use -> best
+                  | _ -> Some (vid, f))
+                m.frames None
+            in
+            match victim with
+            | None -> raise Buffer_pool.Pool_full
+            | Some (vid, f) ->
+                if f.dirty then Hashtbl.replace m.disk vid (Bytes.copy f.bytes);
+                Hashtbl.remove m.frames vid;
+                m.evictions <- m.evictions + 1;
+                Some vid
+          end
+        in
+        let bytes = Bytes.copy (Hashtbl.find m.disk id) in
+        Hashtbl.replace m.frames id { pins = 1; dirty = false; last_use = tick m; bytes };
+        (bytes, evicted)
+
+  let unpin m id ~dirty =
+    let f = Hashtbl.find m.frames id in
+    f.pins <- f.pins - 1;
+    if dirty then f.dirty <- true
+end
+
+let prop_buffer_pool_lru_model =
+  let open QCheck2 in
+  let gen_op =
+    Gen.fix
+      (fun self depth ->
+        let write =
+          Gen.(opt (pair (int_bound (page_size - 1)) (map Char.chr (int_range 97 122))))
+        in
+        let access nested =
+          Gen.(map3 (fun p w ops -> Access (p, w, ops)) (int_bound 20) write nested)
+        in
+        if depth = 0 then Gen.(frequency [ (1, return Alloc); (3, access (return [])) ])
+        else
+          Gen.(
+            frequency
+              [
+                (1, return Alloc);
+                (3, access (list_size (int_bound 2) (self (depth - 1))));
+              ]))
+  in
+  let gen =
+    Gen.(pair (int_range 2 8) (list_size (int_range 1 40) (gen_op 3)))
+  in
+  let print (capacity, ops) =
+    let rec pp = function
+      | Alloc -> "alloc"
+      | Access (p, w, ops) ->
+          Printf.sprintf "page%d%s[%s]" p
+            (match w with Some (i, c) -> Printf.sprintf " %d:=%c" i c | None -> "")
+            (String.concat "; " (List.map pp ops))
+    in
+    Printf.sprintf "capacity %d: %s" capacity (String.concat "; " (List.map pp ops))
+  in
+  QCheck2.Test.make ~name:"buffer pool evicts like the LRU model" ~count:300 ~print gen
+    (fun (capacity, ops) ->
+      let d = Disk.create ~page_size () in
+      let pool = Buffer_pool.create ~capacity d in
+      let m = Pool_model.create capacity in
+      let pages = ref 0 in
+      let agree = ref true in
+      let check b = if not b then agree := false in
+      (* pin through the pool and the model: the same page must go, and
+         the frame must hold the same bytes *)
+      let pin ?(real_pin = Buffer_pool.pin pool) id =
+        let before = Buffer_pool.resident pool in
+        let real =
+          match real_pin id with
+          | page -> Ok page
+          | exception Buffer_pool.Pool_full -> Error ()
+        in
+        let model =
+          match Pool_model.pin m id with
+          | r -> Ok r
+          | exception Buffer_pool.Pool_full -> Error ()
+        in
+        match (real, model) with
+        | Ok page, Ok (bytes, evicted) ->
+            let after = Buffer_pool.resident pool in
+            let gone = List.filter (fun p -> not (List.mem p after)) before in
+            check (gone = Option.to_list evicted);
+            check (Bytes.equal (Page.to_bytes page) bytes);
+            (page, bytes)
+        | Error (), Error () -> raise Buffer_pool.Pool_full
+        | _ ->
+            check false;
+            raise Buffer_pool.Pool_full
+      in
+      let rec run = function
+        | Alloc ->
+            (* [alloc] materialises the page with a pin and a dirty
+               unpin *)
+            let id = !pages in
+            incr pages;
+            Hashtbl.replace m.Pool_model.disk id (Bytes.make page_size '\000');
+            let real_pin _ =
+              let id' = Buffer_pool.alloc pool in
+              check (id' = id);
+              Buffer_pool.pin pool id
+            in
+            ignore (pin ~real_pin id);
+            Buffer_pool.unpin pool id;
+            Pool_model.unpin m id ~dirty:true
+        | Access (_, _, _) when !pages = 0 -> ()
+        | Access (p, write, nested) -> (
+            let id = p mod !pages in
+            let page, bytes = pin id in
+            Option.iter
+              (fun (i, c) ->
+                Bytes.set (Page.to_bytes page) i c;
+                Bytes.set bytes i c)
+              write;
+            match List.iter run nested with
+            | () ->
+                Buffer_pool.unpin ~dirty:(write <> None) pool id;
+                Pool_model.unpin m id ~dirty:(write <> None)
+            | exception e ->
+                Buffer_pool.unpin pool id;
+                Pool_model.unpin m id ~dirty:false;
+                raise e)
+      in
+      List.iter (fun op -> try run op with Buffer_pool.Pool_full -> ()) ops;
+      check (Buffer_pool.evictions pool = m.Pool_model.evictions);
+      check
+        (Buffer_pool.resident pool
+        = List.sort Int.compare
+            (Hashtbl.fold (fun id _ acc -> id :: acc) m.Pool_model.frames []));
+      (* every page's bytes: a resident page's frame (read through a pin,
+         which hits) and every page's disk image *)
+      for id = 0 to !pages - 1 do
+        check (Bytes.equal (Disk.read d id) (Hashtbl.find m.Pool_model.disk id));
+        match Hashtbl.find_opt m.Pool_model.frames id with
+        | Some f ->
+            let page = Buffer_pool.pin pool id in
+            check (Bytes.equal (Page.to_bytes page) f.Pool_model.bytes);
+            Buffer_pool.unpin pool id
+        | None -> ()
+      done;
+      !agree)
+
 let suites =
   [
     ( "storage",
@@ -213,5 +404,6 @@ let suites =
         Alcotest.test_case "with_page exception safety" `Quick
           test_with_page_exception_safety;
         QCheck_alcotest.to_alcotest prop_page_model;
+        QCheck_alcotest.to_alcotest prop_buffer_pool_lru_model;
       ] );
   ]
