@@ -56,7 +56,7 @@ and clazz = {
   mutable n_held : int;
 }
 
-and obj_locks = { mutable classes : clazz list }
+and obj_locks = { mutable classes : clazz list; mutable grants : int }
 
 module Top_tbl = Hashtbl.Make (Int)
 
@@ -112,7 +112,7 @@ let obj_locks t obj =
   match Obj_id.Tbl.find t.objs obj with
   | ol -> ol
   | exception Not_found ->
-      let ol = { classes = [] } in
+      let ol = { classes = []; grants = 0 } in
       Obj_id.Tbl.add t.objs obj ol;
       ol
 
@@ -127,6 +127,7 @@ let add t ~action ~scope =
         c
   in
   let e = { action; scope; retainer = Action.id action; live = true; clazz = c } in
+  ol.grants <- ol.grants + 1;
   c.members <- e :: c.members;
   c.n_members <- c.n_members + 1;
   c.n_held <- c.n_held + 1;
@@ -134,16 +135,6 @@ let add t ~action ~scope =
   index_id t.by_retainer e.retainer e;
   index_top t.by_top (Action_id.top scope) e;
   t.n_live <- t.n_live + 1
-
-let entries_on t obj =
-  match Obj_id.Tbl.find t.objs obj with
-  | exception Not_found -> []
-  | ol ->
-      List.concat_map
-        (fun c ->
-          purge c;
-          c.members)
-        ol.classes
 
 (* Same transaction and one is an ancestor of (or equal to) the other. *)
 let call_path_related a b =
@@ -191,6 +182,20 @@ let rec classes_conflicting spec stable action id acc = function
         end
       in
       classes_conflicting spec stable action id acc rest
+
+let grants e = e.clazz.owner.grants
+
+(* A conflict answer is a function of the object's live entries, their
+   retainers and the requester's pin.  Entries only die and retainers
+   only move up, which can only remove conflicts: so the answer can
+   differ only if a blocker died or is retained on the requester's path
+   now, or the object granted a lock since (the requester's pin is the
+   caller's to watch). *)
+let rec changed_since ~grants:seen requester = function
+  | [] -> false
+  | b :: rest ->
+      grants b <> seen || (not b.live) || retained_compatible b requester
+      || changed_since ~grants:seen requester rest
 
 let by_holder a b = Action_id.compare (Action.id a.action) (Action.id b.action)
 
@@ -287,16 +292,4 @@ let classes t obj =
   | exception Not_found -> 0
   | ol -> List.length ol.classes
 
-let all_entries t =
-  Obj_id.Tbl.fold (fun obj _ objs -> obj :: objs) t.objs []
-  |> List.concat_map (entries_on t)
-
 let total t = t.n_live
-
-let pp ppf t =
-  let pp_entry ppf e =
-    Fmt.pf ppf "%a held-by %a retained-by %a until %a" Obj_id.pp
-      (Action.obj e.action) Action.pp e.action Action_id.pp e.retainer
-      Action_id.pp e.scope
-  in
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_entry) (all_entries t)

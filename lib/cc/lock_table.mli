@@ -36,13 +36,20 @@ type t
 val create : unit -> t
 
 val add : t -> action:Action.t -> scope:Action_id.t -> unit
-val entries_on : t -> Obj_id.t -> entry list
 
 val conflicting : Commutativity.registry -> t -> Action.t -> entry list
 (** Held entries on the action's object that conflict with it per the
     registry; entries on the requester's own call path are compatible. *)
 
-val call_path_related : Action_id.t -> Action_id.t -> bool
+val grants : entry -> int
+(** Locks granted so far on the entry's object. *)
+
+val changed_since : grants:int -> Action_id.t -> entry list -> bool
+(** [changed_since ~grants requester blockers]: whether the {!conflicting}
+    answer [blockers] (got when their object had granted [grants] locks)
+    can differ now for the same action: a blocker was released or is
+    retained on the requester's call path, or the object granted a lock,
+    which may add a holder to wound or die for. *)
 
 val release_scope : t -> Action_id.t -> unit
 (** Drop every entry whose scope is the given action. *)
@@ -62,6 +69,4 @@ val classes : t -> Obj_id.t -> int
     the buckets a {!conflicting} probe on it visits.  A class leaves with
     its last live entry. *)
 
-val all_entries : t -> entry list
 val total : t -> int
-val pp : Format.formatter -> t -> unit

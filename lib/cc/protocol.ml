@@ -26,7 +26,7 @@
 open Ooser_core
 module Stats = Ooser_sim.Stats
 
-type decision = Granted | Blocked of Action.t list
+type decision = Granted | Blocked of Lock_table.entry list
 
 (* Optimistic protocols (lib/occ) grow the contract with a snapshot /
    validate surface: [on_begin] fires at every transaction attempt start
@@ -118,7 +118,7 @@ let lock_based ~name ~reg ~wants_lock ~scope_of () =
           Granted
       | blockers ->
           Stats.Counter.incr counters "conflicts";
-          Blocked (List.map (fun e -> e.Lock_table.action) blockers)
+          Blocked blockers
   in
   let on_end action =
     Lock_table.release_scope table (Action.id action);

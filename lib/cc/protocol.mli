@@ -27,7 +27,7 @@
 open Ooser_core
 module Stats = Ooser_sim.Stats
 
-type decision = Granted | Blocked of Action.t list
+type decision = Granted | Blocked of Lock_table.entry list
 
 type t
 
@@ -35,8 +35,8 @@ val name : t -> string
 
 val request : t -> Action.t -> leaf:bool -> decision
 (** Ask to start executing an action ([leaf] marks primitive methods).
-    [Granted] may record a lock; [Blocked] names the conflicting
-    holders. *)
+    [Granted] may record a lock; [Blocked] returns the conflicting
+    entries by holder id, for {!Lock_table.changed_since}. *)
 
 val on_end : t -> Action.t -> unit
 (** The action completed (committed at its level). *)

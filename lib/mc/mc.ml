@@ -328,6 +328,8 @@ let run_single (sc : Scenario.t) ~fresh ~crash memo chooser =
           tops
       in
       check "terminal: some transaction never decided" (undecided = []);
+      check "terminal: a blocked request was grantable (lost wake-up)"
+        (Counter.get (Engine.counters eng) "lost-wakeups" = 0);
       check "terminal: lock table not quiescent" (Protocol.quiescent protocol);
       let verdict_h = Serializability.check (inst.i_history eng) in
       check "history: final history fails Serializability.check"
@@ -606,14 +608,16 @@ let run_sharded (sc : Scenario.t) ~shards ~db_kind ~protocol ~vote_full memo
            serial_fingerprint_sharded sc ~shards ~db_kind ~protocol memo perm
            = fp)
          (permutations committed));
-  let vote_full_count =
+  let shard_total key =
     List.fold_left
       (fun acc (s : Dispatcher.shard_stats) ->
-        acc
-        + Option.value ~default:0 (List.assoc_opt "vote-full-history" s.engine))
+        acc + Option.value ~default:0 (List.assoc_opt key s.engine))
       0
       (Dispatcher.stats d ())
   in
+  check "terminal: a blocked request was grantable (lost wake-up)"
+    (shard_total "lost-wakeups" = 0);
+  let vote_full_count = shard_total "vote-full-history" in
   let decided =
     List.map
       (fun top ->

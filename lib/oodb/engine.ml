@@ -24,6 +24,7 @@
 open Ooser_core
 module Protocol = Ooser_cc.Protocol
 module Deadlock = Ooser_cc.Deadlock
+module Lock_table = Ooser_cc.Lock_table
 module Rng = Ooser_sim.Rng
 module Stats = Ooser_sim.Stats
 module Oplog = Ooser_recovery.Oplog
@@ -107,11 +108,11 @@ type pending =
   | Joining
   | Idle
 
-(* [Awaiting] is a task parked on external input (a session waiting for
-   its client's next command): unlike [Blocked] it holds no lock request,
-   takes no part in deadlock detection, and is never a "stalled"
-   victim — only [poke] (or an abort) wakes it. *)
-type task_status = Runnable | Blocked | Awaiting | Finished
+(* A task parked on external input (a session waiting for its client's
+   next command) stays [Runnable] with an [Await_input] step, which is
+   never picked: it holds no lock request and waits for nothing in the
+   waits-for graph — only [poke] (or an abort) wakes it. *)
+type task_status = Runnable | Blocked | Finished
 
 (* A join point: the task forked [j_remaining] branches and resumes with
    all their results once they delivered. *)
@@ -128,7 +129,10 @@ type task = {
   mutable stack : frame list;  (* innermost first *)
   mutable pending : pending;
   mutable tstatus : task_status;
-  mutable waiting_for : Action.t list;
+  mutable waiting_for : Lock_table.entry list;
+      (* the entries its blocked request conflicted with when last asked *)
+  mutable seen_grants : int;  (* their object's grant count then *)
+  mutable wounds_pinned : bool;  (* and it wounded a pinned holder *)
   mutable blocked_since : int;
   mutable join : join option;
   t_parent : (task * int) option;  (* parent task and result slot *)
@@ -769,6 +773,7 @@ let new_frame ?compensate ~kind ~caller_k action =
   }
 
 let pinned pin a = match pin with Some f -> Action.with_pin a (f ()) | None -> a
+let holder_top (e : Lock_table.entry) = Ids.Action_id.top (Action.id e.action)
 
 let start_invocation eng txn task (inv : Runtime.invocation) action k =
   match Database.resolve eng.db inv.Runtime.target inv.Runtime.meth_name with
@@ -801,14 +806,14 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
                 frame.action <- pinned pin frame.action;
                 run_fiber (fun () -> m.Database.run ctx inv.Runtime.args))
       | Protocol.Blocked holders ->
+          task.seen_grants <- Lock_table.grants (List.hd holders);
+          task.wounds_pinned <- false;
           (* wait-die: a younger requester blocked by an older holder
              aborts itself (prevention by self-sacrifice) *)
           if
             eng.config.deadlock = Wait_die
             && txn.aborting = None
-            && List.exists
-                 (fun a -> Ids.Action_id.top (Action.id a) < txn.top)
-                 holders
+            && List.exists (fun e -> holder_top e < txn.top) holders
           then begin
             Stats.Counter.incr eng.counters "dies";
             discontinue_reply k;
@@ -819,16 +824,10 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
              instead of waiting behind them (prevention); conflicts within
              one transaction and holders already compensating wait *)
           (if eng.config.deadlock = Wound_wait then
-             let younger_holders =
-               List.filter
-                 (fun a ->
-                   let htop = Ids.Action_id.top (Action.id a) in
-                   htop > txn.top)
-                 holders
-             in
              List.iter
-               (fun a ->
-                 let htop = Ids.Action_id.top (Action.id a) in
+               (fun e ->
+                 let htop = holder_top e in
+                 if htop > txn.top then
                  match
                    List.find_opt
                      (fun x -> x.top = htop && x.status = Running
@@ -839,13 +838,14 @@ let start_invocation eng txn task (inv : Runtime.invocation) action k =
                      (* a prepared 2PC participant cannot be aborted
                         here; record the wound so the coordinator can
                         decide the global transaction instead *)
+                     task.wounds_pinned <- true;
                      if not (List.mem victim.top eng.wounded_pinned) then
                        eng.wounded_pinned <- victim.top :: eng.wounded_pinned
                  | Some victim ->
                      Stats.Counter.incr eng.counters "wounds";
                      abort_txn eng victim ~retry:true "wounded"
                  | None -> ())
-               younger_holders);
+               holders);
           if task.tstatus <> Blocked then begin
             Stats.Counter.incr eng.counters "waits";
             task.blocked_since <- eng.clock;
@@ -869,6 +869,8 @@ let fresh_task (eng : t) txn ~process ~parent =
       pending = Not_started;
       tstatus = Runnable;
       waiting_for = [];
+      seen_grants = 0;
+      wounds_pinned = false;
       blocked_since = 0;
       join = None;
       t_parent = parent;
@@ -1003,9 +1005,7 @@ let rec dispatch eng txn task r =
   | Undo_reg (g, k) ->
       (current_frame task).undo <- Restore g :: (current_frame task).undo;
       dispatch eng txn task (Effect.Deep.continue k ())
-  | Yield_await k ->
-      task.tstatus <- Awaiting;
-      task.pending <- Await_input k
+  | Yield_await k -> task.pending <- Await_input k
   | Yield_par (invs, k) -> fork_branches eng txn task invs k
   | Yield_try (inv, k) -> request_call eng txn task inv (Caught k)
   | Yield (inv, k) -> request_call eng txn task inv (Direct k)
@@ -1054,92 +1054,104 @@ let step (eng : t) txn task =
 (* -- the run loop ----------------------------------------------------------------------- *)
 
 (* Deadlock detection is per task: parallel branches of one transaction
-   can deadlock each other.  Waits-for edges go from the blocked task to
+   can deadlock each other.  Waits-for edges go from a blocked task to
    the tasks of the lock holders, identified by the holder action's
-   process; a holder whose task already finished (its lock retained at a
-   higher scope) is attributed to any live task of its transaction. *)
+   process (a holder whose task already finished, its lock retained at
+   a higher scope, is attributed to any live task of its transaction),
+   and from a joining task to its unfinished branches. *)
 let waits_for (eng : t) =
   let all_tasks = List.concat_map (fun txn -> txn.tasks) eng.txns in
-  let task_of_action a =
-    let p = Action.process a in
-    match
-      List.find_opt (fun t -> Ids.Process_id.equal t.process p) all_tasks
-    with
+  let id_of = Option.map (fun t -> t.t_id) in
+  let task_of_holder (e : Lock_table.entry) =
+    let same_process t = Ids.Process_id.equal t.process (Action.process e.action) in
+    match List.find_opt same_process all_tasks with
     | Some t -> Some t.t_id
-    | None -> (
-        let top = Ids.Action_id.top (Action.id a) in
-        match List.find_opt (fun t -> t.txn_top = top) all_tasks with
-        | Some t -> Some t.t_id
-        | None -> None)
+    | None -> id_of (List.find_opt (fun t -> t.txn_top = holder_top e) all_tasks)
+  in
+  let branch_of task t =
+    match t.t_parent with Some (p, _) when p == task -> Some t.t_id | _ -> None
   in
   List.filter_map
     (fun task ->
-      match task.tstatus with
-      | Blocked ->
+      match (task.tstatus, task.pending) with
+      | Blocked, _ ->
           Some
             ( task.t_id,
               List.sort_uniq Int.compare
-                (List.filter_map task_of_action task.waiting_for) )
-      | Runnable | Awaiting | Finished -> None)
+                (List.filter_map task_of_holder task.waiting_for) )
+      | _, Joining -> Some (task.t_id, List.filter_map (branch_of task) all_tasks)
+      | (Runnable | Finished), _ -> None)
     all_tasks
 
-let txn_of_task (eng : t) tid =
-  List.find_opt
-    (fun txn -> List.exists (fun t -> t.t_id = tid) txn.tasks)
-    eng.txns
+(* Abort the youngest transaction on the cycle, preferring one that is
+   not already compensating: rolling back a rollback is a last resort. *)
+let break_cycle (eng : t) cycle =
+  Stats.Counter.incr eng.counters "deadlocks";
+  let on_cycle txn = List.exists (fun t -> List.mem t.t_id cycle) txn.tasks in
+  let candidates = List.filter on_cycle eng.txns in
+  let fresh = List.filter (fun txn -> txn.aborting = None) candidates in
+  let youngest_first a b = Int.compare b.top a.top in
+  match List.sort youngest_first (if fresh = [] then candidates else fresh) with
+  | victim :: _ -> abort_txn eng victim ~retry:true "deadlock victim"
+  | [] -> ()
 
-let resolve_deadlock (eng : t) =
-  let w = waits_for eng in
-  match Deadlock.find_cycle w with
-  | Some cycle -> (
-      Stats.Counter.incr eng.counters "deadlocks";
-      (* prefer a victim that is not already compensating; rolling back a
-         rollback is a last resort *)
-      let candidates =
-        List.filter_map (fun tid -> txn_of_task eng tid) cycle
-      in
-      let youngest = function
-        | [] -> None
-        | l -> Some (List.fold_left (fun a b -> if b.top > a.top then b else a) (List.hd l) l)
-      in
-      let victim =
-        match List.filter (fun txn -> txn.aborting = None) candidates with
-        | [] -> youngest candidates
-        | l -> youngest l
-      in
-      match victim with
-      | Some txn -> abort_txn eng txn ~retry:true "deadlock victim"
-      | None -> ())
-  | None -> (
-      (* blocked but no cycle among tasks: a holder may have committed
-         between checks — retry will succeed; if genuinely stuck, break
-         the tie deterministically *)
-      let blocked =
-        List.concat_map (fun txn -> txn.tasks) eng.txns
-        |> List.filter (fun t -> t.tstatus = Blocked)
-        |> List.sort (fun a b -> Int.compare a.blocked_since b.blocked_since)
-      in
-      match blocked with
-      | [] -> ()
-      | task :: _ -> (
-          match txn_of_task eng task.t_id with
-          | Some txn -> abort_txn eng txn ~retry:true "stalled"
-          | None -> ()))
+let changed task action =
+  Lock_table.changed_since ~grants:task.seen_grants (Action.id action)
+    task.waiting_for
 
+(* A blocked request is asked again only when its answer could differ:
+   the lock table changed for it; it carries a pin (escrow, fifo), which
+   follows its object's state; or it wounded a pinned 2PC participant,
+   a wound every probe reports again for the shard to escalate. *)
+let due task action =
+  changed task action || Option.is_some (Action.pin action) || task.wounds_pinned
+
+let rec blocked_of txn acc = function
+  | [] -> acc
+  | task :: rest ->
+      blocked_of txn (if task.tstatus = Blocked then (txn, task) :: acc else acc) rest
+
+(* every blocked task, oldest wait first; no allocation when there is none *)
+let blocked_tasks (eng : t) =
+  match List.fold_left (fun acc txn -> blocked_of txn acc txn.tasks) [] eng.txns with
+  | ([] | [ _ ]) as blocked -> blocked
+  | blocked ->
+      List.sort (fun (_, a) (_, b) -> Int.compare a.blocked_since b.blocked_since) blocked
+
+(* Ask the due requests again, oldest wait first: a grant, wound or death
+   earlier in the pass is seen by the requests after it. *)
 let retry_blocked (eng : t) =
-  let blocked =
-    List.concat_map
-      (fun txn -> List.map (fun task -> (txn, task)) txn.tasks)
-      eng.txns
-    |> List.filter (fun (_, task) -> task.tstatus = Blocked)
-    |> List.sort (fun (_, a) (_, b) -> Int.compare a.blocked_since b.blocked_since)
+  match blocked_tasks eng with
+  | [] -> ()
+  | blocked ->
+      List.iter
+        (fun (txn, task) ->
+          match task.pending with
+          | Request (inv, action, k) when due task action ->
+              start_invocation eng txn task inv action k
+          | Request _ | Not_started | Step _ | Idle | Joining | Await_input _ -> ())
+        blocked
+
+(* Where the pump would stop.  A wound or death late in a pass can free
+   locks a request asked earlier in it waits for: then it is not settled,
+   and the pump passes again.  A blocked request that a probe recording
+   nothing would grant is a lost wake-up, counted in "lost-wakeups",
+   which must stay absent. *)
+let settled (eng : t) =
+  let grantable action =
+    match Protocol.table eng.config.protocol with
+    | Some table -> Lock_table.conflicting (Database.spec_registry eng.db) table action = []
+    | None -> false
   in
-  List.iter
-    (fun (txn, task) ->
+  List.for_all
+    (fun (_, task) ->
       match task.pending with
-      | Request (inv, action, k) -> start_invocation eng txn task inv action k
-      | Not_started | Step _ | Idle | Joining | Await_input _ -> ())
-    blocked
+      | Request (_, action, _) ->
+          (not (changed task action))
+          && (if grantable action then Stats.Counter.incr eng.counters "lost-wakeups";
+              true)
+      | Not_started | Step _ | Idle | Joining | Await_input _ -> true)
+    (blocked_tasks eng)
 
 let new_txn ?deadline ~top ~name body =
   {
@@ -1287,16 +1299,6 @@ let parked (eng : t) =
     (fun txn -> txn.status = Running && txn.resume_after > eng.steps)
     eng.txns
 
-let blocked_exists (eng : t) =
-  List.exists
-    (fun txn -> List.exists (fun t -> t.tstatus = Blocked) txn.tasks)
-    eng.txns
-
-let awaiting_exists (eng : t) =
-  List.exists
-    (fun txn -> List.exists (fun t -> t.tstatus = Awaiting) txn.tasks)
-    eng.txns
-
 let label_of_unit = function
   | Start txn ->
       { u_top = txn.top; u_task = -1; u_boundary = true; u_obj = ""; u_meth = "" }
@@ -1381,7 +1383,6 @@ let poke (eng : t) top =
           match task.pending with
           | Await_input k ->
               task.pending <- Step (fun () -> Effect.Deep.continue k ());
-              task.tstatus <- Runnable;
               true
           | Not_started | Step _ | Request _ | Joining | Idle -> false)
         txn.tasks
@@ -1414,15 +1415,13 @@ let check_deadlines (eng : t) =
       eng.txns
   end
 
-(* Step until quiescent: nothing runnable, no deadlock cycle to break,
-   no backoff park to sit out — every live task either [Awaiting] client
-   input or blocked on a lock whose release needs such input.  The
-   "stalled" fallback (abort the longest-blocked transaction when blocked
-   tasks form no cycle) only fires when NO task awaits external input: a
-   session thinking between commands legitimately keeps others waiting,
-   and shooting those waiters would turn every think-time pause into
-   aborts.  Bounded by [config.max_steps] per call as a safety
-   valve; returns the number of steps taken. *)
+(* Step until quiescent: nothing runnable, no deadlock cycle to break
+   (join edges included), no backoff park to sit out, nothing unsettled —
+   every live task either awaiting client input or blocked on a lock
+   whose release needs such input.  Each iteration first asks the due
+   blocked requests again; one whose answer cannot have changed costs
+   nothing.  Bounded by [config.max_steps] per call as a safety valve;
+   returns the number of steps taken. *)
 let pump (eng : t) =
   let start = eng.steps in
   let budget = eng.steps + eng.config.max_steps in
@@ -1432,20 +1431,19 @@ let pump (eng : t) =
     else begin
       retry_blocked eng;
       match runnable_units eng with
-      | [] ->
-          if blocked_exists eng && Deadlock.find_cycle (waits_for eng) <> None
-          then begin
-            resolve_deadlock eng;
-            loop ()
-          end
-          else if parked eng then begin
-            eng.steps <- eng.steps + 1;
-            loop ()
-          end
-          else if blocked_exists eng && not (awaiting_exists eng) then begin
-            resolve_deadlock eng;
-            loop ()
-          end
+      | [] -> (
+          (* every cycle runs through a blocked task *)
+          let blocked = blocked_tasks eng <> [] in
+          match if blocked then Deadlock.find_cycle (waits_for eng) else None with
+          | Some cycle ->
+              break_cycle eng cycle;
+              loop ()
+          | None ->
+              if parked eng then begin
+                eng.steps <- eng.steps + 1;
+                loop ()
+              end
+              else if blocked && not (settled eng) then loop ())
       | units ->
           (match pick_unit eng units with
           | Start txn ->

@@ -155,13 +155,15 @@ val submit :
     absolute [config.now] time; see {!set_deadline}. *)
 
 val pump : t -> int
-(** Step until quiescent: nothing runnable, no deadlock cycle to break —
-    every live task either parked on {!Runtime.await} or blocked on a
-    lock whose release needs external input.  Blocked-without-cycle
-    tasks are treated as stalled only while no task awaits a client.
-    Each iteration first aborts every running transaction whose
-    deadline has passed.  Bounded by [config.max_steps] steps per call
-    as a safety valve.  Returns the number of steps taken. *)
+(** Step until quiescent: nothing runnable, no deadlock cycle to break
+    (join edges included), no blocked request whose answer may have
+    changed — every live task either parked on {!Runtime.await} or
+    blocked on a lock whose release needs external input.  Each
+    iteration first aborts every running transaction whose deadline has
+    passed.  Where it stops, a blocked request a fresh probe would grant
+    counts as ["lost-wakeups"] in {!counters}; there must be none.
+    Bounded by [config.max_steps] steps per call.  Returns the number of
+    steps taken. *)
 
 val poke : t -> int -> bool
 (** Wake the transaction's task parked on {!Runtime.await}, if any;

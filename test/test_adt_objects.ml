@@ -63,6 +63,37 @@ let test_counter_bounds_abort () =
   check_int "aborted on bound" 1 (List.length out.Engine.aborted);
   check_int "first incr undone too" 10 (Escrow.value c)
 
+(* A blocked escrow request is asked again on every pump iteration: its
+   pin is the balance when it is asked, and an abort's undo changes the
+   balance without a grant or a release of the lock it waits for.  T1
+   takes 3 of 10 and parks on [Runtime.await]; T2 takes 1 (balance 6);
+   T3's decr 4, pinned at 6, conflicts with T1's decr (6 - 3 - 4 < 0)
+   but not with T2's.  T2 then gives up, its undo brings the balance
+   back to 7, and T3, asked again, now commutes with T1 and commits
+   while T1 still holds its lock. *)
+let test_counter_pin_follows_undo () =
+  let db = Database.create () in
+  let c = Adt_objects.register_counter db (o "C") ~low:0 ~high:100 10 in
+  let decr ctx n = ignore (Runtime.call ctx (o "C") "decr" [ Value.int n ]) in
+  let protocol = open_protocol db in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.strategy =
+        Test_engine.scripted [ 1; 1; 1; 1; 1; 2; 2; 2; 2; 3; 3; 3; 2 ];
+    }
+  in
+  let eng = Engine.create ~config db ~protocol in
+  Engine.submit eng ~top:1 ~name:"t1" (fun ctx -> decr ctx 3; Runtime.await ctx; Value.unit);
+  Engine.submit eng ~top:2 ~name:"t2" (fun ctx -> decr ctx 1; Runtime.abort "give up");
+  Engine.submit eng ~top:3 ~name:"t3" (fun ctx -> decr ctx 4; Value.unit);
+  ignore (Engine.pump eng);
+  check_bool "T1 still holds its lock" true (Engine.txn_state eng 1 = `Running);
+  check_bool "T2 gave up" true (Engine.txn_state eng 2 = `Aborted "give up");
+  check_bool "T3 committed" true
+    (match Engine.txn_state eng 3 with `Committed _ -> true | _ -> false);
+  check_int "balance" 3 (Escrow.value c)
+
 let test_set_operations () =
   let db = Database.create () in
   let s = Adt_objects.register_set db (o "S1") in
@@ -236,6 +267,8 @@ let suites =
         Alcotest.test_case "counter abort undo" `Quick test_counter_abort_undo;
         Alcotest.test_case "counter bound violation aborts" `Quick
           test_counter_bounds_abort;
+        Alcotest.test_case "counter pin follows an undo" `Quick
+          test_counter_pin_follows_undo;
         Alcotest.test_case "set operations" `Quick test_set_operations;
         Alcotest.test_case "set keyed concurrency" `Quick
           test_set_keyed_concurrency;

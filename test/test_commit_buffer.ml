@@ -13,6 +13,9 @@
      [Serializability.check] verdict and the same dependency edges as a
      history rebuilt from the trace-sink records alone.
 
+   They also check that no pump stopped beside a blocked request a fresh
+   lock probe would grant (the engine's "lost-wakeups" counter).
+
    The generated transactions cover restarts (wound-wait, wait-die and
    deadlock victims, validation and certification failures), call_par
    branches, try_call partial rollbacks and compensation phases; a fixed
@@ -233,6 +236,8 @@ let disagreement r =
     List.length (List.sort_uniq Ids.Action_id.compare (List.map fst stamped))
     <> List.length stamped
   then Some "stamped_order records an action twice (a dropped attempt leaked)"
+  else if Stats.Counter.get (Engine.counters r.eng) "lost-wakeups" > 0 then
+    Some "a blocked request was grantable where the pump stopped"
   else if Engine.committed_trees r.eng <> sunk_trees then
     Some "committed_trees differ from the sunk trees"
   else if not (List.equal Ids.Action_id.equal (History.order final) (History.order rebuilt))

@@ -6,6 +6,7 @@ open Ooser_core
 open Ooser_oodb
 module Protocol = Ooser_cc.Protocol
 module Rng = Ooser_sim.Rng
+module Stats = Ooser_sim.Stats
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -393,6 +394,61 @@ let prop_forks_under_protocols =
       && History.validate out.Engine.history = Ok ()
       && Serializability.oo_serializable out.Engine.history)
 
+(* A deadlock through a join.  T1 writes A, then forks branches writing
+   B and C; T2 has written C and then asks for A.  T1's C branch waits
+   for T2, T2 waits for the lock T1's parent holds on A, and the parent
+   waits for its branch: a cycle only through the join.  It is broken
+   like any other, by aborting its youngest transaction, T2 — alone and
+   beside a third transaction parked on [Runtime.await] alike. *)
+let join_deadlock ~with_awaiting () =
+  let db = Database.create () in
+  ignore (register_cell db "A" 0);
+  ignore (register_cell db "B" 0);
+  ignore (register_cell db "C" 0);
+  let write ctx name v = ignore (Runtime.call ctx (o name) "write" [ Value.int v ]) in
+  let t1 ctx =
+    write ctx "A" 1;
+    ignore
+      (Runtime.call_par ctx
+         [
+           Runtime.invocation (o "B") "write" [ Value.int 1 ];
+           Runtime.invocation (o "C") "write" [ Value.int 1 ];
+         ]);
+    Value.unit
+  in
+  let t2 ctx =
+    write ctx "C" 2;
+    write ctx "A" 2;
+    Value.unit
+  in
+  let t3 ctx =
+    Runtime.await ctx;
+    Value.unit
+  in
+  let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.max_restarts = 0;
+      (* T1 writes A, T2 writes C, T1 forks, T2 asks for A *)
+      Engine.strategy =
+        Test_engine.scripted
+          ((if with_awaiting then [ 3; 3 ] else []) @ [ 1; 1; 1; 1; 2; 2; 2; 2; 1; 2; 2 ]);
+    }
+  in
+  let eng = Engine.create ~config db ~protocol in
+  Engine.submit eng ~top:1 ~name:"t1" t1;
+  Engine.submit eng ~top:2 ~name:"t2" t2;
+  if with_awaiting then Engine.submit eng ~top:3 ~name:"t3" t3;
+  ignore (Engine.pump eng);
+  check_int "one deadlock" 1 (Stats.Counter.get (Engine.counters eng) "deadlocks");
+  check_bool "T2 is the victim" true
+    (Engine.txn_state eng 2 = `Aborted "deadlock victim");
+  check_bool "T1 commits" true
+    (match Engine.txn_state eng 1 with `Committed _ -> true | _ -> false);
+  if with_awaiting then
+    check_bool "T3 still awaits" true (Engine.txn_state eng 3 = `Running)
+
 let suites =
   [
     ( "parallel",
@@ -411,6 +467,10 @@ let suites =
           test_parallel_txns_with_branches;
         Alcotest.test_case "intra-transaction deadlock" `Quick
           test_intra_txn_deadlock_resolved;
+        Alcotest.test_case "deadlock through a join" `Quick
+          (join_deadlock ~with_awaiting:false);
+        Alcotest.test_case "deadlock through a join beside an awaiting session"
+          `Quick (join_deadlock ~with_awaiting:true);
         QCheck_alcotest.to_alcotest prop_forks_under_protocols;
       ] );
   ]

@@ -220,6 +220,63 @@ let test_policies_agree_on_results () =
     [ Engine.Detect; Engine.Wound_wait; Engine.Wait_die ];
   check_bool "all policies sound" true !ok
 
+(* A barger: the waiter W is blocked behind a holder it must wait for,
+   and a transaction B is then granted a class W's request conflicts
+   with (reads share, the write conflicts with both).  Grants are not
+   queued, so B gets in; W's request is asked again on the next pump
+   iteration because its object granted a lock, and W's policy then
+   acts on B at once — long before the first holder, parked on
+   [Runtime.await], releases.  The script runs the holder to its await,
+   then W to its block, then B to its grant. *)
+let run_barger ~policy ~holder ~waiter ~barger =
+  let db = Database.create () in
+  ignore (register_cell db "X" 0);
+  let read ctx = ignore (Runtime.call ctx (o "X") "read" []) in
+  let bodies =
+    [
+      (holder, fun ctx -> read ctx; Runtime.await ctx; Value.unit);
+      (waiter, fun ctx -> ignore (Runtime.call ctx (o "X") "write" [ Value.int 1 ]); Value.unit);
+      (barger, fun ctx -> read ctx; Value.unit);
+    ]
+  in
+  let protocol = Protocol.open_nested ~reg:(Database.spec_registry db) () in
+  let config =
+    {
+      (Engine.default_config protocol) with
+      Engine.deadlock = policy;
+      Engine.max_restarts = 0;
+      Engine.strategy =
+        Test_engine.scripted
+          (List.concat_map
+             (fun (top, n) -> List.init n (fun _ -> top))
+             [ (holder, 5); (waiter, 3); (barger, 3) ]);
+    }
+  in
+  let eng = Engine.create ~config db ~protocol in
+  List.iter
+    (fun top -> Engine.submit eng ~top ~name:(Printf.sprintf "t%d" top) (List.assoc top bodies))
+    [ 1; 2; 3 ];
+  ignore (Engine.pump eng);
+  check_bool "the holder still holds its lock" true (Engine.txn_state eng holder = `Running);
+  eng
+
+let test_wound_wait_barger () =
+  (* T1 holds, T2 waits (younger than T1), T3 barges: T2 wounds it *)
+  let eng = run_barger ~policy:Engine.Wound_wait ~holder:1 ~waiter:2 ~barger:3 in
+  check_bool "the barger is wounded" true (Engine.txn_state eng 3 = `Aborted "wounded");
+  check_bool "the waiter still waits" true (Engine.txn_state eng 2 = `Running);
+  ignore (Engine.poke eng 1);
+  ignore (Engine.pump eng);
+  check_bool "the waiter gets in once the holder commits" true
+    (match Engine.txn_state eng 2 with `Committed _ -> true | _ -> false)
+
+let test_wait_die_barger () =
+  (* T3 holds, T2 waits (older than T3), the older T1 barges: T2 dies *)
+  let eng = run_barger ~policy:Engine.Wait_die ~holder:3 ~waiter:2 ~barger:1 in
+  check_bool "the waiter dies" true (Engine.txn_state eng 2 = `Aborted "wait-die");
+  check_bool "the barger commits" true
+    (match Engine.txn_state eng 1 with `Committed _ -> true | _ -> false)
+
 let suites =
   [
     ( "wound_wait",
@@ -231,6 +288,10 @@ let suites =
           test_wait_die_resolves_crossing;
         Alcotest.test_case "wait-die: first parallel branch dies" `Quick
           test_wait_die_first_branch_dies;
+        Alcotest.test_case "wound-wait: a barger is wounded at once" `Quick
+          test_wound_wait_barger;
+        Alcotest.test_case "wait-die: a waiter dies for an older barger" `Quick
+          test_wait_die_barger;
         Alcotest.test_case "many transactions make progress" `Quick
           test_wound_wait_many_txns;
         Alcotest.test_case "policies agree on correctness" `Quick
