@@ -22,7 +22,9 @@ let bind t k v =
 let unbind t k =
   t.bindings <- List.filter (fun (k', _) -> not (Value.equal k k')) t.bindings
 
-let names t = List.map fst t.bindings
+(* key order: the binding order is representation, and a client listing
+   the directory must not see which of two distinct-key binds ran last *)
+let names t = List.sort Value.compare (List.map fst t.bindings)
 let cardinal t = List.length t.bindings
 
 let same_key_commutes m m' =

@@ -14,6 +14,9 @@ val lookup : t -> Value.t -> Value.t option
 val bind : t -> Value.t -> Value.t -> unit
 val unbind : t -> Value.t -> unit
 val names : t -> Value.t list
+(** The bound names in key order ({!Ooser_core.Value.compare}), never
+    in binding order. *)
+
 val cardinal : t -> int
 
 val spec : Commutativity.spec

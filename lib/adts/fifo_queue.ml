@@ -35,6 +35,8 @@ let peek t =
   | x :: _ -> Some x
   | [] -> ( match List.rev t.back with x :: _ -> Some x | [] -> None)
 
+let to_list t = t.front @ List.rev t.back
+
 let pin t = Value.bool (is_empty t)
 
 (* An enqueue and a dequeue commute when the queue was non-empty at

@@ -16,6 +16,9 @@ val enqueue : t -> Value.t -> unit
 val dequeue : t -> Value.t option
 val peek : t -> Value.t option
 
+val to_list : t -> Value.t list
+(** The elements, front first. *)
+
 val pin : t -> Value.t
 (** The execution-time pin of an action on this queue: whether it was
     empty before the action ran. *)

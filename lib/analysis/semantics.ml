@@ -1,18 +1,24 @@
 (* Executable small-scope semantics for the shipped ADTs: the ground
    truth the spec-inference analyzer (infer.ml, DESIGN §16) compares
-   hand-written commutativity matrices against.
-
-   Each model runs REAL ADT code from lib/adts — the state encoding and
-   the undo closures mirror lib/oodb/adt_objects.ml, so a verdict here is
-   about the code the engine actually executes, not a re-implementation
-   of its specification. *)
+   hand-written commutativity matrices against.  A model holds no method
+   code: each instance registers the shipped object (adt_objects.ml) in
+   a private database and runs its methods, undo closures and
+   compensations through Database.run_direct, so a verdict is about the
+   code the engine executes. *)
 
 open Ooser_core
 module A = Ooser_adts
+module Database = Ooser_oodb.Database
+module Runtime = Ooser_oodb.Runtime
+module Adt_objects = Ooser_oodb.Adt_objects
 
 type outcome = Ret of Value.t | Err of string
 
-type call = { result : outcome; undo : unit -> outcome }
+type call = {
+  result : outcome;
+  undo : unit -> outcome;
+  compensate : unit -> outcome;
+}
 
 type instance = {
   hand : Commutativity.spec;
@@ -36,21 +42,43 @@ type model = {
 
 let guard f =
   try Ret (f ()) with
-  | A.Escrow_counter.Bounds_violation msg -> Err msg
-  | Invalid_argument msg -> Err msg
-  | Failure msg -> Err msg
+  | A.Escrow_counter.Bounds_violation msg | Invalid_argument msg
+  | Failure msg | Runtime.Abort msg -> Err msg
   | Not_found -> Err "not found"
 
-(* Undoing a call that never applied (errored) is a successful no-op;
-   pure observers undo the same way. *)
-let noop_undo () = Ret Value.unit
+let ctx = { Runtime.top = 0 }
 
-let pure result = { result; undo = noop_undo }
+let query ?on_undo db oid meth args =
+  Database.run_direct db ?on_undo ctx (Runtime.invocation oid meth args)
 
-let unknown model_name m =
-  { result = Err (Printf.sprintf "%s: no model for method %S" model_name m);
-    undo = noop_undo;
-  }
+let instance db oid ~observe =
+  let exec meth args =
+    let undos = ref [] in
+    let on_undo g = undos := g :: !undos in
+    let result = guard (fun () -> query ~on_undo db oid meth args) in
+    (* the engine's rollback of a frame that still holds its locks *)
+    let undo () = guard (fun () -> List.iter (fun g -> g ()) !undos; Value.unit) in
+    (* what the engine runs once the call completed at its level *)
+    let compensate () =
+      match (result, Database.resolve db oid meth) with
+      | Ret v, Ok ({ Database.compensate = Some comp; _ }, _) -> (
+          match comp args v with
+          | Database.Inverse inv -> guard (fun () -> Database.run_direct db ctx inv)
+          | Database.Forget -> Ret Value.unit
+          | Database.Keep_undo -> undo ())
+      | _ -> undo ()
+    in
+    { result; undo; compensate }
+  in
+  { hand = Option.get (Database.spec db oid); pin = Database.pin db oid; exec;
+    observe }
+
+(* each model's object in its private database *)
+let oid = Obj_id.v "model"
+
+let elements name = function
+  | Value.List xs -> xs
+  | _ -> invalid_arg ("Semantics." ^ name ^ ": malformed state")
 
 (* ---------- escrow counter ---------- *)
 
@@ -65,37 +93,14 @@ let dec_counter s =
 let counter =
   let instantiate s =
     let low, high, v = dec_counter s in
-    let t = A.Escrow_counter.create ~low ~high v in
-    let update apply inverse args =
-      match args with
-      | n :: _ ->
-          let n = match Value.to_int n with Some n -> n | None -> -1 in
-          let result = guard (fun () -> apply t n; Value.unit) in
-          let undo () =
-            match result with
-            | Err _ -> Ret Value.unit
-            | Ret _ -> guard (fun () -> inverse t n; Value.unit)
-          in
-          { result; undo }
-      | [] -> { result = Err "escrow: missing amount"; undo = noop_undo }
-    in
-    let exec m args =
-      match m with
-      | "incr" | "deposit" ->
-          update A.Escrow_counter.incr A.Escrow_counter.decr args
-      | "decr" | "withdraw" ->
-          update A.Escrow_counter.decr A.Escrow_counter.incr args
-      | "read" | "balance" ->
-          pure (Ret (Value.int (A.Escrow_counter.value t)))
-      | m -> unknown "escrow-counter" m
-    in
-    let observe () = Value.int (A.Escrow_counter.value t) in
-    {
-      hand = A.Escrow_counter.spec t;
-      pin = Some (A.Escrow_counter.pin t);
-      exec;
-      observe;
-    }
+    let c = A.Escrow_counter.create ~low ~high v in
+    let db = Database.create () in
+    Database.register db oid ~spec:(A.Escrow_counter.spec c)
+      ~pin:(fun () -> A.Escrow_counter.pin c)
+      (Adt_objects.counter_methods c ~incr:"incr" ~decr:"decr" ~read:"read"
+      @ Adt_objects.counter_methods c ~incr:"deposit" ~decr:"withdraw"
+          ~read:"balance");
+    instance db oid ~observe:(fun () -> query db oid "read" [])
   in
   {
     model_name = "escrow-counter";
@@ -151,53 +156,18 @@ let set_elems = [ Value.str "a"; Value.str "b"; Value.str "c" ]
 
 let kv_set =
   let instantiate s =
-    let t = A.Kv_set.create () in
-    (match s with
-    | Value.List pairs ->
-        List.iter
-          (fun p ->
-            match p with
-            | Value.Pair (e, Value.Int n) -> A.Kv_set.add_count t e n
-            | _ -> invalid_arg "Semantics.kv_set: malformed state")
-          pairs
-    | _ -> invalid_arg "Semantics.kv_set: malformed state");
-    let exec m args =
-      match (m, args) with
-      | "insert", v :: _ ->
-          let result = guard (fun () -> A.Kv_set.insert t v; Value.unit) in
-          let undo () =
-            match result with
-            | Err _ -> Ret Value.unit
-            | Ret _ -> guard (fun () -> A.Kv_set.decr_count t v; Value.unit)
-          in
-          { result; undo }
-      | "remove", v :: _ ->
-          let dropped = ref 0 in
-          let result =
-            guard (fun () ->
-                dropped := A.Kv_set.remove t v;
-                Value.pair (Value.str "dropped") (Value.int !dropped))
-          in
-          let undo () =
-            match result with
-            | Err _ -> Ret Value.unit
-            | Ret _ ->
-                guard (fun () ->
-                    if !dropped > 0 then A.Kv_set.add_count t v !dropped;
-                    Value.unit)
-          in
-          { result; undo }
-      | "contains", v :: _ -> pure (Ret (Value.bool (A.Kv_set.mem t v)))
-      | "cardinal", _ -> pure (Ret (Value.int (A.Kv_set.cardinal t)))
-      | ("insert" | "remove" | "contains"), [] ->
-          { result = Err "kv-set: missing element"; undo = noop_undo }
-      | m, _ -> unknown "kv-set" m
-    in
+    let db = Database.create () in
+    let t = Adt_objects.register_set db oid in
+    List.iter
+      (function
+        | Value.Pair (e, Value.Int n) -> A.Kv_set.add_count t e n
+        | _ -> invalid_arg "Semantics.kv_set: malformed state")
+      (elements "kv_set" s);
     let observe () =
       enc_set
         (List.map (fun e -> (e, A.Kv_set.count t e)) (A.Kv_set.elements t))
     in
-    { hand = A.Kv_set.spec; pin = None; exec; observe }
+    instance db oid ~observe
   in
   let a = Value.str "a" and b = Value.str "b" in
   {
@@ -235,72 +205,12 @@ let kv_set =
 
 (* ---------- fifo queue ---------- *)
 
-let enc_fifo items = Value.list items
-
-let fifo_drain t =
-  let rec go acc =
-    match A.Fifo_queue.dequeue t with
-    | Some v -> go (v :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-let fifo_refill t items = List.iter (A.Fifo_queue.enqueue t) items
-
-(* Engine compensation of an enqueue: drop the LAST occurrence of the
-   value (lib/oodb/adt_objects.ml, removeLastOf). *)
-let fifo_remove_last_of t v =
-  let items = fifo_drain t in
-  let rec drop_first = function
-    | [] -> None
-    | x :: rest when Value.equal x v -> Some rest
-    | x :: rest -> Option.map (fun r -> x :: r) (drop_first rest)
-  in
-  match drop_first (List.rev items) with
-  | Some rest ->
-      fifo_refill t (List.rev rest);
-      Ret Value.unit
-  | None ->
-      fifo_refill t items;
-      Err "fifo: removeLastOf found no matching element"
-
 let fifo =
   let instantiate s =
-    let t = A.Fifo_queue.create () in
-    (match s with
-    | Value.List items -> fifo_refill t items
-    | _ -> invalid_arg "Semantics.fifo: malformed state");
-    let exec m args =
-      match (m, args) with
-      | "enqueue", v :: _ ->
-          A.Fifo_queue.enqueue t v;
-          { result = Ret Value.unit; undo = (fun () -> fifo_remove_last_of t v) }
-      | "enqueue", [] -> { result = Err "fifo: missing element"; undo = noop_undo }
-      | "dequeue", _ -> (
-          match A.Fifo_queue.dequeue t with
-          | Some v ->
-              {
-                result = Ret (Value.pair (Value.str "some") v);
-                undo =
-                  (fun () ->
-                    let items = fifo_drain t in
-                    fifo_refill t (v :: items);
-                    Ret Value.unit);
-              }
-          | None ->
-              { result = Ret (Value.pair (Value.str "none") Value.unit);
-                undo = noop_undo;
-              })
-      | "length", _ -> pure (Ret (Value.int (A.Fifo_queue.length t)))
-      | m, _ -> unknown "fifo-queue" m
-    in
-    let observe () =
-      let items = fifo_drain t in
-      fifo_refill t items;
-      Value.list items
-    in
-    { hand = A.Fifo_queue.spec; pin = Some (A.Fifo_queue.pin t); exec;
-      observe }
+    let db = Database.create () in
+    let q = Adt_objects.register_queue db oid in
+    List.iter (A.Fifo_queue.enqueue q) (elements "fifo" s);
+    instance db oid ~observe:(fun () -> Value.list (A.Fifo_queue.to_list q))
   in
   {
     model_name = "fifo-queue";
@@ -318,14 +228,14 @@ let fifo =
       [
         (* distinct elements matter: duplicate-only queues make two
            dequeues look commutative at that state *)
-        enc_fifo [];
-        enc_fifo [ Value.int 1 ];
-        enc_fifo [ Value.int 1; Value.int 2 ];
-        enc_fifo [ Value.int 1; Value.int 2; Value.int 3 ];
+        Value.list [];
+        Value.list [ Value.int 1 ];
+        Value.list [ Value.int 1; Value.int 2 ];
+        Value.list [ Value.int 1; Value.int 2; Value.int 3 ];
       ];
     gen_state =
       QCheck.Gen.(
-        list_size (int_range 0 4) (int_range 1 3 >|= Value.int) >|= enc_fifo);
+        list_size (int_range 0 4) (int_range 1 3 >|= Value.int) >|= Value.list);
     instantiate;
   }
 
@@ -338,62 +248,24 @@ let enc_dir bindings =
 
 let directory =
   let instantiate s =
-    let t = A.Directory.create () in
-    (match s with
-    | Value.List bindings ->
-        List.iter
-          (fun p ->
-            match p with
-            | Value.Pair (k, v) -> A.Directory.bind t k v
-            | _ -> invalid_arg "Semantics.directory: malformed state")
-          bindings
-    | _ -> invalid_arg "Semantics.directory: malformed state");
-    let exec m args =
-      match (m, args) with
-      | "bind", k :: v :: _ ->
-          let old = A.Directory.lookup t k in
-          A.Directory.bind t k v;
-          {
-            result = Ret Value.unit;
-            undo =
-              (fun () ->
-                (match old with
-                | Some w -> A.Directory.bind t k w
-                | None -> A.Directory.unbind t k);
-                Ret Value.unit);
-          }
-      | "unbind", k :: _ ->
-          let old = A.Directory.lookup t k in
-          A.Directory.unbind t k;
-          {
-            result = Ret Value.unit;
-            undo =
-              (fun () ->
-                (match old with Some w -> A.Directory.bind t k w | None -> ());
-                Ret Value.unit);
-          }
-      | "lookup", k :: _ ->
-          pure
-            (Ret
-               (match A.Directory.lookup t k with
-               | Some v -> Value.pair (Value.str "some") v
-               | None -> Value.pair (Value.str "none") Value.unit))
-      | "list", _ ->
-          (* canonical: sorted names — insertion order is representation,
-             not abstraction *)
-          pure
-            (Ret (Value.list (List.sort Value.compare (A.Directory.names t))))
-      | ("bind" | "unbind" | "lookup"), _ ->
-          { result = Err "directory: missing key"; undo = noop_undo }
-      | m, _ -> unknown "directory" m
-    in
+    let db = Database.create () in
+    let d = Adt_objects.register_directory db oid in
+    List.iter
+      (function
+        | Value.Pair (k, v) -> A.Directory.bind d k v
+        | _ -> invalid_arg "Semantics.directory: malformed state")
+      (elements "directory" s);
+    (* read through the shipped list and lookup: what clients see *)
     let observe () =
-      enc_dir
+      Value.list
         (List.filter_map
-           (fun k -> Option.map (fun v -> (k, v)) (A.Directory.lookup t k))
-           (A.Directory.names t))
+           (fun k ->
+             match query db oid "lookup" [ k ] with
+             | Value.Pair (Value.Str "some", v) -> Some (Value.pair k v)
+             | _ -> None)
+           (elements "directory" (query db oid "list" [])))
     in
-    { hand = A.Directory.spec; pin = None; exec; observe }
+    instance db oid ~observe
   in
   let a = Value.str "a" and b = Value.str "b" in
   {
@@ -467,17 +339,17 @@ let forward_at m s p q =
   && outcome_equal q_first q_second
   && Value.equal obs_pq obs_qp
 
-(* Run [first] then [second], undo [first]; the state must be exactly
-   what [second] alone produces.  (With [undo_second = true], undo the
-   SECOND call instead and compare against [first] alone.) *)
-let abort_scenario m s ~undo_second first second =
+(* Run [first] then [second], undo [first] by [route]; the state must be
+   exactly what [second] alone produces.  (With [undo_second = true],
+   undo the SECOND call instead and compare against [first] alone.) *)
+let abort_scenario m s ~route ~undo_second first second =
   let i = m.instantiate s in
   let c1 = i.exec (fst first) (snd first) in
   let c2 = i.exec (fst second) (snd second) in
   let victim, survivor = if undo_second then (c2, first) else (c1, second) in
   match (c1.result, c2.result) with
   | Ret _, Ret _ -> (
-      match victim.undo () with
+      match route victim () with
       | Err _ -> false
       | Ret _ -> (
           let j = m.instantiate s in
@@ -487,9 +359,13 @@ let abort_scenario m s ~undo_second first second =
           | Err _ -> false))
   | _ -> false
 
+(* Abort safety must hold for both ways the engine undoes a call. *)
 let commute_at m s p q =
   forward_at m s p q
-  && abort_scenario m s ~undo_second:false p q
-  && abort_scenario m s ~undo_second:true p q
-  && abort_scenario m s ~undo_second:false q p
-  && abort_scenario m s ~undo_second:true q p
+  && List.for_all
+       (fun route ->
+         abort_scenario m s ~route ~undo_second:false p q
+         && abort_scenario m s ~route ~undo_second:true p q
+         && abort_scenario m s ~route ~undo_second:false q p
+         && abort_scenario m s ~route ~undo_second:true q p)
+       [ (fun c -> c.undo); (fun c -> c.compensate) ]

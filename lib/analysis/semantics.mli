@@ -1,34 +1,36 @@
 (** Executable small-scope semantics for the shipped ADTs.
 
     Spec inference (DESIGN §16) needs ground truth to compare a
-    commutativity specification against.  This module provides it: for
-    each ADT in [lib/adts] an executable {!model} bundling
+    commutativity specification against.  This module provides it
+    without a second copy of any method: for each ADT in [lib/adts] a
+    {!model} whose instances register the shipped object
+    ({!Ooser_oodb.Adt_objects}) in a private database and run its
+    registered methods through {!Ooser_oodb.Database.run_direct}.  A
+    model contributes only what is not method code:
 
     - a canonical {e state encoding} as a {!Ooser_core.Value.t} (so
       witnesses print, serialize and replay),
     - a generator of small enumerated states (ordered small to large —
       the first failing state is a minimal witness) plus a QCheck
       random-state generator for the randomized soundness pass,
-    - an {e executable instance} per state: run a method, observe the
-      canonical abstract state, and undo the call the same way the
-      engine's abort path would (inverse escrow update, [decr_count],
-      remove-last-of, captured-binding restore — mirroring
-      [Ooser_oodb.Adt_objects]),
+    - an {e observation} of the abstract state (the directory's reads
+      through its shipped [list] and [lookup], so inference sees what
+      clients see),
     - per-method static {e footprints} for the effect-disjointness
-      shortcut (read/read and distinct-key pairs).
+      shortcut (read/read and distinct-key pairs), and argument vectors.
 
     The oracle {!commute_at} decides whether two concrete calls commute
     at a state in the full open-nesting sense: both execution orders
     yield identical results and identical canonical states ({e forward}
     commutativity), {e and} undoing either call after the other ran —
-    in both orders — leaves exactly the state the surviving call alone
-    produces ({e abort safety}).  A call that errors in either order
-    conflicts conservatively.  Abort safety is what justifies
-    hand-written conflict cells that look conservative under forward
-    commutativity alone: the directory's same-key [bind]/[bind] pair
-    forward-commutes on equal arguments, but the captured-old-binding
-    undo of one order resurrects the wrong binding, so the hand conflict
-    is right. *)
+    in both orders, and by both of the engine's undo routes — leaves
+    exactly the state the surviving call alone produces ({e abort
+    safety}).  A call that errors in either order conflicts
+    conservatively.  Abort safety is what justifies hand-written
+    conflict cells that look conservative under forward commutativity
+    alone: the directory's same-key [bind]/[bind] pair forward-commutes
+    on equal arguments, but the captured-old-binding undo of one order
+    resurrects the wrong binding, so the hand conflict is right. *)
 
 open Ooser_core
 
@@ -39,9 +41,12 @@ type outcome = Ret of Value.t | Err of string
 type call = {
   result : outcome;
   undo : unit -> outcome;
-      (** Compensate the call, exactly like the engine's abort path.
-          Captured at execution time (e.g. the directory's old binding).
-          Undoing an [Err] result is a successful no-op. *)
+      (** Run the call's undo closures, newest first: the engine's
+          rollback of a frame that still holds its locks. *)
+  compensate : unit -> outcome;
+      (** Run the method's compensation, as the engine does once the
+          call completed at its level: [Inverse] runs the named method,
+          [Forget] nothing, [Keep_undo] (or none) is {!undo}. *)
 }
 
 (** One live ADT value at a specific abstract state. *)
@@ -55,7 +60,7 @@ type instance = {
           at this state ({!Ooser_core.Action.pin}); [None] for ADTs whose
           spec reads no pins.  Probes of a pinned spec carry it. *)
   exec : string -> Value.t list -> call;
-      (** Execute a method now; mutates the instance. *)
+      (** Execute a registered method now; mutates the instance. *)
   observe : unit -> Value.t;
       (** Canonical abstract state: representation details (binding
           order, back/front queue split) never show through. *)
@@ -83,8 +88,18 @@ type model = {
   instantiate : Value.t -> instance;
 }
 
+val instance :
+  Ooser_oodb.Database.t ->
+  Obj_id.t ->
+  observe:(unit -> Value.t) ->
+  instance
+(** The runner every model uses, over the object registered under the
+    id at the state to probe: [hand] and [pin] are its registered spec
+    and pin, [exec] runs its registered methods. *)
+
 val counter : model
-(** Escrow counter; state [[low; high; value]]. *)
+(** Escrow counter; state [[low; high; value]].  Its object carries
+    both the counter's and the banking accounts' method names. *)
 
 val kv_set : model
 (** Counted set; state = sorted [[(elem, count); …]], counts positive. *)

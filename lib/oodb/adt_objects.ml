@@ -18,27 +18,32 @@ let int_arg args = Value.to_int_exn (one_arg args)
 
 (* -- escrow counter ------------------------------------------------------------ *)
 
-let register_counter db oid ?(low = min_int) ?(high = max_int) initial =
-  let c = Escrow.create ~low ~high initial in
-  let incr ctx args =
+(* One escrow method table under caller-chosen names: the counter's
+   incr/decr/read and the banking accounts' deposit/withdraw/balance. *)
+let counter_methods c ~incr ~decr ~read =
+  let incr_m ctx args =
     let n = int_arg args in
     Escrow.incr c n;
     Runtime.on_undo ctx (fun () -> Escrow.decr c n);
     Value.unit
   in
-  let decr ctx args =
+  let decr_m ctx args =
     let n = int_arg args in
     Escrow.decr c n;
     Runtime.on_undo ctx (fun () -> Escrow.incr c n);
     Value.unit
   in
-  let read _ _ = Value.int (Escrow.value c) in
+  let read_m _ _ = Value.int (Escrow.value c) in
+  [
+    (incr, Database.primitive incr_m);
+    (decr, Database.primitive decr_m);
+    (read, Database.primitive read_m);
+  ]
+
+let register_counter db oid ?(low = min_int) ?(high = max_int) initial =
+  let c = Escrow.create ~low ~high initial in
   Database.register db oid ~spec:(Escrow.spec c) ~pin:(fun () -> Escrow.pin c)
-    [
-      ("incr", Database.primitive incr);
-      ("decr", Database.primitive decr);
-      ("read", Database.primitive read);
-    ];
+    (counter_methods c ~incr:"incr" ~decr:"decr" ~read:"read");
   c
 
 (* -- set -------------------------------------------------------------------------- *)

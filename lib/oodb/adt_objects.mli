@@ -16,6 +16,16 @@
 
 open Ooser_core
 
+val counter_methods :
+  Ooser_adts.Escrow_counter.t ->
+  incr:string ->
+  decr:string ->
+  read:string ->
+  (string * Database.meth) list
+(** The escrow counter's [incr]/[decr]/[read] method table under the
+    given names: [register_counter] and the banking accounts
+    ([deposit]/[withdraw]/[balance]) both register it. *)
+
 val register_counter :
   Database.t ->
   Obj_id.t ->

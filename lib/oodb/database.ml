@@ -66,6 +66,9 @@ let methods t oid =
 
 let spec t oid = Option.map (fun o -> o.spec) (find t oid)
 
+let pin t oid =
+  Option.bind (find t oid) (fun o -> Option.map (fun p -> p ()) o.pin)
+
 let compensated_methods t oid =
   match find t oid with
   | None -> []
@@ -85,6 +88,38 @@ let resolve t oid name =
       match assoc_meth name o.methods with
       | Some m -> Ok (m, o.pin)
       | None -> Error (Fmt.str "object %a has no method %s" Obj_id.pp oid name))
+
+(* Direct synchronous execution: nested calls run at once, with no
+   locking and no recording.  The engine compensates a partial rollback
+   this way (the surrounding frame still holds its semantic locks: the
+   open nesting rule); spec inference runs the shipped methods this way. *)
+let rec run_direct t ?(on_undo = ignore) ctx (inv : Runtime.invocation) :
+    Value.t =
+  match resolve t inv.Runtime.target inv.Runtime.meth_name with
+  | Error msg -> failwith ("compensation failed: " ^ msg)
+  | Ok (m, _) ->
+      let direct = run_direct t ~on_undo ctx in
+      let open Effect.Deep in
+      try_with (m.run ctx) inv.Runtime.args
+        {
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, Value.t) continuation -> Value.t) option ->
+              match eff with
+              | Runtime.Invoke inv -> Some (fun k -> continue k (direct inv))
+              | Runtime.Invoke_par invs ->
+                  Some (fun k -> continue k (List.map direct invs))
+              | Runtime.Invoke_try inv ->
+                  Some
+                    (fun k ->
+                      continue k
+                        (try Ok (direct inv) with Runtime.Abort msg -> Error msg))
+              | Runtime.Register_undo g ->
+                  Some (fun k -> on_undo g; continue k ())
+              | Runtime.Await ->
+                  Some (fun _ -> failwith "compensation awaited external input")
+              | _ -> None);
+        }
 
 let spec_registry ?(default = Commutativity.all_conflict) t =
   Commutativity.registry

@@ -77,6 +77,10 @@ val methods : t -> Obj_id.t -> string list
 
 val spec : t -> Obj_id.t -> Commutativity.spec option
 
+val pin : t -> Obj_id.t -> Value.t option
+(** The object's pin at its current state; [None] when it registered
+    none or is unknown. *)
+
 val compensated_methods : t -> Obj_id.t -> string list
 (** Names of registered methods that carry a compensation; the COMP001
     lint compares these against the methods reachable from open-nested
@@ -87,6 +91,19 @@ val resolve :
 (** The named method of the object together with the pin function the
     object was registered with ([None] when it registered none), from
     one lookup; [Error] names the unknown object or method. *)
+
+val run_direct :
+  t ->
+  ?on_undo:((unit -> unit) -> unit) ->
+  Runtime.ctx ->
+  Runtime.invocation ->
+  Value.t
+(** Run a registered method to completion outside the scheduler: nested
+    calls run at once, [try_call] maps a callee's [Runtime.Abort] to
+    [Error], and every undo closure registered goes to [on_undo]
+    (default: dropped), oldest first.
+    @raise Failure ["compensation failed: …"] on an unknown object or
+    method. *)
 
 val spec_registry : ?default:Commutativity.spec -> t -> Commutativity.registry
 (** Commutativity registry over the registered objects, for the protocols

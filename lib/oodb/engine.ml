@@ -336,33 +336,6 @@ let current_frame task =
   | f :: _ -> f
   | [] -> invalid_arg "Engine: no active frame"
 
-(* Direct synchronous execution, used for compensating invocations during
-   abort: sub-calls run immediately, no locking, no recording.  The
-   surrounding transaction still holds its higher-level semantic locks, so
-   this is safe under the open nesting rule. *)
-let rec execute_direct (eng : t) ctx (inv : Runtime.invocation) =
-  match Database.resolve eng.db inv.Runtime.target inv.Runtime.meth_name with
-  | Error msg -> failwith ("compensation failed: " ^ msg)
-  | Ok (m, _) ->
-      let rec drive = function
-        | Done v -> v
-        | Raised e -> raise e
-        | Undo_reg (_, k) -> drive (Effect.Deep.continue k ())
-        | Yield (inv', k) ->
-            let v = execute_direct eng ctx inv' in
-            drive (Effect.Deep.continue k v)
-        | Yield_par (invs, k) ->
-            let vs = List.map (execute_direct eng ctx) invs in
-            drive (Effect.Deep.continue k vs)
-        | Yield_try (inv', k) -> (
-            match execute_direct eng ctx inv' with
-            | v -> drive (Effect.Deep.continue k (Ok v))
-            | exception Runtime.Abort m ->
-                drive (Effect.Deep.continue k (Error m)))
-        | Yield_await _ -> failwith "compensation awaited external input"
-      in
-      drive (run_fiber (fun () -> m.Database.run ctx inv.Runtime.args))
-
 let discontinue_quietly k =
   match Effect.Deep.discontinue k Runtime.Abandoned with
   | _ -> ()
@@ -1020,7 +993,7 @@ and propagate_failure eng txn task msg =
         match item with
         | Restore g -> g ()
         | Compensate inv ->
-            ignore (execute_direct eng { Runtime.top = txn.top } inv))
+            ignore (Database.run_direct eng.db { Runtime.top = txn.top } inv))
       f.undo;
     Protocol.on_end eng.config.protocol f.action
   in

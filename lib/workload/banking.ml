@@ -30,34 +30,14 @@ let spec_for semantics counter =
 
 let register_account db ~semantics i ~balance ~low ~high =
   let counter = Escrow.create ~low ~high balance in
-  let amount = function
-    | [ Value.Int n ] -> n
-    | _ -> invalid_arg "amount expected"
-  in
-  let deposit ctx args =
-    let n = amount args in
-    Escrow.incr counter n;
-    Runtime.on_undo ctx (fun () -> Escrow.decr counter n);
-    Value.unit
-  in
-  let withdraw ctx args =
-    let n = amount args in
-    Escrow.decr counter n;
-    Runtime.on_undo ctx (fun () -> Escrow.incr counter n);
-    Value.unit
-  in
-  let balance _ctx _args = Value.int (Escrow.value counter) in
   Database.register db (account_obj i)
     ~spec:(spec_for semantics counter)
     ?pin:
       (match semantics with
       | `Escrow -> Some (fun () -> Escrow.pin counter)
       | `Rw | `Conflict -> None)
-    [
-      ("deposit", Database.primitive deposit);
-      ("withdraw", Database.primitive withdraw);
-      ("balance", Database.primitive balance);
-    ];
+    (Adt_objects.counter_methods counter ~incr:"deposit" ~decr:"withdraw"
+       ~read:"balance");
   counter
 
 type params = {

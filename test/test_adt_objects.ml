@@ -192,6 +192,25 @@ let test_directory_lookup_results () =
     (List.assoc 1 out.Engine.results
     = Value.pair (Value.str "some") (Value.int 43))
 
+(* Two binds on distinct keys commute by the directory spec, so a later
+   [list] must not tell their orders apart: names come in key order. *)
+let test_directory_list_key_order () =
+  let listed keys =
+    let db = Database.create () in
+    ignore (Adt_objects.register_directory db (o "D"));
+    let body ctx =
+      List.iter
+        (fun k -> ignore (Runtime.call ctx (o "D") "bind" [ k; Value.int 1 ]))
+        keys;
+      Runtime.call ctx (o "D") "list" []
+    in
+    let out = Engine.run db ~protocol:(open_protocol db) [ (1, "t", body) ] in
+    List.assoc 1 out.Engine.results
+  in
+  let a = Value.str "a" and b = Value.str "b" in
+  check_bool "bind a; bind b lists as bind b; bind a" true
+    (Value.equal (listed [ a; b ]) (listed [ b; a ]))
+
 let test_set_compensations_commute () =
   (* the classical open-nesting pitfall: T1 inserts v and will abort; T2
      inserts the SAME v between T1's insert and T1's abort (the two
@@ -258,6 +277,65 @@ let test_queue_compensations_commute () =
   check_bool "t2 committed" true (List.mem 2 out.Engine.committed);
   check_int "exactly one x left" 1 (Fifo_queue.length q)
 
+(* Direct execution outside the scheduler: nested calls run at once, a
+   callee's abort under try_call comes back as [Error], call_par results
+   come back in invocation order, and [on_undo] receives every closure
+   the call tree registers, oldest first. *)
+let test_run_direct () =
+  let db = Database.create () in
+  ignore (Adt_objects.register_counter db (o "C") 5);
+  let log = ref [] in
+  let note ctx label = Runtime.on_undo ctx (fun () -> log := label :: !log) in
+  Database.register db (o "N") ~spec:Commutativity.all_conflict
+    [
+      ( "note",
+        Database.primitive (fun ctx args ->
+            let v = List.hd args in
+            note ctx (Value.to_str_exn v);
+            v) );
+      ("fail", Database.primitive (fun _ _ -> Runtime.abort "refused"));
+    ];
+  let n = o "N" in
+  Database.register db (o "P") ~spec:Commutativity.all_conflict
+    [
+      ( "outer",
+        Database.composite (fun ctx _ ->
+            note ctx "first";
+            let nested = Runtime.call ctx n "note" [ Value.str "nested" ] in
+            let tried =
+              match Runtime.try_call ctx n "fail" [] with
+              | Ok v -> v
+              | Error msg -> Value.str ("error " ^ msg)
+            in
+            let par =
+              Runtime.call_par ctx
+                [
+                  Runtime.invocation n "note" [ Value.str "par1" ];
+                  Runtime.invocation (o "C") "read" [];
+                  Runtime.invocation n "note" [ Value.str "par2" ];
+                ]
+            in
+            note ctx "last";
+            Value.list (nested :: tried :: par)) );
+    ];
+  let undos = ref [] in
+  let v =
+    Database.run_direct db
+      ~on_undo:(fun g -> undos := g :: !undos)
+      { Runtime.top = 1 }
+      (Runtime.invocation (o "P") "outer" [])
+  in
+  let s = Value.str in
+  check_bool "results: nested, try_call error, call_par in order" true
+    (Value.equal v
+       (Value.list
+          [ s "nested"; s "error refused"; s "par1"; Value.int 5; s "par2" ]));
+  List.iter (fun g -> g ()) (List.rev !undos);
+  Alcotest.(check (list string))
+    "closures arrive oldest first"
+    [ "first"; "nested"; "par1"; "par2"; "last" ]
+    (List.rev !log)
+
 let suites =
   [
     ( "adt_objects",
@@ -276,6 +354,10 @@ let suites =
         Alcotest.test_case "queue abort restores" `Quick test_queue_abort_restores;
         Alcotest.test_case "directory phantoms" `Quick test_directory_phantoms;
         Alcotest.test_case "directory lookup" `Quick test_directory_lookup_results;
+        Alcotest.test_case "directory list in key order" `Quick
+          test_directory_list_key_order;
+        Alcotest.test_case "run_direct: nested, try and parallel calls"
+          `Quick test_run_direct;
         Alcotest.test_case "set compensations commute" `Quick
           test_set_compensations_commute;
         Alcotest.test_case "queue compensations commute" `Quick

@@ -119,6 +119,66 @@ let test_witness_details () =
            ("bind", w.Infer.w_args'))
   | _ -> Alcotest.fail "dir same-args bind/bind should conflict"
 
+(* --- a planted wrong compensation ------------------------------------ *)
+
+(* The shipped queue with one method replaced: [requeueFront], the
+   compensation of a dequeue, appends instead of pushing to the front.
+   The shipped [dequeue] names it by object id, so its compensation
+   resolves to the planted method. *)
+let planted_fifo =
+  let module Q = Ooser_adts.Fifo_queue in
+  let module Db = Ooser_oodb.Database in
+  let oid = Obj_id.v "Q" in
+  let instantiate state =
+    let shipped = Db.create () in
+    let q = Ooser_oodb.Adt_objects.register_queue shipped oid in
+    let meth name =
+      match Db.resolve shipped oid name with
+      | Ok (m, _) -> (name, m)
+      | Error msg -> failwith msg
+    in
+    let db = Db.create () in
+    Db.register db oid ~spec:Q.spec
+      ~pin:(fun () -> Q.pin q)
+      [
+        meth "enqueue";
+        meth "dequeue";
+        meth "removeLastOf";
+        ( "requeueFront",
+          Db.primitive (fun _ args ->
+              Q.enqueue q (List.hd args);
+              Value.unit) );
+        meth "length";
+      ];
+    (match state with
+    | Value.List xs -> List.iter (Q.enqueue q) xs
+    | _ -> invalid_arg "planted_fifo: malformed state");
+    Semantics.instance db oid ~observe:(fun () -> Value.list (Q.to_list q))
+  in
+  { Semantics.fifo with Semantics.instantiate }
+
+let test_planted_compensation_refuted () =
+  let s = Value.list [ Value.int 1 ] in
+  let deq = ("dequeue", []) and enq = ("enqueue", [ Value.int 7 ]) in
+  check_bool "shipped queue: dequeue/enqueue commute at [1]" true
+    (Semantics.commute_at Semantics.fifo s deq enq);
+  check_bool "planted requeueFront: refuted at [1]" false
+    (Semantics.commute_at planted_fifo s deq enq);
+  (* only the compensation route shows it: the dequeue's own undo
+     closure still pushes to the front *)
+  let undone route =
+    let i = planted_fifo.Semantics.instantiate s in
+    let c = i.Semantics.exec "dequeue" [] in
+    ignore (i.Semantics.exec "enqueue" [ Value.int 7 ]);
+    ignore (route c ());
+    i.Semantics.observe ()
+  in
+  let front_first = Value.list [ Value.int 1; Value.int 7 ] in
+  check_bool "undo closures restore the front" true
+    (Value.equal (undone (fun c -> c.Semantics.undo)) front_first);
+  check_bool "planted compensation appends" false
+    (Value.equal (undone (fun c -> c.Semantics.compensate)) front_first)
+
 (* --- INFER001: a planted unsound escrow cell ------------------------ *)
 
 let escrow_mutant =
@@ -328,6 +388,8 @@ let suites =
           test_shipped_verdicts;
         Alcotest.test_case "conflict witnesses are minimal and labelled"
           `Quick test_witness_details;
+        Alcotest.test_case "planted wrong compensation is refuted" `Quick
+          test_planted_compensation_refuted;
         Alcotest.test_case "planted unsound escrow cell raises INFER001"
           `Quick test_escrow_mutation_flagged;
         Alcotest.test_case "planted conservative kv cell raises INFER002"
